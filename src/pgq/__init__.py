@@ -25,7 +25,6 @@ from .helpmethod import (
     PartialAugmentationVector,
     feasible_partial_augmentations,
     lupa_multiplicity,
-    onan_inequalities,
     trivial_pa,
 )
 from .brauer import (

@@ -1,0 +1,6 @@
+"""`python -m pgq`: the same command line as the `pgq` script."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

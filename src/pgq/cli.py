@@ -3,14 +3,13 @@
 Exit codes: 0 = success / settled, 1 = open or inconclusive finding,
 2 = input error (malformed JSON is reported with line and column).
 Machine-readable output is sorted and timestamp-free so repeated runs are
-byte-identical; PGQ_THREADS caps worker threads where work is sharded.
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import brauer, fixtures, helpmethod, numtheory, selftest, tableaux
@@ -18,13 +17,6 @@ from . import brauer, fixtures, helpmethod, numtheory, selftest, tableaux
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_INPUT = 2
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PGQ_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit_json(doc, out):
@@ -136,16 +128,14 @@ def cmd_tree_check(args, out) -> int:
 
 
 def cmd_sieve(args, out) -> int:
-    result = numtheory.count_N(
-        args.bound, condition=args.condition, method=args.method, threads=_threads()
-    )
+    result = numtheory.count_N(args.bound, condition=args.condition, method=args.method)
     if args.dual:
         other = "root-sieve" if args.method != "root-sieve" else "phi-factor"
         check = numtheory.count_N(args.bound, condition=args.condition, method=other)
         if check.rows != result.rows:
-            raise AssertionError(
-                f"dual-path disagreement: {args.method} vs {other} at bound {args.bound}"
-            )
+            print(f"dual-path disagreement: {args.method} vs {other} at bound {args.bound}",
+                  file=sys.stderr)
+            return EXIT_FINDING
     if args.format == "csv":
         out.write("p,status,witness\n")
         for p, ok, w in result.rows:

@@ -337,31 +337,6 @@ def parse_cyclotomic(text) -> CyclotomicElement:
     return CyclotomicElement.make(n, terms)
 
 
-# module-level conveniences mirroring the element API
-
-def make(n: int, terms) -> CyclotomicElement:
-    return CyclotomicElement.make(n, terms)
-
-
 def zeta(n: int, k: int = 1) -> CyclotomicElement:
+    """zeta_n^k at level n."""
     return CyclotomicElement.zeta(n, k)
-
-
-def rational(c, n: int = 1) -> CyclotomicElement:
-    return CyclotomicElement.rational(c, n)
-
-
-def add(x: CyclotomicElement, y: CyclotomicElement) -> CyclotomicElement:
-    return x + y
-
-
-def mul(x: CyclotomicElement, y: CyclotomicElement) -> CyclotomicElement:
-    return x * y
-
-
-def galois(x: CyclotomicElement, k: int) -> CyclotomicElement:
-    return x.galois(k)
-
-
-def trace_to_Q(x: CyclotomicElement) -> Fraction:
-    return x.trace_to_Q()

@@ -35,14 +35,19 @@ def resolve(path_or_name: str) -> dict:
 
     if os.path.exists(path_or_name):
         with open(path_or_name) as fh:
-            return json.load(fh)
-    try:
-        return load_json(path_or_name)
-    except FileNotFoundError:
-        raise FileNotFoundError(
-            f"{path_or_name}: no such file and no bundled fixture of that name "
-            f"(bundled: {', '.join(available())})"
-        ) from None
+            doc = json.load(fh)
+    else:
+        try:
+            doc = load_json(path_or_name)
+        except FileNotFoundError:
+            raise FileNotFoundError(
+                f"{path_or_name}: no such file and no bundled fixture of that name "
+                f"(bundled: {', '.join(available())})"
+            ) from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path_or_name}: the top-level JSON value must be an object, "
+                         f"not {type(doc).__name__}")
+    return doc
 
 
 def load_slice(name: str) -> CharacterTableSlice:

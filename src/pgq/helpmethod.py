@@ -667,23 +667,7 @@ def feasible_partial_augmentations(
     )
 
 
-# -- the published order-21 inequality rows ------------------------------------
-
-
-#: (constant, coefficient) with value (constant + coefficient * eps_3)/21
-#: required to be a non-negative integer.
-ONAN_ORDER21_ROWS: tuple[tuple[int, int], ...] = ((98493, 312), (98415, 26), (98415, -156))
-
-
-def onan_inequalities(epsilon3: int, epsilon7: int) -> tuple[bool, bool, bool]:
-    """Evaluate the three divisibility-and-nonnegativity conditions exactly."""
-    if epsilon3 + epsilon7 != 1:
-        raise ValueError("partial augmentations must satisfy eps_3 + eps_7 = 1")
-    out = []
-    for const, coeff in ONAN_ORDER21_ROWS:
-        v = const + coeff * epsilon3
-        out.append(v >= 0 and v % 21 == 0)
-    return tuple(out)
+# -- published inequality rows ---------------------------------------------------
 
 
 @dataclass
@@ -711,6 +695,13 @@ class InequalityRowsFixture:
             congruences=tuple((int(m), int(r)) for m, r in doc.get("congruences", [])),
         )
 
+    def rows_hold(self, e: int) -> tuple[bool, ...]:
+        """Per row, whether (constant + coefficient * e) / modulus is a
+        non-negative integer."""
+        return tuple(
+            v >= 0 and v % self.modulus == 0 for v in (c + k * e for c, k in self.rows)
+        )
+
     def feasible_points(self, limit: int | None = None) -> list[tuple[int, int]]:
         """All (eps, 1 - eps) satisfying every row and congruence; the row
         non-negativity bounds the search exactly."""
@@ -728,10 +719,7 @@ class InequalityRowsFixture:
         for e in range(lo, hi + 1):
             if any((e - r) % m for m, r in self.congruences):
                 continue
-            if all(
-                (const + coeff * e) >= 0 and (const + coeff * e) % self.modulus == 0
-                for const, coeff in self.rows
-            ):
+            if all(self.rows_hold(e)):
                 out.append((e, 1 - e))
                 if limit is not None and len(out) >= limit:
                     break

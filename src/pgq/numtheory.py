@@ -15,15 +15,12 @@ factoring the full product F(p); any two must agree exactly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, log
+from math import fsum, gcd, inf, isqrt, log, sqrt
 
 import numpy as np
-from scipy.integrate import quad
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # Sorenson-Webster bound
@@ -157,14 +154,6 @@ class FactoredInteger:
 
     def is_squarefree_above3(self) -> bool:
         return all(e < 2 for p, e in self.factors if p > 3)
-
-
-def is_squarefree(n: FactoredInteger) -> bool:
-    return n.is_squarefree()
-
-
-def is_squarefree_above3(n: FactoredInteger) -> bool:
-    return n.is_squarefree_above3()
 
 
 def alpha(n: int) -> int:
@@ -321,14 +310,33 @@ def constant_c_tail_bound(truncation: int) -> Fraction:
 # -- the logarithmic integral ---------------------------------------------------
 
 
+_EULER_GAMMA = 0.5772156649015329
+_LI_AT_2 = 1.0451637801174927  # li(2)
+
+
 def li(x: float) -> float:
-    """Li(x) = integral from 2 to x of dt/log t by adaptive quadrature."""
-    if x < 2:
-        raise ValueError("Li is defined for x >= 2")
+    """Li(x) = li(x) - li(2), with li(x) from Ramanujan's series
+
+        li(x) = gamma + log log x + sqrt(x) * sum_{n>=1} (-1)^(n-1) (log x)^n
+                / (n! 2^(n-1)) * sum_{0<=k<=(n-1)/2} 1/(2k+1),
+
+    summed until the terms stop mattering; accurate to about 1e-14 relative."""
+    if not 2 <= x < inf:
+        raise ValueError("Li is defined for finite x >= 2")
     if x == 2:
         return 0.0
-    val, _ = quad(lambda t: 1.0 / log(t), 2.0, float(x), epsabs=0.0, epsrel=1e-13, limit=400)
-    return val
+    L = log(x)
+    terms = []
+    a, inner, n = -2.0, 0.0, 0  # a = (-1)^(n-1) L^n / (n! 2^(n-1))
+    while True:
+        n += 1
+        a *= -L / (2 * n)
+        if n % 2:
+            inner += 1.0 / n
+        terms.append(a * inner)
+        if n > L and abs(terms[-1]) < 1e-18 * abs(terms[0]):
+            break
+    return _EULER_GAMMA + log(L) + sqrt(x) * fsum(terms) - _LI_AT_2
 
 
 def li_series(x: float) -> float:
@@ -388,19 +396,8 @@ def _phi_witness_row(p: int, ks, above: int) -> tuple[int, bool, int | None]:
     return (p, best is None, best)
 
 
-def _count_phi_factor(x: int, ks, above: int, threads: int) -> list:
-    ps = primes_up_to(x)
-    if threads > 1:
-        chunk = max(1, len(ps) // threads)
-        blocks = [ps[i: i + chunk] for i in range(0, len(ps), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda blk: [_phi_witness_row(p, ks, above) for p in blk], blocks
-            )
-        rows = [row for part in parts for row in part]
-    else:
-        rows = [_phi_witness_row(p, ks, above) for p in ps]
-    return rows
+def _count_phi_factor(x: int, ks, above: int) -> list:
+    return [_phi_witness_row(p, ks, above) for p in primes_up_to(x)]
 
 
 def _sqrt_mod_prime(a: int, q: int) -> int:
@@ -506,9 +503,7 @@ def _count_full_product(x: int, ks, above: int) -> list:
     return rows
 
 
-def count_N(
-    x: int, condition: str = "thm51", method: str = "phi-factor", threads: int = 1
-) -> SieveResult:
+def count_N(x: int, condition: str = "thm51", method: str = "phi-factor") -> SieveResult:
     """Census of primes p <= x whose polynomial values pass the squarefree
     condition, with a per-prime witness log.
 
@@ -522,7 +517,7 @@ def count_N(
         raise ValueError(f"unknown condition {condition!r}")
     ks, above = CONDITIONS[condition]
     if method == "phi-factor":
-        rows = _count_phi_factor(x, ks, above, max(1, threads))
+        rows = _count_phi_factor(x, ks, above)
     elif method == "root-sieve":
         rows = _count_root_sieve(x, ks, above)
     elif method == "full-F":

@@ -9,22 +9,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from . import brauer, fixtures, helpmethod, numtheory, tableaux
 from .cyclotomic import CyclotomicElement, parse_cyclotomic, zeta
 
 
-def _primes(bound):
-    return [p for p in range(2, bound + 1) if all(p % d for d in range(2, p))]
-
-
 def check_trace_dual_path():
-    for p in _primes(40):
+    for p in numtheory.primes_up_to(40):
         x = zeta(p)
         assert x.trace_to_Q() == -1 == x.trace_via_galois_sum()
-    for p in _primes(12):
-        for q in _primes(12):
+    for p in numtheory.primes_up_to(12):
+        for q in numtheory.primes_up_to(12):
             if p != q:
                 x = zeta(p * q, -q)  # zeta_p^-1 inside Q(zeta_pq)
                 assert x.trace_to_Q() == -(q - 1) == x.trace_via_galois_sum()
@@ -32,7 +27,7 @@ def check_trace_dual_path():
 
 def check_canonical_equality():
     for n in range(2, 31):
-        for p in [p for p in _primes(n) if n % p == 0]:
+        for p in [p for p in numtheory.primes_up_to(n) if n % p == 0]:
             s = CyclotomicElement.make(n, [(j * (n // p), 1) for j in range(1, p)])
             assert s == -1, (n, p)
 
@@ -114,8 +109,8 @@ def check_thompson_exclusion():
 
 
 def check_onan_rows():
-    assert helpmethod.onan_inequalities(-6, 7) == (True, True, True)
     fixture = fixtures.load_rows("onan")
+    assert fixture.rows_hold(-6) == (True, True, True)
     points = fixture.feasible_points()
     assert (-6, 7) in points
 
@@ -188,7 +183,7 @@ def check_verdict_tables():
 def check_rho_and_constant():
     assert numtheory.rho(5, method="enumerate") == 4
     assert numtheory.rho(5, method="roots") == 4
-    for q in _primes(60):
+    for q in numtheory.primes_up_to(60):
         if q > 3:
             assert numtheory.rho(q, "enumerate") == numtheory.rho(q, "roots") <= 8
     c5, _ = numtheory.constant_c(5)

@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .numtheory import is_prime
+
 
 Partition = tuple[int, ...]
 
@@ -387,22 +389,9 @@ def _check_columns_between_lines(t: SkewTableau) -> list:
     return bad
 
 
-class _EmptyTableau:
-    """Stand-in for the empty tableau produced by a full vertical cut."""
-
-    rows: tuple = ()
-    n_boxes = 0
-
-    @staticmethod
-    def to_json():
-        return {"outer": [], "inner": [], "rows": []}
-
-
-_EMPTY = _EmptyTableau()
-
-
 def split_at_column(t: SkewTableau, k: int):
-    """The part strictly right of the first k geometric columns, re-rooted."""
+    """The part strictly right of the first k geometric columns, re-rooted
+    (the empty tableau when the cut leaves nothing)."""
     left, _ = _column_span(t)
     cut = left + k
     outer, inner, rows = [], [], []
@@ -415,8 +404,6 @@ def split_at_column(t: SkewTableau, k: int):
         rows.append(tuple(t.entry(i, j) for j in range(max(off, cut), lam)))
     while inner and inner[-1] == 0:
         inner.pop()
-    if not outer:
-        return _EMPTY
     return SkewTableau.from_rows(tuple(outer), tuple(inner), rows)
 
 
@@ -429,13 +416,10 @@ def _check_divided_tableau(t: SkewTableau) -> list:
     cont = content(t)
     for k in range(0, ell + 1):
         right_part = split_at_column(t, k)
-        if isinstance(right_part, _EmptyTableau):
-            cont_r: tuple[int, ...] = ()
-        else:
-            if not (is_semistandard(right_part) and has_lattice_property(right_part)):
-                bad.append({"tableau": t.to_json(), "k": k, "reason": "right part not SSLT"})
-                continue
-            cont_r = content(right_part)
+        if not (is_semistandard(right_part) and has_lattice_property(right_part)):
+            bad.append({"tableau": t.to_json(), "k": k, "reason": "right part not SSLT"})
+            continue
+        cont_r = content(right_part)
         for n in range(1, t.n_boxes + 2):
             if gamma(n + k, cont) > gamma(n, cont_r):
                 bad.append(
@@ -493,7 +477,7 @@ class ModulePartition:
     parts: Partition
 
     def __post_init__(self):
-        if self.p < 3 or any(self.p % d == 0 for d in range(2, self.p)):
+        if self.p < 3 or not is_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         check_partition(self.parts) if self.parts else None
         if any(x > self.p for x in self.parts):

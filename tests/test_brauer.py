@@ -6,6 +6,7 @@ import pytest
 
 from pgq import brauer, fixtures
 from pgq import helpmethod as H
+from pgq import numtheory as NT
 from pgq.brauer import (
     BrauerTreeSpec,
     GammaBound,
@@ -142,7 +143,7 @@ class TestNuFunctional:
         values = {
             v.name: slice_.character(v.characters[0]).value("3a") for v in tree.vertices
         }
-        nu = brauer.nu_functional(tree, values).to_rational()
+        nu = brauer.signed_vertex_sum(tree, values).to_rational()
         assert nu % 3 == 0
 
     def test_nu_at_identity_is_zero(self):
@@ -151,12 +152,12 @@ class TestNuFunctional:
         values = {
             v.name: slice_.character(v.characters[0]).value("1a") for v in tree.vertices
         }
-        assert brauer.nu_functional(tree, values).is_zero()
+        assert brauer.signed_vertex_sum(tree, values).is_zero()
 
     def test_single_vertex_degenerate(self):
         tree = BrauerTreeSpec(5, [TreeVertex("only", -1, ("chi",))], [])
         x = zeta(3) + 2
-        assert brauer.nu_functional(tree, {"only": x}) == x * (-1)
+        assert brauer.signed_vertex_sum(tree, {"only": x}) == x * (-1)
 
 
 class TestMainInequality:
@@ -324,7 +325,7 @@ class TestVerdicts:
                 if rng.random() < 0.4:
                     spectrum.add(p * q)
             profile = GroupArithmeticProfile("fuzz", order, frozenset(spectrum))
-            factors = dict(brauer.factorint_large(order))
+            factors = NT.factorize(order)
             for p, q in itertools.combinations(sorted(chosen), 2):
                 v = brauer.pq_edge_verdict(profile, p, q)
                 if p * q in profile.spectrum:

@@ -1,9 +1,12 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pgq
 from pgq import cli
 
 
@@ -101,20 +104,29 @@ class TestSieve:
         code, _ = run(["sieve", "--bound", "300", "--condition", "thm51", "--dual"])
         assert code == 0
 
-    def test_byte_stability_across_runs_and_threads(self):
+    def test_dual_disagreement_is_reported(self, monkeypatch, capsys):
+        real = cli.numtheory.count_N
+        calls = []
+
+        def second_call_differs(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(result)
+            if len(calls) == 2:
+                p, ok, w = result.rows[0]
+                result.rows[0] = (p, not ok, w)
+            return result
+
+        monkeypatch.setattr(cli.numtheory, "count_N", second_call_differs)
+        code, text = run(["sieve", "--bound", "300", "--dual"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "dual-path disagreement: phi-factor vs root-sieve at bound 300\n"
+        )
+
+    def test_byte_stability_across_runs(self):
         _, a = run(["sieve", "--bound", "400", "--format", "csv"])
         _, b = run(["sieve", "--bound", "400", "--format", "csv"])
         assert a == b
-        old = os.environ.get("PGQ_THREADS")
-        try:
-            os.environ["PGQ_THREADS"] = "4"
-            _, c = run(["sieve", "--bound", "400", "--format", "csv"])
-        finally:
-            if old is None:
-                os.environ.pop("PGQ_THREADS", None)
-            else:
-                os.environ["PGQ_THREADS"] = old
-        assert a == c
 
 
 class TestLie:
@@ -149,6 +161,24 @@ class TestTableauxVerify:
         assert doc["full-rectangle"]["violations"] == []
 
 
+class TestSelftest:
+    def test_battery_passes(self):
+        code, text = run(["selftest"])
+        assert code == 0
+        assert text.endswith("selftest: all checks passed\n")
+
+
+def test_python_dash_m_pgq_matches_main():
+    src = os.path.dirname(os.path.dirname(pgq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["lie", "--family", "G2", "--q", "5"]
+    proc = subprocess.run([sys.executable, "-m", "pgq", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == run(argv)[1]
+
+
 class TestErrors:
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -161,6 +191,19 @@ class TestErrors:
     def test_missing_file(self):
         code, _ = run(["verdict", "--profile", "no_such_profile"])
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"name": "M11", "order": None, "spectrum": [1, 2, 3, 4, 5, 6, 8, 11]},
+        {"name": "M11", "order": "7920", "spectrum": "123"},
+        [1, 2, 3],
+    ], ids=["null-order", "string-spectrum", "top-level-array"])
+    def test_malformed_profile_is_an_input_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        code, text = run(["verdict", "--profile", str(path)])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
     def test_unknown_subcommand(self):
         code, _ = run(["frobnicate"])

