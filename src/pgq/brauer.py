@@ -22,6 +22,7 @@ from .helpmethod import (
     lupa_multiplicity,
 )
 from .numtheory import factorize, is_prime
+from .schema import want, want_list, want_positive
 
 
 @dataclass(frozen=True)
@@ -97,19 +98,27 @@ class BrauerTreeSpec:
         """Accepts the exceptional marker either as a top-level
         {"exceptional": {"vertex": ..., "t": ...}} or inline on a vertex as
         {"exceptional": true, "t": ...}."""
+        vertex_docs = want_list(doc["vertices"], dict, "tree vertices")
         vertices = [
-            TreeVertex(v["name"], int(v["sign"]), tuple(v.get("characters", ())))
-            for v in doc["vertices"]
+            TreeVertex(want(v["name"], str, "vertex name"), want(v["sign"], int, "vertex sign"),
+                       tuple(want_list(v.get("characters", []), str, "vertex characters")))
+            for v in vertex_docs
         ]
-        edges = [(a, b, lbl) for a, b, lbl in doc["edges"]]
+        edges = [tuple(want_list(e, str, "each tree edge", 3))
+                 for e in want_list(doc["edges"], list, "tree edges")]
         exc = doc.get("exceptional")
-        exceptional = (exc["vertex"], int(exc["t"])) if exc else None
-        for v in doc["vertices"]:
+        exceptional = None
+        if exc is not None:
+            want(exc, dict, "exceptional")
+            exceptional = (want(exc["vertex"], str, "exceptional vertex"),
+                           want(exc["t"], int, "exceptional t"))
+        for v in vertex_docs:
             if v.get("exceptional") is True:
                 if exceptional is not None and exceptional[0] != v["name"]:
                     raise ValueError("conflicting exceptional vertex markers")
-                exceptional = (v["name"], int(v.get("t", len(v.get("characters", ())) or 1)))
-        return cls(int(doc["prime"]), vertices, edges, exceptional)
+                t = v.get("t", len(v.get("characters", ())) or 1)
+                exceptional = (v["name"], want(t, int, "exceptional t"))
+        return cls(want(doc["prime"], int, "tree prime"), vertices, edges, exceptional)
 
 
 def validate_tree(tree: BrauerTreeSpec) -> list[str]:
@@ -381,19 +390,17 @@ class GroupArithmeticProfile:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroupArithmeticProfile":
-        order, spectrum = doc["order"], doc["spectrum"]
-        if isinstance(order, bool) or not isinstance(order, (int, str)):
-            raise ValueError(f"profile order must be an integer or a decimal string, "
-                             f"got {order!r}")
-        if not isinstance(spectrum, list) or any(
-            isinstance(n, bool) or not isinstance(n, int) for n in spectrum
-        ):
-            raise ValueError(f"profile spectrum must be a list of integers, got {spectrum!r}")
+        order = want_positive(doc["order"], "profile order")
+        spectrum = want_list(doc["spectrum"], int, "profile spectrum")
+        if any(n < 1 or order % n for n in spectrum):
+            raise ValueError(f"profile spectrum entries must be positive divisors of the "
+                             f"order (Lagrange), got {spectrum!r}")
+        lie_family = doc.get("lie_family")
         return cls(
-            name=doc["name"],
-            order=int(order),
+            name=want(doc["name"], str, "profile name"),
+            order=order,
             spectrum=_closed_under_divisors(spectrum),
-            lie_family=doc.get("lie_family"),
+            lie_family=None if lie_family is None else want(lie_family, str, "lie_family"),
         )
 
     def prime_divisors(self) -> list[int]:

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .schema import want, want_positive
+
 
 @lru_cache(maxsize=None)
 def factorint(n: int) -> tuple[tuple[int, int], ...]:
@@ -310,11 +312,15 @@ def parse_cyclotomic(text) -> CyclotomicElement:
     A bare rational like '-2' or '1/3' is the constant at level 1.
     """
     if isinstance(text, dict):
-        n = int(text["n"])
-        terms = [(int(a), Fraction(c)) for a, c in text["coeffs"].items()]
+        n = want_positive(text["n"], "cyclotomic level n")
+        terms = [(int(a), Fraction(want(c, str, "cyclotomic coefficient")))
+                 for a, c in want(text["coeffs"], dict, "cyclotomic coeffs").items()]
         return CyclotomicElement.make(n, terms)
     if isinstance(text, int):
         return CyclotomicElement.rational(text)
+    if not isinstance(text, str):
+        raise ValueError(f"a cyclotomic number must be a string, an integer or an object, "
+                         f"got {text!r}")
     s = text.strip()
     if "@" in s:
         body, level = s.rsplit("@", 1)

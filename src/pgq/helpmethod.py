@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicElement, factorint, parse_cyclotomic
+from .schema import want, want_list, want_positive
 
 
 @lru_cache(maxsize=None)
@@ -173,24 +174,27 @@ class CharacterTableSlice:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CharacterTableSlice":
-        classes = [
-            ConjugacyClassInfo(
-                name=c["name"],
-                order=int(c["order"]),
-                power_map={int(p): t for p, t in c.get("powers", {}).items()},
-                size=c.get("size"),
-            )
-            for c in doc["classes"]
-        ]
+        classes = []
+        for c in want_list(doc["classes"], dict, "classes"):
+            size = c.get("size")
+            classes.append(ConjugacyClassInfo(
+                name=want(c["name"], str, "class name"),
+                order=want_positive(c["order"], "class order"),
+                power_map={int(p): want(t, str, "power map target")
+                           for p, t in want(c.get("powers", {}), dict, "class powers").items()},
+                size=None if size is None else want_positive(size, "class size"),
+            ))
         chars = [
             Character(
-                name=ch["name"],
-                degree=int(ch["degree"]),
-                values={k: parse_cyclotomic(v) for k, v in ch["values"].items()},
+                name=want(ch["name"], str, "character name"),
+                degree=want(ch["degree"], int, "character degree"),
+                values={k: parse_cyclotomic(v)
+                        for k, v in want(ch["values"], dict, "character values").items()},
             )
-            for ch in doc["characters"]
+            for ch in want_list(doc["characters"], dict, "characters")
         ]
-        return cls(doc["group"], int(doc["order"]), classes, chars)
+        return cls(want(doc["group"], str, "group"), want_positive(doc["order"], "group order"),
+                   classes, chars)
 
 
 # -- partial augmentation vectors ---------------------------------------------
@@ -685,14 +689,23 @@ class InequalityRowsFixture:
 
     @classmethod
     def from_json(cls, doc: dict) -> "InequalityRowsFixture":
+        congruences = tuple(tuple(want_list(c, int, "each congruence", 2))
+                            for c in want_list(doc.get("congruences", []), list, "congruences"))
+        if any(m < 1 for m, _ in congruences):
+            raise ValueError(f"congruence moduli must be positive, got {congruences!r}")
+        rows = tuple(tuple(want_list(r, int, "each row", 2))
+                     for r in want_list(doc["rows"], list, "rows"))
+        if not (any(b > 0 for _, b in rows) and any(b < 0 for _, b in rows)):
+            raise ValueError("rows must bound the variable on both sides: "
+                             "they need a positive and a negative coefficient")
         return cls(
-            group=doc["group"],
-            unit_order=int(doc["unit_order"]),
-            variable=doc["variable"],
-            partner=doc["partner"],
-            modulus=int(doc["modulus"]),
-            rows=tuple((int(a), int(b)) for a, b in doc["rows"]),
-            congruences=tuple((int(m), int(r)) for m, r in doc.get("congruences", [])),
+            group=want(doc["group"], str, "group"),
+            unit_order=want_positive(doc["unit_order"], "unit_order"),
+            variable=want(doc["variable"], str, "variable"),
+            partner=want(doc["partner"], str, "partner"),
+            modulus=want_positive(doc["modulus"], "modulus"),
+            rows=rows,
+            congruences=congruences,
         )
 
     def rows_hold(self, e: int) -> tuple[bool, ...]:

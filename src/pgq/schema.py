@@ -1,0 +1,36 @@
+"""Type checks for the JSON input documents.
+
+Each document's `from_json` loader runs these on the values it reads, so a
+value of the wrong JSON type is an input error (a ValueError naming the
+field) at load time, never a TypeError inside a computation.
+"""
+
+from __future__ import annotations
+
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def want(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind` (true and false are not
+    integers), else a ValueError naming `what`."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def want_list(value, kind: type, what: str, length: int | None = None) -> list:
+    """A list, of `length` entries if given, each of the JSON type `kind`."""
+    want(value, list, what)
+    if length is not None and len(value) != length:
+        raise ValueError(f"{what} must have {length} entries, got {value!r}")
+    return [want(v, kind, f"each entry of {what}") for v in value]
+
+
+def want_positive(value, what: str) -> int:
+    """A positive integer; a decimal string is accepted too, since group
+    orders exceed 64 bits."""
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value

@@ -502,126 +502,103 @@ def submodule_quotient_exists(m: ModulePartition, u: ModulePartition, q: ModuleP
 # -- independent Jordan oracle over GF(p) ------------------------------------
 
 
-def _jordan_matrix(p: int, parts: Partition) -> tuple[tuple[int, ...], ...]:
-    """Nilpotent N = c - 1 acting on a module of the given type: Jordan blocks
-    of the listed sizes, all eigenvalue 0, over GF(p)."""
-    d = sum(parts)
-    rows = [[0] * d for _ in range(d)]
-    off = 0
-    for size in parts:
-        for i in range(size - 1):
-            rows[off + i][off + i + 1] = 1
-        off += size
-    return tuple(tuple(r) for r in rows)
-
-
-def _mat_mul(a, b, p):
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)) for i in range(n)
-    )
-
-
-def _rank(rows, p) -> int:
-    mat = [list(r) for r in rows]
-    rank, col = 0, 0
-    ncols = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < ncols:
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 @lru_cache(maxsize=None)
 def _rref_bases(p: int, d: int) -> tuple:
-    """Every subspace of GF(p)^d exactly once, as the rows of its RREF basis."""
-    out = [()]
-    for k in range(1, d + 1):
+    """Every subspace of GF(p)^d exactly once, as the rows of its RREF basis.
+    For each pivot set, each row ranges on its own over the values of its
+    free columns, so a basis is one choice of row per pivot."""
+    out = []
+    for k in range(d + 1):
         for pivots in itertools.combinations(range(d), k):
-            free = []
-            for r in range(k):
-                cols = [
-                    c
-                    for c in range(pivots[r] + 1, d)
-                    if c not in pivots[r + 1:] and c not in pivots
-                ]
-                free.append(cols)
-            slots = [(r, c) for r in range(k) for c in free[r]]
-            for vals in itertools.product(range(p), repeat=len(slots)):
-                basis = [[0] * d for _ in range(k)]
-                for r in range(k):
-                    basis[r][pivots[r]] = 1
-                for (r, c), v in zip(slots, vals):
-                    basis[r][c] = v
-                out.append(tuple(tuple(r) for r in basis))
+            choices = []
+            for pc in pivots:
+                free = [c for c in range(pc + 1, d) if c not in pivots]
+                rows = []
+                for vals in itertools.product(range(p), repeat=len(free)):
+                    row = [0] * d
+                    row[pc] = 1
+                    for c, v in zip(free, vals):
+                        row[c] = v
+                    rows.append(tuple(row))
+                choices.append(rows)
+            out.extend(itertools.product(*choices))
     return tuple(out)
 
 
-def _vec_in_span(v, rref_rows, pivots, p) -> bool:
-    v = list(v)
-    for row, pc in zip(rref_rows, pivots):
-        if v[pc]:
-            f = v[pc]
+def _reduce(v, rows, pivots, p) -> list[int]:
+    """Residue of v modulo the span of echelon rows over GF(p).  Each row has
+    a 1 at its pivot and zeros at the pivots of the rows before it."""
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
-    return not any(v)
+    return v
 
 
-def _jordan_type_from_ranks(dim: int, ranks: list[int], p: int) -> Partition:
-    """Recover block sizes from ranks of N^1..N^p on the space."""
-    ranks = [dim] + ranks  # rank of N^0
-    ge = [ranks[s - 1] - ranks[s] for s in range(1, p + 1)]  # blocks of size >= s
-    parts = []
-    for s in range(p, 0, -1):
-        mult = ge[s - 1] - (ge[s] if s < p else 0)
-        parts.extend([s] * mult)
-    return tuple(sorted(parts, reverse=True))
+def _extend(rows, pivots, vectors, p) -> int:
+    """Append to the echelon rows every vector independent of them, reduced
+    and scaled to a leading 1; return how many were appended."""
+    before = len(rows)
+    for v in vectors:
+        v = _reduce(v, rows, pivots, p)
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            rows.append([x * inv % p for x in v])
+            pivots.append(c)
+    return len(rows) - before
+
+
+def _jordan_type_from_ranks(dim: int, ranks: list[int]) -> Partition:
+    """Block sizes from the ranks of N^1, N^2, ... on the space, the ranks
+    not listed being zero.  rank N^(s-1) - rank N^s counts the blocks of size
+    at least s, so the block sizes are the conjugate of those differences."""
+    r = [dim, *ranks, 0]
+    ge = [a - b for a, b in zip(r, r[1:])]
+    return tuple(sum(g >= i for g in ge) for i in range(1, ge[0] + 1))
 
 
 @lru_cache(maxsize=None)
 def jordan_submodule_quotient_pairs(p: int, parts: Partition) -> frozenset:
-    """Brute-force: all (submodule type, quotient type) pairs realized by
-    N-invariant subspaces of the Jordan module of the given type over GF(p).
+    """Brute force: all (submodule type, quotient type) pairs realized by
+    N-invariant subspaces U of the Jordan module of the given type over GF(p),
+    where v -> vN moves each coordinate one place along its block.
 
-    Exponential in the dimension; intended for p = 3 and dim <= 6.
+    Every subspace of GF(p)^d is visited, as its RREF basis.  A visit shifts
+    the basis rows and reduces each image modulo U, stopping at the first
+    nonzero residue.  Only an invariant U gets ranks, and only of the powers
+    N^j that are not zero: on U, the rank of its shifted basis; on the
+    quotient, the rank of the nonzero rows of N^j reduced modulo U.  No
+    matrix is multiplied.  Exponential in d; meant for dim <= 6.
     """
     mod = ModulePartition(p, parts)
     d = mod.dim
-    if d == 0:
-        return frozenset({((), ())})
-    n_mat = _jordan_matrix(p, parts)
-    powers = [n_mat]
-    for _ in range(p - 1):
-        powers.append(_mat_mul(powers[-1], n_mat, p))
-    pairs = set()
+    starts = set(itertools.accumulate(parts[:-1], initial=0))
+    src = [-1 if j in starts else j - 1 for j in range(d)]
+
+    def shift(v):
+        return [v[s] if s >= 0 else 0 for s in src]
+
+    identity = [[int(i == j) for i in range(d)] for j in range(d)]
+    powers = []  # the nonzero rows of N, N^2, ..., each a unit vector
+    rows = [shift(e) for e in identity]
+    while rows := [r for r in rows if any(r)]:
+        powers.append(rows)
+        rows = [shift(r) for r in rows]
+    seen = set()  # (dim U, ranks on U, ranks on the quotient)
     for basis in _rref_bases(p, d):
-        k = len(basis)
-        pivots = [next(c for c in range(d) if row[c]) for row in basis]
-        invariant = all(
-            _vec_in_span([sum(row[t] * n_mat[t][j] for t in range(d)) % p for j in range(d)],
-                         basis, pivots, p)
-            for row in basis
-        )
-        if not invariant:
+        pivots = [row.index(1) for row in basis]
+        if any(any(_reduce(shift(row), basis, pivots, p)) for row in basis):
             continue
-        sub_ranks = [_rank(_mat_mul(basis, pw, p), p) if k else 0 for pw in powers]
-        sub_type = _jordan_type_from_ranks(k, sub_ranks, p)
-        quo_ranks = [
-            _rank(tuple(pw) + tuple(basis), p) - k if k else _rank(pw, p) for pw in powers
-        ]
-        quo_type = _jordan_type_from_ranks(d - k, quo_ranks, p)
-        pairs.add((sub_type, quo_type))
-    return frozenset(pairs)
+        sub_ranks, quo_ranks, image = [], [], basis
+        for pw in powers:
+            echelon = []
+            sub_ranks.append(_extend(echelon, [], [shift(v) for v in image], p))
+            image = echelon
+            quo_ranks.append(_extend(list(basis), pivots[:], pw, p))
+        seen.add((len(basis), tuple(sub_ranks), tuple(quo_ranks)))
+    return frozenset((_jordan_type_from_ranks(k, sub), _jordan_type_from_ranks(d - k, quo))
+                     for k, sub, quo in seen)
 
 
 def jordan_chain_realizable(p: int, m: Partition, steps: tuple[Partition, ...], t: Partition) -> bool:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgq
-from pgq import cli
+from pgq import cli, fixtures
 
 
 def run(argv):
@@ -208,3 +211,73 @@ class TestErrors:
     def test_unknown_subcommand(self):
         code, _ = run(["frobnicate"])
         assert code == 2
+
+
+BUNDLED = {name[:-len(".json")]: fixtures.load_json(name) for name in fixtures.available()}
+
+#: what a fuzzed top-level field is replaced with
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                         st.floats(allow_nan=False, allow_infinity=False))
+REPLACEMENTS = st.one_of(st.none(), st.text(max_size=6), st.lists(JSON_SCALARS, max_size=3),
+                         st.just(0), st.integers(max_value=-1))
+
+
+def run_with_field(directory, name, field, value, order=2):
+    """Run a cheap subcommand on the bundled document `name` with one
+    top-level field replaced; returns (exit code, stdout, stderr)."""
+    doc = dict(BUNDLED[name], **{field: value})
+    path = str(directory / f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    if name.startswith("tree_"):
+        argv = ["tree-check", "--tree", path]
+    elif name.startswith("profile_"):
+        argv = ["verdict", "--profile", path]
+    else:
+        # a rows fixture answers only its own unit order, which is cheap
+        order = BUNDLED[name].get("unit_order", order)
+        argv = ["help-check", "--table", path, "--order", str(order)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(argv)
+    return code, text, err.getvalue()
+
+
+def assert_contract(code, text, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert text == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("name, field, value", [
+        ("tree_s5_p3", "prime", None),
+        ("tree_s5_p3", "vertices", [None]),
+        ("tree_c21_p7", "exceptional", "exc"),
+        ("s5", "classes", "abc"),
+        ("s5", "characters", [1]),
+        ("s5", "characters", [{"name": "chi", "degree": 1, "values": {"1a": None}}]),
+        ("s5", "characters", [{"name": "chi", "degree": 1,
+                                "values": {"1a": {"n": None, "coeffs": {}}}}]),
+        ("s5", "order", None),
+        ("onan", "modulus", 0),
+        ("onan", "modulus", -21),
+        ("onan", "rows", [[1]]),
+        ("onan", "rows", []),
+        ("profile_m11", "spectrum", [10**30]),
+    ])
+    def test_malformed_field_is_an_input_error(self, tmp_path, name, field, value):
+        code, text, err = run_with_field(tmp_path, name, field, value)
+        assert code == 2
+        assert_contract(code, text, err)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fuzzed_top_level_field_never_escapes(self, tmp_path_factory, name, data):
+        field = data.draw(st.sampled_from(sorted(BUNDLED[name])), label="field")
+        value = data.draw(REPLACEMENTS, label="value")
+        order = data.draw(st.sampled_from((2, 3)), label="order")
+        directory = tmp_path_factory.mktemp("fuzz", numbered=True)
+        assert_contract(*run_with_field(directory, name, field, value, order))

@@ -126,6 +126,32 @@ class TestJordanOracle:
                                 T.lr_coefficient(lam, mu, nu) > 0
                             ), (lam, mu, nu)
 
+    def test_pairs_match_lr_at_p5_weight_up_to_4(self):
+        # parts up to 5 and p = 5: the shift and the powers of N assume neither 3
+        p = 5
+        for w in range(1, 5):
+            for lam in T.partitions_of(w, max_part=p):
+                pairs = T.jordan_submodule_quotient_pairs(p, lam)
+                for wu in range(0, w + 1):
+                    for mu in T.partitions_of(wu, max_part=p):
+                        for nu in T.partitions_of(w - wu, max_part=p):
+                            assert ((mu, nu) in pairs) == (
+                                T.lr_coefficient(lam, mu, nu) > 0
+                            ), (lam, mu, nu)
+
+    def test_pair_counts_at_weight_6(self):
+        counts = {(1, 1, 1, 1, 1, 1): 7, (2, 1, 1, 1, 1): 15, (2, 2, 1, 1): 18, (2, 2, 2): 10,
+                  (3, 1, 1, 1): 19, (3, 2, 1): 25, (3, 3): 10}
+        assert set(counts) == set(T.partitions_of(6, max_part=3))
+        for lam, n in counts.items():
+            assert len(T.jordan_submodule_quotient_pairs(3, lam)) == n, lam
+
+    def test_every_subspace_is_enumerated_once(self):
+        # Galois numbers: the number of subspaces of GF(3)^d
+        galois = [1, 2, 6, 28, 212, 2664, 56632]
+        assert [len(T._rref_bases(3, d)) for d in range(7)] == galois
+        assert len(set(T._rref_bases(3, 5))) == galois[5]
+
     def test_chain_swap_closure(self):
         # two-step factor sequences are permutable (verified by the oracle)
         p = 3
