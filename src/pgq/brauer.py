@@ -372,9 +372,10 @@ def gamma_bounds(
 def _closed_under_divisors(spectrum) -> frozenset[int]:
     out = set()
     for n in spectrum:
-        for d in range(1, n + 1):
-            if n % d == 0:
-                out.add(d)
+        divs = [1]
+        for p, e in factorize(n).items():
+            divs = [d * p**k for d in divs for k in range(e + 1)]
+        out.update(divs)
     return frozenset(out)
 
 

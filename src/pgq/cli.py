@@ -36,14 +36,19 @@ def cmd_help_check(args, out) -> int:
             raise ValueError(
                 f"fixture carries rows for order {fixture.unit_order}, not {args.order}"
             )
-        points = fixture.feasible_points()
+        try:
+            points = fixture.feasible_points()
+            status = "feasible" if points else "infeasible"
+        except helpmethod.SearchComplexityError:
+            points, status = [], "too-large"
         if args.format == "json":
             _emit_json(
-                {"group": fixture.group, "order": args.order,
-                 "status": "feasible" if points else "infeasible",
+                {"group": fixture.group, "order": args.order, "status": status,
                  "points": [list(p) for p in points]}, out)
         else:
-            if points:
+            if status == "too-large":
+                out.write("INCONCLUSIVE: search region too large for exact enumeration\n")
+            elif points:
                 sample = ", ".join(f"({a}, {b})" for a, b in points[:5])
                 out.write(
                     f"FEASIBLE: feasible point exists for order {args.order} in "
@@ -53,7 +58,7 @@ def cmd_help_check(args, out) -> int:
                 out.write(
                     f"INFEASIBLE: no normalized unit of order {args.order} in {fixture.group}\n"
                 )
-        return EXIT_FINDING if points else EXIT_OK
+        return EXIT_OK if status == "infeasible" else EXIT_FINDING
 
     slice_ = helpmethod.CharacterTableSlice.from_json(doc)
     chars = args.characters.split(",") if args.characters else None

@@ -415,6 +415,8 @@ class SearchComplexityError(Exception):
 
 
 _FM_ROW_CAP = 50_000
+#: most integer candidates an exact search enumerates before it reports too-large
+CANDIDATE_CAP = 2_000_000
 
 
 def _int_row(form: LinearForm, variables) -> tuple[int, ...]:
@@ -636,7 +638,7 @@ def feasible_partial_augmentations(
     n: int,
     characters: list[str] | None = None,
     exponents: list[int] | None = None,
-    candidate_cap: int = 2_000_000,
+    candidate_cap: int = CANDIDATE_CAP,
 ) -> FeasibilityResult:
     """Exact feasible set of order-n partial augmentation vectors.
 
@@ -715,9 +717,12 @@ class InequalityRowsFixture:
             v >= 0 and v % self.modulus == 0 for v in (c + k * e for c, k in self.rows)
         )
 
-    def feasible_points(self, limit: int | None = None) -> list[tuple[int, int]]:
-        """All (eps, 1 - eps) satisfying every row and congruence; the row
-        non-negativity bounds the search exactly."""
+    def feasible_points(self) -> list[tuple[int, int]]:
+        """All (eps, 1 - eps) satisfying every row and congruence.  Row
+        non-negativity bounds the search; the congruences and the row
+        divisibility leave one residue class, and only that class is walked.
+        Raises SearchComplexityError when it holds more than CANDIDATE_CAP
+        candidates."""
         lo, hi = None, None
         for const, coeff in self.rows:
             if coeff > 0:
@@ -728,12 +733,21 @@ class InequalityRowsFixture:
                 hi = b if hi is None else min(hi, b)
         if lo is None or hi is None:
             raise UnboundedSearchError("rows do not bound the variable on both sides")
-        out = []
-        for e in range(lo, hi + 1):
-            if any((e - r) % m for m, r in self.congruences):
-                continue
-            if all(self.rows_hold(e)):
-                out.append((e, 1 - e))
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
+        # every condition is a*eps = b (mod m); with eps = r + n*t so far, it
+        # becomes a*n*t = b - a*r (mod m), which fixes t modulo m/g
+        r, n = 0, 1
+        conditions = [(1, res, m) for m, res in self.congruences]
+        conditions += [(coeff, -const, self.modulus) for const, coeff in self.rows]
+        for a, b, m in conditions:
+            g = math.gcd(a * n, m)
+            if (b - a * r) % g:
+                return []
+            step = m // g
+            r += n * ((b - a * r) // g * pow(a * n // g, -1, step) % step)
+            n *= step
+        first = lo + (r - lo) % n
+        candidates = (hi - first) // n + 1
+        if candidates > CANDIDATE_CAP:
+            raise SearchComplexityError(
+                f"order {self.unit_order}: {candidates} candidates exceed cap {CANDIDATE_CAP}")
+        return [(e, 1 - e) for e in range(first, hi + 1, n) if all(self.rows_hold(e))]

@@ -8,7 +8,7 @@ q > 3; the logarithmic integral; the biggest-divisor-coprime-to-6 map; and
 the order formulas plus squarefreeness verdicts for seven families of
 groups of Lie type.
 
-N(x) is computed by independent routes: factoring each Phi_k(p) value,
+N(x) is computed by independent routes: trial-dividing each Phi_k(p) value,
 sieving the residue classes cut out by the roots of Phi_k mod q^2, or
 factoring the full product F(p); any two must agree exactly.
 """
@@ -26,21 +26,31 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # Sorenson-Webster bound
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by an Eratosthenes sieve over a numpy bool array."""
+def _prime_array(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array, by an Eratosthenes sieve over a
+    numpy bool array."""
     if n < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    return [int(p) for p in np.flatnonzero(sieve)]
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n."""
+    return _prime_array(n).tolist()
+
+
+#: trial division bound of the factorizer and of the census witness kernel
+_TRIAL_LIMIT = 4096
 
 
 @lru_cache(maxsize=1)
 def _small_primes() -> list[int]:
-    return primes_up_to(4096)
+    return primes_up_to(_TRIAL_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -192,45 +202,84 @@ def F_value(q: int) -> int:
     return (q * q + 1) * (q**6 - 1)
 
 
-# -- squarefree testing of a single value ------------------------------------
+# -- square witnesses of many values at once ----------------------------------
 
 
-def _squarefree_witness(value: int, above: int = 1) -> int | None:
-    """Smallest prime q > above with q^2 | value, or None.
+def _isqrt_array(v: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of a non-negative int64 array."""
+    # the float root is within one of the true root; uint64 keeps (r+1)^2
+    # from overflowing when v is close to 2^63
+    u = v.astype(np.uint64)
+    r = np.sqrt(v.astype(np.float64)).astype(np.uint64)
+    r -= r * r > u
+    r += (r + 1) * (r + 1) <= u
+    return r.astype(np.int64)
 
-    Trial division strips primes <= 4096; a surviving cofactor below 4096^3
-    is prime, a prime square, or a product of two distinct primes, which
-    decides the question without full factorization.  Larger survivors fall
-    back to the complete factorizer.
+
+def _strip_primes(v, col, wit, primes, above: int):
+    """Divide each prime of `primes`, in ascending order, out of the
+    cofactors v (in place).  wit[col] takes the first prime > above that
+    divides an entry at least twice.  Returns the entries still open: their
+    column has no witness and their cofactor is at least the next prime
+    squared, so it may still hold a square."""
+    last = len(primes) - 1
+    for i, q in enumerate(primes):
+        quo = v // q
+        hit = np.flatnonzero(quo * q == v)
+        if hit.size:
+            sub = quo[hit]
+            more = sub % q == 0
+            if q > above:
+                c = col[hit[more]]
+                wit[c[wit[c] == 0]] = q
+            while more.any():
+                sub[more] //= q
+                more = sub % q == 0
+            v[hit] = sub
+        if i % 8 == 7 or i == last:  # drop settled entries every few primes
+            nxt = primes[i + 1] if i < last else q + 1
+            open_ = (wit[col] == 0) & (v >= nxt * nxt)
+            v, col = v[open_], col[open_]
+    return v, col
+
+
+def _square_witnesses(values: np.ndarray, above: int) -> np.ndarray:
+    """For each column of a 2-D array of positive int64 values, the smallest
+    prime q > above whose square divides some entry of the column; 0 where
+    there is none.
+
+    Trial division strips every prime <= 4096 from all entries at once, in
+    ascending order, so the first square found for a column is its witness.
+    Cofactors at or above 4096^3 are then trial-divided by the primes up to
+    their cube root.  Every cofactor left is 1, a prime, a prime square or a
+    product of two distinct primes, and an exact square root tells which.
     """
-    if value == 0:
-        raise ValueError("0 is divisible by every square")
-    v = abs(value)
-    for q in _small_primes():
-        if q * q > v:
-            break
-        if v % q == 0:
-            e = 0
-            while v % q == 0:
-                v //= q
-                e += 1
-            if e >= 2 and q > above:
-                return q
-    if v == 1 or v < 4097:
-        return None
-    r = isqrt(v)
-    if r * r == v:
-        return r if is_prime(r) else _fallback_witness(v, above)
-    if v < 4096**3:
-        return None  # prime or a product of two distinct primes > 4096
-    return _fallback_witness(v, above)
-
-
-def _fallback_witness(v: int, above: int) -> int | None:
-    for p, e in sorted(factorize(v).items()):
-        if e >= 2 and p > above:
-            return p
-    return None
+    n = values.shape[1]
+    wit = np.zeros(n, dtype=np.int64)
+    v = values.reshape(-1).copy()
+    col = np.tile(np.arange(n), values.shape[0])
+    v, col = _strip_primes(v, col, wit, _small_primes(), above)
+    # witnesses above 4096 come from two sources that are not in ascending
+    # order with each other, so they are collected apart and the least taken
+    late = np.zeros(n, dtype=np.int64)
+    big = v >= _TRIAL_LIMIT**3
+    if big.any():
+        top = int(v[big].max())
+        bound = round(top ** (1 / 3))
+        while bound**3 <= top:
+            bound += 1
+        primes = _prime_array(bound)
+        vb, cb = _strip_primes(v[big], col[big], late, primes[primes > _TRIAL_LIMIT].tolist(),
+                               above)
+        v, col = np.concatenate((v[~big], vb)), np.concatenate((col[~big], cb))
+    r = _isqrt_array(v)
+    square = r * r == v
+    none = np.iinfo(np.int64).max
+    best = np.where(late > 0, late, none)
+    np.minimum.at(best, col[square], r[square])
+    found = best < none
+    wit[found] = best[found]
+    return wit
 
 
 # -- rho and the Euler-product constant ---------------------------------------
@@ -359,6 +408,10 @@ CONDITIONS = {
 }
 
 
+#: the largest x with x^2+x+1 < 2^63, so every census value fits in int64
+CENSUS_MAX_BOUND = 3_037_000_499
+
+
 @dataclass
 class SieveResult:
     x: int
@@ -387,41 +440,36 @@ class SieveResult:
         }
 
 
-def _phi_witness_row(p: int, ks, above: int) -> tuple[int, bool, int | None]:
-    best = None
-    for k in ks:
-        w = _squarefree_witness(cyclotomic_value(k, p), above)
-        if w is not None and (best is None or w < best):
-            best = w
-    return (p, best is None, best)
+#: primes per array pass of the census; bounds the size of the temporaries
+_BLOCK = 1 << 13
+
+
+def _horner(coeffs, x):
+    """The polynomial with the given coefficients (constant first) at x, exactly."""
+    acc = np.zeros_like(x)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _rows(P: np.ndarray, wit: np.ndarray) -> list:
+    """Census rows (p, qualifies, witness) from primes and witnesses (0 = none)."""
+    rows = []
+    for s in range(0, P.size, _BLOCK):
+        rows += [(p, True, None) for p in P[s:s + _BLOCK].tolist()]
+    for i in np.flatnonzero(wit).tolist():
+        rows[i] = (rows[i][0], False, int(wit[i]))
+    return rows
 
 
 def _count_phi_factor(x: int, ks, above: int) -> list:
-    return [_phi_witness_row(p, ks, above) for p in primes_up_to(x)]
-
-
-def _sqrt_mod_prime(a: int, q: int) -> int:
-    """Tonelli-Shanks; a is assumed to be a quadratic residue mod prime q."""
-    a %= q
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    s, d = 0, q - 1
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) != q - 1:
-        z += 1
-    m, c, t, r = s, pow(z, d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % q
-            i += 1
-        b = pow(c, 1 << (m - i - 1), q)
-        m, c = i, b * b % q
-        t, r = t * c % q, r * b % q
-    return r
+    P = _prime_array(x)
+    wit = np.zeros_like(P)
+    for s in range(0, P.size, _BLOCK):
+        block = P[s:s + _BLOCK]
+        values = np.stack([_horner(_PHI_COEFFS[k], block) for k in ks])
+        wit[s:s + _BLOCK] = _square_witnesses(values, above)
+    return _rows(P, wit)
 
 
 def _poly_eval(coeffs, x: int, m: int) -> int:
@@ -431,61 +479,111 @@ def _poly_eval(coeffs, x: int, m: int) -> int:
     return acc
 
 
-def _phi_roots_mod_prime(k: int, q: int) -> list[int]:
-    if q <= 3:
-        return [a for a in range(q) if _poly_eval(_PHI_COEFFS[k], a, q) == 0]
+def _powmod(g: int, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """g^e mod m elementwise; m^2 must stay below 2^63."""
+    out = np.ones_like(m)
+    b = g % m
+    for bit in range(int(e.max()).bit_length()):
+        odd = (e >> bit) & 1 == 1
+        out[odd] = out[odd] * b[odd] % m[odd]
+        b = b * b % m
+    return out
+
+
+def _root_of_unity(Q: np.ndarray, n: int) -> np.ndarray:
+    """A primitive n-th root of unity mod each prime q of Q, for n in {3, 4}
+    dividing q - 1: g^((q-1)/n) for the least g that gives one, that is a
+    quadratic non-residue for n = 4 and a cubic one for n = 3."""
+    out = np.zeros_like(Q)
+    todo = np.arange(Q.size)
+    g = 2
+    while todo.size:
+        q = Q[todo]
+        z = _powmod(g, (q - 1) // n, q)
+        # z has order n unless z^(n/2) = 1 (n = 4) or z = 1 (n = 3)
+        primitive = (z * z % q if n == 4 else z) != 1
+        out[todo[primitive]] = z[primitive]
+        todo = todo[~primitive]
+        g += 1
+        while not is_prime(g):  # the least non-residue of either kind is a prime
+            g += 1
+    return out
+
+
+def _lifted_roots(k: int, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (q, r), q in the primes Q > 3, with Phi_k(r) = 0 mod q^2.
+
+    Phi_1 and Phi_2 have the roots 1 and q^2 - 1.  The roots mod q of the
+    other three are roots of unity: +-i for Phi_4 when q = 1 mod 4, w and
+    w^2 for Phi_3 and -w and -w^2 for Phi_6 when q = 1 mod 3.  Each is
+    simple, so one Newton step lifts it uniquely to q^2; every product stays
+    below q^2."""
     if k == 1:
-        return [1]
+        return Q, np.ones_like(Q)
     if k == 2:
-        return [q - 1]
+        return Q, Q * Q - 1
+    n = 4 if k == 4 else 3
+    q = Q[Q % n == 1]
+    z = _root_of_unity(q, n)
     if k == 4:
-        if q % 4 != 1:
-            return []
-        s = _sqrt_mod_prime(q - 1, q)
-        return sorted({s, q - s})
-    if k in (3, 6):
-        if q % 3 != 1:
-            return []
-        s = _sqrt_mod_prime(q - 3, q)  # sqrt(-3)
-        inv2 = pow(2, -1, q)
-        if k == 3:
-            return sorted({(-1 + s) * inv2 % q, (-1 - s) * inv2 % q})
-        return sorted({(1 + s) * inv2 % q, (1 - s) * inv2 % q})
-    raise ValueError(f"unsupported index {k}")
+        r = np.concatenate((z, q - z))
+    else:
+        z2 = z * z % q
+        r = np.concatenate((z, z2) if k == 3 else (q - z, q - z2))
+    q = np.concatenate((q, q))
+    # Phi_k = X^2 + bX + 1, so the slope s = 2r + b has s^2 = b^2 - 4 = -n
+    # mod q and 1/s = -s/n; as q = 1 mod n, 1/n = (1 + (n-1)q)/n.  The step
+    # r -> r - Phi_k(r)/s adds q*t with t = (Phi_k(r)/q) * s/n mod q.
+    b = _PHI_COEFFS[k][1]
+    slope = (2 * r + b) % q
+    t = _horner(_PHI_COEFFS[k], r) // q * slope % q * ((1 + (n - 1) * q) // n) % q
+    return q, r + q * t
 
 
 def phi_roots_mod_q2(k: int, q: int) -> list[int]:
-    """Roots of Phi_k mod q^2.  For q > 3 every root mod q is simple and
-    lifts uniquely; for q in {2, 3} the residues are scanned directly."""
+    """Roots of Phi_k mod q^2 for a prime q.  For q > 3 every root mod q is
+    simple and lifts uniquely; for q in {2, 3} the residues are scanned
+    directly."""
+    if k not in _PHI_COEFFS:
+        raise ValueError(f"unsupported index {k}")
+    if q > CENSUS_MAX_BOUND:
+        raise ValueError(f"q = {q} is above {CENSUS_MAX_BOUND}: q^2 must fit in 64 bits")
     m = q * q
     if q <= 3:
         return [a for a in range(m) if _poly_eval(_PHI_COEFFS[k], a, m) == 0]
-    coeffs = _PHI_COEFFS[k]
-    deriv = tuple(i * c for i, c in enumerate(coeffs))[1:]
-    out = []
-    for r in _phi_roots_mod_prime(k, q):
-        fp = _poly_eval(deriv, r, q)
-        lift = (r - _poly_eval(coeffs, r, m) * pow(fp, -1, q)) % m
-        out.append(lift)
-    return sorted(out)
+    return sorted(_lifted_roots(k, np.array([q], dtype=np.int64))[1].tolist())
+
+
+def _mark(P: np.ndarray, best: np.ndarray, q, hits: np.ndarray) -> None:
+    """best[j] = min(best[j], q) for every prime P[j] among the candidates."""
+    j = np.searchsorted(P, hits)
+    np.minimum(j, P.size - 1, out=j)
+    prime = P[j] == hits
+    np.minimum.at(best, j[prime], q if np.isscalar(q) else q[prime])
 
 
 def _count_root_sieve(x: int, ks, above: int) -> list:
-    ps = primes_up_to(x)
-    prime_set = set(ps)
-    witness: dict[int, int] = {}
-    qmax = isqrt(x * x + x + 1)
-    for q in primes_up_to(qmax):
-        if q <= above:
-            continue
-        m = q * q
+    P = _prime_array(x)
+    none = np.iinfo(np.int64).max
+    best = np.full(P.size, none)
+    pairs = [(q, r) for q in (2, 3) if q > above for k in ks for r in phi_roots_mod_q2(k, q)]
+    # a witness q > 3 squares into one value, so q^2 <= p^2+p+1 <= x^2+x+1;
+    # isqrt(x^2+x+1) == x, so every such q is in P
+    Q = P[np.searchsorted(P, max(above, 3), side="right"):]
+    for s in range(0, Q.size, _BLOCK):
         for k in ks:
-            for r in phi_roots_mod_q2(k, q):
-                start = r if r >= 2 else r + m
-                for p in range(start, x + 1, m):
-                    if p in prime_set and (p not in witness or q < witness[p]):
-                        witness[p] = q
-    return [(p, p not in witness, witness.get(p)) for p in ps]
+            q, r = _lifted_roots(k, Q[s:s + _BLOCK])
+            small = q * q <= x
+            pairs += zip(q[small].tolist(), r[small].tolist())
+            # for q^2 > x the class of a root r holds one candidate p = r at most
+            large = ~small & (r <= x)
+            _mark(P, best, q[large], r[large])
+    for q, r in pairs:
+        m = q * q
+        for start in range(r, x + 1, m * _BLOCK):
+            _mark(P, best, q, np.arange(start, min(x + 1, start + m * _BLOCK), m))
+    best[best == none] = 0
+    return _rows(P, best)
 
 
 def _count_full_product(x: int, ks, above: int) -> list:
@@ -507,12 +605,16 @@ def count_N(x: int, condition: str = "thm51", method: str = "phi-factor") -> Sie
     """Census of primes p <= x whose polynomial values pass the squarefree
     condition, with a per-prime witness log.
 
-    Methods: 'phi-factor' factors each cyclotomic value; 'root-sieve' marks
-    residue classes from polynomial roots mod q^2 without ever factoring;
-    'full-F' factors the whole product.  All must agree row by row.
+    Methods: 'phi-factor' trial-divides each cyclotomic value for square
+    factors; 'root-sieve' marks residue classes from polynomial roots mod
+    q^2 without ever factoring; 'full-F' factors the whole product.  All
+    must agree row by row.  Bounds above CENSUS_MAX_BOUND are refused.
     """
     if x < 2:
         raise ValueError("bound must be at least 2")
+    if x > CENSUS_MAX_BOUND:
+        raise ValueError(f"bound {x} is above {CENSUS_MAX_BOUND}: the census computes "
+                         f"p^2+p+1 in 64-bit integers")
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
     ks, above = CONDITIONS[condition]

@@ -352,6 +352,13 @@ class TestVerdicts:
         )
         assert profile.spectrum == frozenset({1, 2, 3, 5, 6, 10})
 
+    def test_spectrum_closure_from_the_factorization(self):
+        profile = GroupArithmeticProfile.from_json(
+            {"name": "big", "order": str(10**30), "spectrum": [10**30]}
+        )
+        assert len(profile.spectrum) == 961
+        assert profile.spectrum == {2**a * 5**b for a in range(31) for b in range(31)}
+
 
 class TestTreeJson:
     def test_inline_exceptional_marker(self):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -31,6 +32,32 @@ class TestHelpCheck:
         assert code == 1
         assert "feasible point exists" in text.lower()
 
+    def test_onan_bytes_unchanged(self):
+        code, text = run(["help-check", "--table", "onan", "--order", "21", "--format", "json"])
+        assert code == 1 and len(json.loads(text)["points"]) == 45
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fe08f4ed54a0dff071cc3c6a7980a8c3ec0335b26a48ac4097e1f4d585c1017b")
+
+    def test_wide_rows_answer_from_the_residue_class(self, tmp_path):
+        # the congruences force eps = 15 (mod 21), which no row divisibility allows
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(dict(fixtures.load_json("onan.json"),
+                                        rows=[[10**12, 1], [10**12, -1]])))
+        code, text = run(["help-check", "--table", str(path), "--order", "21"])
+        assert code == 0 and text.startswith("INFEASIBLE")
+
+    def test_too_many_candidates_is_inconclusive(self, tmp_path):
+        # here the rows allow the class eps = 15 (mod 21): about 10^11 candidates
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(dict(fixtures.load_json("onan.json"),
+                                        rows=[[10**12 + 5, 1], [10**12 + 14, -1]])))
+        code, text = run(["help-check", "--table", str(path), "--order", "21"])
+        assert (code, text) == (1, "INCONCLUSIVE: search region too large for exact "
+                                   "enumeration\n")
+        code, text = run(["help-check", "--table", str(path), "--order", "21",
+                          "--format", "json"])
+        assert code == 1 and json.loads(text)["status"] == "too-large"
+
     def test_order_mismatch_on_rows_fixture(self):
         code, _ = run(["help-check", "--table", "onan", "--order", "35"])
         assert code == 2
@@ -59,6 +86,12 @@ class TestVerdict:
         code, text = run(["verdict", "--profile", "profile_m11"])
         assert code == 0
         assert "fully settled" in text
+
+    def test_huge_spectrum_entry_answers(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"name": "big", "order": str(10**30), "spectrum": [10**30]}))
+        code, text = run(["verdict", "--profile", str(path)])
+        assert code == 0 and "(2, 5): edge-in-group" in text
 
     def test_csv_format(self):
         code, text = run(["verdict", "--profile", "profile_thompson", "--format", "csv"])
@@ -125,6 +158,29 @@ class TestSieve:
         assert capsys.readouterr().err == (
             "dual-path disagreement: phi-factor vs root-sieve at bound 300\n"
         )
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--format", "csv"],
+         "84c683d4dfd579505ee546225dc0c45e826b2e11babcf971a414e0a6b0853543"),
+        (["--format", "csv", "--method", "root-sieve"],
+         "84c683d4dfd579505ee546225dc0c45e826b2e11babcf971a414e0a6b0853543"),
+        (["--condition", "cor13", "--format", "csv"],
+         "c8cd02ba5f7e5e71ad32ef01ad20f4e2dc786000642f066b0689f7ef37dd4a4d"),
+        (["--format", "json"],
+         "b3f7dedd762ffcc343b3d4dee09513af23a5147a6f5ab14dde842aa26fbfeaf1"),
+        (["--dual"],
+         "e845e653d363a5beb7ec37e9674fd3f354e113509dcf6b1ff5c9ec07d7348fde"),
+    ], ids=["csv", "csv-root-sieve", "cor13-csv", "json", "dual"])
+    def test_stdout_bytes_pinned_at_1e5(self, argv, digest):
+        code, text = run(["sieve", "--bound", "100000", *argv])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_bound_past_int64_is_an_input_error(self, capsys):
+        code, text = run(["sieve", "--bound", "3037000500"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
     def test_byte_stability_across_runs(self):
         _, a = run(["sieve", "--bound", "400", "--format", "csv"])

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgq import fixtures
 from pgq import helpmethod as H
@@ -239,6 +241,19 @@ class TestOnan:
             assert e3 + e7 == 1
             assert fixture.rows_hold(e3) == (True, True, True)
             assert e3 % 3 == 0 and e3 % 7 == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-400, 400), st.integers(-6, 6)), max_size=3),
+           st.integers(1, 6),
+           st.lists(st.tuples(st.integers(1, 6), st.integers(-6, 6)), max_size=2))
+    def test_residue_class_walk_matches_every_integer(self, rows, modulus, congruences):
+        rows = [(200, 1), (200, -1)] + rows
+        fixture = H.InequalityRowsFixture("G", 2, "a", "b", modulus, tuple(rows),
+                                          tuple(congruences))
+        # the two fixed rows bound eps to [-200, 200]; rows_hold checks the others
+        want = [(e, 1 - e) for e in range(-200, 201)
+                if all(fixture.rows_hold(e)) and all((e - r) % m == 0 for m, r in congruences)]
+        assert fixture.feasible_points() == want
 
 
 class TestFourierMotzkin:

@@ -1,6 +1,7 @@
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,28 @@ class TestFactoring:
             FactoredInteger(12, ((2, 1), (3, 1)))  # 6 != 12
 
 
+def factorize_witness(value, above):
+    """The smallest prime q > above with q^2 | value, by complete factoring."""
+    return min((p for p, e in NT.factorize(value).items() if e >= 2 and p > above),
+               default=inf)
+
+
+def witness(value, above=1):
+    return int(NT._square_witnesses(np.array([[value]], dtype=np.int64), above)[0])
+
+
+_SMALL = NT.primes_up_to(4096)
+_MEDIUM = [p for p in NT.primes_up_to(10**5) if p > 4096]
+#: products of small primes, primes in (4096, 10^5] and their squares and
+#: cubes, and products of three primes above 4096^3, all below 2^63
+WITNESS_VALUES = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_SMALL + _MEDIUM), st.integers(1, 3)), max_size=4)
+    .map(lambda fs: prod(p**e for p, e in fs)),
+    st.lists(st.sampled_from(_MEDIUM), min_size=3, max_size=3).map(prod)
+    .filter(lambda v: v >= 4096**3),
+).filter(lambda v: v < 2**63)
+
+
 class TestSquarefree:
     def test_basic_examples(self):
         twelve = FactoredInteger.from_value(12)
@@ -53,11 +76,35 @@ class TestSquarefree:
         assert fi.is_squarefree_above3() and not fi.is_squarefree()
 
     def test_witness_large_square(self):
-        assert NT._squarefree_witness(4099**2 * 5) == 4099
-        assert NT._squarefree_witness(4099 * 4111) is None
-        assert NT._squarefree_witness(49, above=3) == 7
-        assert NT._squarefree_witness(49 * 4, above=3) == 7
-        assert NT._squarefree_witness(4, above=3) is None
+        assert witness(4099**2 * 5) == 4099
+        assert witness(4099 * 4111) == 0
+        assert witness(4099**3) == 4099
+        assert witness(4099**2 * 4111) == 4099
+        assert witness(49, above=3) == 7
+        assert witness(49 * 4, above=3) == 7
+        assert witness(4, above=3) == 0
+
+    def test_witness_is_least_over_a_column(self):
+        # 4111^2 turns up only in the cube-root trial division, 4099^2 only
+        # in the final square root; the column's witness is the smaller
+        values = np.array([[4111**2 * 4127, 4099**2 * 4127], [4099**2, 4111**2]],
+                          dtype=np.int64)
+        assert NT._square_witnesses(values, 1).tolist() == [4099, 4099]
+
+    def test_isqrt_array_is_exact_up_to_2_63(self):
+        roots = [2, 4099, 10**6 + 3, 2**31 - 1, 3037000499]
+        values = [v for s in roots for v in (s * s - 1, s * s, s * s + 1)] + [2**63 - 1]
+        got = NT._isqrt_array(np.array(values, dtype=np.int64)).tolist()
+        assert got == [isqrt(v) for v in values]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(WITNESS_VALUES, min_size=3, max_size=3), min_size=1, max_size=32),
+           st.sampled_from((1, 3)))
+    def test_witness_kernel_matches_factorize(self, columns, above):
+        values = np.array(columns, dtype=np.int64).T
+        want = [min(factorize_witness(v, above) for v in column) for column in columns]
+        got = NT._square_witnesses(values, above).tolist()
+        assert got == [0 if w == inf else w for w in want]
 
 
 class TestAlpha:
@@ -166,6 +213,18 @@ class TestRho:
                     ]
                     assert hits == [k]
 
+    def test_lifted_roots_for_every_prime_to_1e4(self):
+        Q = np.array([q for q in NT.primes_up_to(10**4) if q > 3], dtype=np.int64)
+        counts = dict.fromkeys(Q.tolist(), 0)
+        for k in (1, 2, 3, 4, 6):
+            qs, rs = NT._lifted_roots(k, Q)
+            for q, r in zip(qs.tolist(), rs.tolist()):
+                assert 0 < r < q * q and NT._poly_eval(NT._PHI_COEFFS[k], r, q * q) == 0
+                counts[q] += 1
+            for q in Q[:: 40].tolist():
+                assert NT.phi_roots_mod_q2(k, q) == sorted(rs[qs == q].tolist())
+        assert all(c == NT._rho_prime_by_roots(q) for q, c in counts.items())
+
 
 class TestConstant:
     def test_truncation_at_5(self):
@@ -226,6 +285,25 @@ class TestCensus:
             if not ok:
                 assert w is not None and w > 3
                 assert NT.F_value(p) % (w * w) == 0
+
+    def test_phi_factor_matches_root_sieve_at_2e5(self):
+        for condition in NT.CONDITIONS:
+            a = NT.count_N(2 * 10**5, condition, "phi-factor")
+            b = NT.count_N(2 * 10**5, condition, "root-sieve")
+            assert a.rows == b.rows
+
+    @pytest.mark.parametrize("method", ["phi-factor", "root-sieve", "full-F"])
+    def test_row_fields_are_plain_python(self, method):
+        for condition in NT.CONDITIONS:
+            for p, ok, w in NT.count_N(3000, condition, method).rows:
+                assert type(p) is int and type(ok) is bool
+                assert w is None if ok else type(w) is int
+
+    def test_bound_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            NT.count_N(NT.CENSUS_MAX_BOUND + 1)
+        assert NT.CENSUS_MAX_BOUND**2 + NT.CENSUS_MAX_BOUND + 1 < 2**63
+        assert (NT.CENSUS_MAX_BOUND + 1) ** 2 >= 2**63
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
