@@ -439,10 +439,6 @@ class VerdictReport:
         return sorted(k for k, v in self.verdicts.items() if v == OPEN)
 
     @property
-    def settled_pairs(self) -> list[tuple[int, int]]:
-        return sorted(k for k, v in self.verdicts.items() if v == SETTLED)
-
-    @property
     def edges(self) -> list[tuple[int, int]]:
         return sorted(k for k, v in self.verdicts.items() if v == EDGE_IN_GROUP)
 

@@ -24,12 +24,8 @@ def _emit_json(doc, out):
     out.write("\n")
 
 
-def _load(path: str) -> dict:
-    return fixtures.resolve(path)
-
-
 def cmd_help_check(args, out) -> int:
-    doc = _load(args.table)
+    doc = fixtures.resolve(args.table)
     if "rows" in doc:
         fixture = helpmethod.InequalityRowsFixture.from_json(doc)
         if args.order != fixture.unit_order:
@@ -94,7 +90,7 @@ def cmd_help_check(args, out) -> int:
 
 
 def cmd_verdict(args, out) -> int:
-    profile = brauer.GroupArithmeticProfile.from_json(_load(args.profile))
+    profile = brauer.GroupArithmeticProfile.from_json(fixtures.resolve(args.profile))
     report = brauer.group_verdict_table(profile)
     if args.format == "json":
         _emit_json(report.to_json(), out)
@@ -115,7 +111,7 @@ def cmd_verdict(args, out) -> int:
 
 
 def cmd_tree_check(args, out) -> int:
-    tree = brauer.BrauerTreeSpec.from_json(_load(args.tree))
+    tree = brauer.BrauerTreeSpec.from_json(fixtures.resolve(args.tree))
     diags = brauer.validate_tree(tree)
     if args.format == "json":
         _emit_json({"valid": not diags, "diagnostics": diags}, out)

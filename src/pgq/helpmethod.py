@@ -8,8 +8,12 @@ yield an exact rational multiplicity
 
     mu(zeta^l, u, chi) = (1/n) sum_{d | n} Tr_{Q(zeta_{n/d})/Q}(chi(u^d) zeta^{-dl})
 
-which for an actual unit is a non-negative integer bounded by chi(1).  The
-feasibility engine turns these conditions, the vanishing and congruence
+which for an actual unit is a non-negative integer bounded by chi(1).  It is
+linear in the partial augmentations of u and its powers, so it is a rational
+sum over one cached trace table per slice, Tr(chi(C) zeta_r^{-l}) as in HeLP
+(`CharacterTableSlice.trace`); the tests check it against the formula in
+cyclotomic arithmetic and against Fourier inversion of character values.
+The feasibility engine turns these conditions, the vanishing and congruence
 constraints on partial augmentations, and augmentation one into an exact
 integer search: variable bounds come from Fourier-Motzkin elimination over
 the rational relaxation, and the engine refuses (rather than truncating)
@@ -75,11 +79,14 @@ class CharacterTableSlice:
         self._by_name = {c.name: c for c in self.classes}
         self._chars = {c.name: c for c in self.characters}
         self._galois_powers: dict[tuple[str, int], str] = {}
+        self._traces: dict[tuple[str, str, int, int], Fraction] = {}
         self.validate()
 
     def validate(self):
         if len(self._by_name) != len(self.classes):
             raise ValueError("duplicate class names")
+        if len(self._chars) != len(self.characters):
+            raise ValueError("duplicate character names")
         identities = [c for c in self.classes if c.order == 1]
         if len(identities) != 1:
             raise ValueError("exactly one identity class is required")
@@ -166,6 +173,15 @@ class CharacterTableSlice:
                 )
             self._galois_powers[key] = matches[0]
         return self._galois_powers[key]
+
+    def trace(self, chi: Character, class_name: str, r: int, l: int) -> Fraction:
+        """Tr_{Q(zeta_r)/Q}(chi(g) zeta_r^{-l}) for g in the named class,
+        computed once per slice and then read from the table."""
+        key = (chi.name, class_name, r, l % r)
+        if key not in self._traces:
+            value = chi.value(class_name) * CyclotomicElement.zeta(r, -l)
+            self._traces[key] = value.trace_over(r)
+        return self._traces[key]
 
     def variable_classes(self, n: int) -> list[ConjugacyClassInfo]:
         """Classes that may carry a nonzero partial augmentation for a unit of
@@ -273,15 +289,6 @@ def trivial_pa(slice_: CharacterTableSlice, class_name: str) -> PartialAugmentat
     return PartialAugmentationVector(n, {class_name: 1}, powers)
 
 
-def chi_of_pa(slice_: CharacterTableSlice, chi: Character, pa: PartialAugmentationVector):
-    """chi(u) = sum_g eps_g(u) chi(g)."""
-    acc = CyclotomicElement.rational(0)
-    for name, e in pa.entries.items():
-        if e:
-            acc = acc + chi.value(name) * e
-    return acc
-
-
 # -- the multiplicity formula --------------------------------------------------
 
 
@@ -327,25 +334,19 @@ def multiplicity_form(
     """mu(zeta_n^l, u, chi) as an affine form in the order-n partial
     augmentations, with the proper-power distributions fixed.
 
-    The divisor-d trace is taken over Q(zeta_{n/d}), where both chi(u^d) and
-    zeta^{-d} = zeta_{n/d}^{-l} live.
+    The divisor-d term is a sum of table traces over Q(zeta_{n/d}), where
+    both chi(u^d) and zeta^{-d} = zeta_{n/d}^{-l} live; u^n = 1 gives chi(1).
     """
-    l = zeta_exponent % n
-    const = Fraction(0)
-    for d in divisors(n):
-        r = n // d
-        if d == n:
-            val = CyclotomicElement.rational(chi.degree)
-        elif d == 1:
-            continue  # the chi(u) term carries the symbolic coefficients below
-        else:
-            if d not in powers:
-                raise KeyError(f"missing class distribution for the {d}-th power")
-            val = chi_of_pa(slice_, chi, powers[d])
-        const += (val * CyclotomicElement.zeta(r, -l)).trace_over(r)
+    const = Fraction(chi.degree)
+    for d in divisors(n)[1:-1]:
+        if d not in powers:
+            raise KeyError(f"missing class distribution for the {d}-th power")
+        for name, e in powers[d].entries.items():
+            if e:
+                const += e * slice_.trace(chi, name, n // d, zeta_exponent)
     coeffs = {}
     for c in slice_.variable_classes(n):
-        t = (chi.value(c.name) * CyclotomicElement.zeta(n, -l)).trace_over(n)
+        t = slice_.trace(chi, c.name, n, zeta_exponent)
         if t:
             coeffs[c.name] = t / n
     return LinearForm(const / n, coeffs)
@@ -523,10 +524,6 @@ class FeasibilityResult:
     forms: dict[tuple[str, int], LinearForm]
     congruences: list[Congruence]
 
-    @property
-    def is_infeasible(self) -> bool:
-        return self.status == "infeasible"
-
 
 def _coherent_power_assignments(n: int, pools: dict[int, list[PartialAugmentationVector]]):
     proper = sorted(pools)
@@ -554,7 +551,8 @@ def _search(
     """Feasible pa trees for a unit of order n; also returns diagnostics from
     the last-analyzed branch (bounds and multiplicity forms)."""
     var_names = [c.name for c in slice_.variable_classes(n)]
-    diag: dict = {"bounds": None, "forms": {}}
+    congs = congruence_constraints(slice_, n)
+    diag: dict = {"bounds": None, "forms": {}, "congruences": congs}
     if not var_names:
         return [], diag
 
@@ -566,8 +564,6 @@ def _search(
             return [], diag
         pools[d] = sub
 
-    congs = congruence_constraints(slice_, n)
-    diag["congruences"] = congs
     exps = list(range(n)) if exponents is None else [e % n for e in exponents]
     found = []
     for assign in _coherent_power_assignments(n, pools):
@@ -657,19 +653,19 @@ def feasible_partial_augmentations(
     try:
         found, diag = _search(slice_, n, chars, exponents, candidate_cap)
         status = "feasible" if found else "infeasible"
-    except UnboundedSearchError:
-        found, diag, status = [], {"bounds": None, "forms": {}}, "unbounded"
-    except SearchComplexityError:
-        found, diag, status = [], {"bounds": None, "forms": {}}, "too-large"
+    except (UnboundedSearchError, SearchComplexityError) as e:
+        status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
+        found, diag = [], {"bounds": None, "forms": {},
+                           "congruences": congruence_constraints(slice_, n)}
     var_names = [c.name for c in slice_.variable_classes(n)]
     return FeasibilityResult(
         order=n,
         variables=var_names,
         status=status,
         feasible=found,
-        bounds=diag.get("bounds"),
-        forms=diag.get("forms", {}),
-        congruences=diag.get("congruences", congruence_constraints(slice_, n)),
+        bounds=diag["bounds"],
+        forms=diag["forms"],
+        congruences=diag["congruences"],
     )
 
 

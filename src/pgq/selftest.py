@@ -14,12 +14,12 @@ from . import brauer, fixtures, helpmethod, numtheory, tableaux
 from .cyclotomic import CyclotomicElement, parse_cyclotomic, zeta
 
 
-def check_trace_dual_path():
-    for p in numtheory.primes_up_to(40):
+def check_trace_dual_path(p_bound=40, pq_bound=12):
+    for p in numtheory.primes_up_to(p_bound):
         x = zeta(p)
         assert x.trace_to_Q() == -1 == x.trace_via_galois_sum()
-    for p in numtheory.primes_up_to(12):
-        for q in numtheory.primes_up_to(12):
+    for p in numtheory.primes_up_to(pq_bound):
+        for q in numtheory.primes_up_to(pq_bound):
             if p != q:
                 x = zeta(p * q, -q)  # zeta_p^-1 inside Q(zeta_pq)
                 assert x.trace_to_Q() == -(q - 1) == x.trace_via_galois_sum()
@@ -152,10 +152,13 @@ def check_signed_sums_vanish():
                 assert brauer.signed_vertex_sum(tree, values).is_zero(), (key, p, cl.name)
 
 
-def check_main_inequality_at_units():
+def check_main_inequality_at_units() -> int:
+    checked = 0
     for key, entry in fixtures.SMALL_GROUP_TABLES.items():
         slice_ = fixtures.load_slice(entry["table"])
+        group_factors = numtheory.factorize(slice_.group_order)
         for p, tree_name in entry["trees"].items():
+            assert group_factors[p] == 1, (key, p)
             tree = fixtures.load_tree(tree_name)
             for cl in slice_.classes:
                 if cl.order % p or cl.order == p or (cl.order // p) % p == 0:
@@ -166,6 +169,8 @@ def check_main_inequality_at_units():
                     a = brauer.assignment_from_table(slice_, tree, pa, xi)
                     holds, slack = brauer.main_inequality_holds(tree, a)
                     assert holds, (key, p, cl.name, xi, slack)
+                    checked += 1
+    return checked
 
 
 def check_verdict_tables():

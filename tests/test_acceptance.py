@@ -5,11 +5,10 @@ import io
 import time
 from fractions import Fraction
 
-from pgq import brauer, cli, fixtures
+from pgq import cli, fixtures, selftest
 from pgq import helpmethod as H
 from pgq import numtheory as NT
 from pgq import tableaux as T
-from pgq.cyclotomic import zeta
 
 
 def _cli(argv):
@@ -67,17 +66,7 @@ def test_criterion_03_onan_inconclusive():
 def test_criterion_04_trace_identities():
     """trace(zeta_p) = -1 for p <= 100 and trace of zeta_p^-1 in Q(zeta_pq)
     = -(q-1) for p, q <= 30, on both trace code paths, exactly."""
-    for p in NT.primes_up_to(100):
-        x = zeta(p)
-        assert x.trace_to_Q() == -1
-        assert x.trace_via_galois_sum() == -1
-    for p in NT.primes_up_to(30):
-        for q in NT.primes_up_to(30):
-            if p == q:
-                continue
-            x = zeta(p * q, -q)  # zeta_p^-1 at level pq
-            assert x.trace_to_Q() == -(q - 1)
-            assert x.trace_via_galois_sum() == -(q - 1)
+    selftest.check_trace_dual_path(p_bound=100, pq_bound=30)
     print("\n[PASS] criterion 4: trace identities, dual code path, exact")
 
 
@@ -133,24 +122,7 @@ def test_criterion_07_rho_and_constant():
 def test_criterion_08_main_inequality_at_genuine_units():
     """for each bundled table and every element of composite order p*m with a
     prime-order Sylow at the odd prime p, the inequality holds for all xi."""
-    checked = 0
-    for key, entry in fixtures.SMALL_GROUP_TABLES.items():
-        slice_ = fixtures.load_slice(entry["table"])
-        group_factors = NT.factorize(slice_.group_order)
-        for p, tree_name in entry["trees"].items():
-            assert group_factors[p] == 1  # Sylow of prime order
-            tree = fixtures.load_tree(tree_name)
-            for cl in slice_.classes:
-                n = cl.order
-                if n % p or n == p or (n // p) % p == 0:
-                    continue  # not a composite order p*m with p coprime to m
-                pa = H.trivial_pa(slice_, cl.name)
-                m = n // p
-                for xi in range(m):
-                    a = brauer.assignment_from_table(slice_, tree, pa, xi)
-                    holds, slack = brauer.main_inequality_holds(tree, a)
-                    assert holds, (key, p, cl.name, xi, slack)
-                    checked += 1
+    checked = selftest.check_main_inequality_at_units()
     assert checked >= 100  # both tables contribute; C21 alone gives 120 cases
     print(f"\n[PASS] criterion 8: main inequality at {checked} genuine-unit instances")
 
@@ -158,10 +130,7 @@ def test_criterion_08_main_inequality_at_genuine_units():
 def test_criterion_09_verdict_tables():
     """Thompson: exactly one non-theorem pair (5, 7); Monster: exactly the
     four published open pairs."""
-    th = brauer.group_verdict_table(fixtures.load_profile("profile_thompson"))
-    assert th.open_pairs == [(5, 7)]
-    monster = brauer.group_verdict_table(fixtures.load_profile("profile_monster"))
-    assert monster.open_pairs == [(5, 13), (7, 11), (7, 13), (11, 13)]
+    selftest.check_verdict_tables()
     print("\n[PASS] criterion 9: Thompson open pair (5,7); Monster open pairs exact")
 
 

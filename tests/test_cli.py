@@ -32,11 +32,19 @@ class TestHelpCheck:
         assert code == 1
         assert "feasible point exists" in text.lower()
 
-    def test_onan_bytes_unchanged(self):
-        code, text = run(["help-check", "--table", "onan", "--order", "21", "--format", "json"])
-        assert code == 1 and len(json.loads(text)["points"]) == 45
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "fe08f4ed54a0dff071cc3c6a7980a8c3ec0335b26a48ac4097e1f4d585c1017b")
+    @pytest.mark.parametrize("table, order, code, digest", [
+        ("onan", 21, 1, "fe08f4ed54a0dff071cc3c6a7980a8c3ec0335b26a48ac4097e1f4d585c1017b"),
+        ("thompson", 35, 0, "78910c25cf959ecc3cf5eca67e9a3328459da81f453946cb8e66363e6abbebf8"),
+        ("s5", 4, 1, "295b79ee8c4fbd7540b41310bac79b4ea06c4844fd5f28797c8368228da4b62a"),
+        ("s5", 10, 0, "b7ce9dcd97505ae334d81502f46129ad7a2de2c0b6651c30d841bb4b7a47c8f2"),
+        ("s5", 15, 0, "1c46cfbc082c8eb5858b96d5fbf552fc26a67e9f88be5ab521197b49385be215"),
+        ("c21", 3, 1, "1ceb8c2485a65003955f48854f286b8caff12362e3d2d03256a608cc54f39038"),
+    ], ids=["onan-21", "thompson-35", "s5-4", "s5-10", "s5-15", "c21-3"])
+    def test_json_bytes_pinned(self, table, order, code, digest):
+        exit_code, text = run(["help-check", "--table", table, "--order", str(order),
+                               "--format", "json"])
+        assert exit_code == code
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_wide_rows_answer_from_the_residue_class(self, tmp_path):
         # the congruences force eps = 15 (mod 21), which no row divisibility allows
@@ -74,6 +82,8 @@ class TestHelpCheck:
         code, text = run(["help-check", "--table", "s5", "--order", "6"])
         assert code == 1
         assert "FEASIBLE" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "66d602f64b5f5a5d550e59404f50b8ad5fdde7b300f7147b63fbf7f55e526a83")
 
 
 class TestVerdict:
@@ -322,6 +332,9 @@ class TestMalformedDocuments:
         ("onan", "rows", [[1]]),
         ("onan", "rows", []),
         ("profile_m11", "spectrum", [10**30]),
+        # two characters named std: the constraints are keyed by character name
+        ("s5", "characters", [dict(ch, name="std") if ch["name"] == "sgn" else ch
+                              for ch in BUNDLED["s5"]["characters"]]),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, name, field, value):
         code, text, err = run_with_field(tmp_path, name, field, value)

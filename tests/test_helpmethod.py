@@ -94,6 +94,25 @@ class TestSliceBasics:
         assert pa.powers[3].entries == {"2a": 1}
 
 
+def unit_orders(slice_):
+    """Orders n > 1 with a class of every order n/d, 1 < d < n, and a class
+    that may carry a partial augmentation."""
+    orders = {c.order for c in slice_.classes}
+    return [n for n in range(2, 50)
+            if slice_.variable_classes(n) and set(H.divisors(n)[1:-1]) <= orders]
+
+
+def direct_multiplicity(slice_, chi, n, l, entries, powers):
+    """(1/n) sum_{d | n} Tr_{Q(zeta_{n/d})/Q}(chi(u^d) zeta_n^{-dl}), with
+    chi(u^d) summed as a cyclotomic number and multiplied by the root."""
+    total = Fraction(0)
+    for d in H.divisors(n):
+        dist = entries if d == 1 else powers[d].entries if d < n else {slice_.identity.name: 1}
+        value = sum((chi.value(c) * e for c, e in dist.items()), CyclotomicElement.rational(0))
+        total += (value * zeta(n, -d * l)).trace_over(n // d)
+    return total / n
+
+
 class TestLupaMultiplicity:
     def test_identity_unit_gives_degree(self, s5):
         # order-1 units collapse the sum to a single term chi(1)
@@ -164,6 +183,27 @@ class TestLupaMultiplicity:
         pa = H.PartialAugmentationVector(35, {"5a": 1}, {})
         with pytest.raises(KeyError, match="power"):
             H.lupa_multiplicity(thompson, "chi248", pa, 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_trace_table_matches_direct_evaluation(self, s5, c21, thompson, data):
+        # augmentation-one vectors that are mostly not genuine elements, with the
+        # proper powers of genuine elements of the right orders
+        slice_ = data.draw(st.sampled_from([s5, c21, thompson]), label="table")
+        n = data.draw(st.sampled_from(unit_orders(slice_)), label="n")
+        chi = data.draw(st.sampled_from(slice_.characters), label="chi")
+        powers = {}
+        for d in H.divisors(n)[1:-1]:
+            at = [c.name for c in slice_.classes if c.order == n // d]
+            powers[d] = H.trivial_pa(slice_, data.draw(st.sampled_from(at), label=f"u^{d}"))
+        names = [c.name for c in slice_.variable_classes(n)]
+        rest = data.draw(st.lists(st.integers(-4, 4), min_size=len(names) - 1,
+                                  max_size=len(names) - 1), label="entries")
+        entries = dict(zip(names, [1 - sum(rest), *rest]))
+        for l in range(n):
+            form = H.multiplicity_form(slice_, chi, n, l, powers)
+            want = direct_multiplicity(slice_, chi, n, l, entries, powers)
+            assert form.evaluate(entries) == want
 
 
 class TestCongruences:
