@@ -35,8 +35,9 @@ def cmd_help_check(args, out) -> int:
         try:
             points = fixture.feasible_points()
             status = "feasible" if points else "infeasible"
-        except helpmethod.SearchComplexityError:
+        except helpmethod.SearchComplexityError as e:
             points, status = [], "too-large"
+            print(e, file=sys.stderr)
         if args.format == "json":
             _emit_json(
                 {"group": fixture.group, "order": args.order, "status": status,
@@ -59,6 +60,8 @@ def cmd_help_check(args, out) -> int:
     slice_ = helpmethod.CharacterTableSlice.from_json(doc)
     chars = args.characters.split(",") if args.characters else None
     result = helpmethod.feasible_partial_augmentations(slice_, args.order, characters=chars)
+    if result.reason:
+        print(result.reason, file=sys.stderr)
     if args.format == "json":
         _emit_json(
             {"group": slice_.group_name, "order": args.order, "status": result.status,

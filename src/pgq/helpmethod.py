@@ -15,9 +15,13 @@ sum over one cached trace table per slice, Tr(chi(C) zeta_r^{-l}) as in HeLP
 cyclotomic arithmetic and against Fourier inversion of character values.
 The feasibility engine turns these conditions, the vanishing and congruence
 constraints on partial augmentations, and augmentation one into an exact
-integer search: variable bounds come from Fourier-Motzkin elimination over
-the rational relaxation, and the engine refuses (rather than truncating)
-when that relaxation leaves a variable unbounded.
+integer search.  Variable bounds come from an exact simplex over the
+rational relaxation (`lp_bounds`: integer-preserving pivots, Bland's rule),
+which also certifies each branch it excludes with a Farkas vector;
+Fourier-Motzkin elimination (`fm_bounds`) stays only as the tests' oracle
+for it.  The integer stage walks the augmentation hyperplane inside those
+bounds, and the engine refuses (rather than truncating) when the relaxation
+leaves a variable unbounded or the walk would pass the candidate cap.
 """
 
 from __future__ import annotations
@@ -402,7 +406,7 @@ def congruence_constraints(slice_: CharacterTableSlice, n: int) -> list[Congruen
     return out
 
 
-# -- Fourier-Motzkin bounds ------------------------------------------------------
+# -- rational bounds: exact simplex, with Fourier-Motzkin as its test oracle ------
 
 
 class UnboundedSearchError(Exception):
@@ -422,17 +426,11 @@ CANDIDATE_CAP = 2_000_000
 
 def _int_row(form: LinearForm, variables) -> tuple[int, ...]:
     """(coeffs..., const) scaled to a primitive integer vector."""
-    vals = [form.coeffs.get(v, Fraction(0)) for v in variables] + [form.const]
-    den = 1
-    for x in vals:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in vals]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    vals = [form.coeffs.get(v, 0) for v in variables] + [form.const]
+    den = math.lcm(*(x.denominator for x in vals))
+    ints = [x.numerator * (den // x.denominator) for x in vals]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 class _Infeasible(Exception):
@@ -460,7 +458,8 @@ def fm_bounds(
     Fourier-Motzkin elimination on primitive integer rows.
 
     Returns None when the system is rationally infeasible; a None endpoint
-    marks an unbounded direction.
+    marks an unbounded direction.  The search uses `lp_bounds`; this
+    independent path is the tests' oracle for it.
     """
     nvars = len(variables)
     try:
@@ -511,18 +510,169 @@ def fm_bounds(
         return None
 
 
+_ARTIFICIAL = -1
+
+
+class _Dictionary:
+    """A simplex dictionary over one common integer denominator.
+
+    Slack i (row i of the system, >= 0) is variable i, the phase-one
+    artificial variable (>= 0) is -1 and free variable v is m + v.  Row i
+    reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) / den over the
+    nonbasic cols[j], j >= 1.  Pivots are integer-preserving (Edmonds,
+    Bareiss): every entry stays a minor of the input rows, so each division
+    by the old denominator is exact.
+    """
+
+    def __init__(self, rows: list[tuple[int, ...]], nvars: int):
+        self.m = m = len(rows)
+        self.den = 1
+        self.t = [[r[nvars], *r[:nvars]] for r in rows]
+        self.basis = list(range(m))
+        self.cols = [None, *range(m, m + nvars)]
+        self.objective: list[int] | None = None  # phase one's row, pivoted along
+
+    def pivot(self, r: int, c: int) -> None:
+        """Exchange basis[r] and cols[c]."""
+        den, pr = self.den, self.t[r]
+        p = pr[c]
+        rows = self.t if self.objective is None else [*self.t, self.objective]
+        for row in rows:
+            if row is pr:
+                continue
+            q = row[c]
+            new = [p * a - q * b for a, b in zip(row, pr)] if q else [p * a for a in row]
+            row[:] = [v // den for v in new]
+            assert [v * den for v in row] == new, "inexact pivot"
+            row[c] = q
+        pr[:] = [-x for x in pr]
+        pr[c] = den
+        self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
+        self.den = p
+        if p < 0:
+            for row in rows:
+                row[:] = [-x for x in row]
+            self.den = -p
+
+    def maximize(self, obj: list[int], sign: int) -> bool:
+        """Pivot by Bland's rule until sign * obj, a row kept up to date by
+        `pivot`, is maximal over the non-negative variables; False when it
+        is unbounded.  Free variables never enter or leave."""
+        m, t, basis, cols = self.m, self.t, self.basis, self.cols
+        while True:
+            enter = [c for c in range(1, len(cols)) if cols[c] < m and sign * obj[c] > 0]
+            if not enter:
+                return True
+            c = min(enter, key=cols.__getitem__)
+            best = None  # min ratio t[i][0] / -t[i][c], ties to the lowest variable
+            for i, row in enumerate(t):
+                if row[c] < 0 and basis[i] < m:
+                    if best is not None:
+                        lhs, rhs = row[0] * t[best][c], t[best][0] * row[c]
+                        if lhs < rhs or (lhs == rhs and basis[i] > basis[best]):
+                            continue
+                    best = i
+            if best is None:
+                return False
+            self.pivot(best, c)
+
+
+def lp_bounds(
+    ineqs: list[LinearForm], variables: list[str]
+) -> tuple[dict[str, tuple[Fraction | None, Fraction | None]] | None, list[int] | None]:
+    """Exact min/max of each variable over {x : f(x) >= 0 for all f} by the
+    simplex method on the distinct primitive integer rows (A | k) of the
+    forms, with the same answers as `fm_bounds`.
+
+    Returns (bounds, None) when the system is rationally feasible; a None
+    endpoint marks an unbounded direction.  Returns (None, y) when it is
+    infeasible, with a Farkas certificate: one integer y_i >= 0 per form,
+    y^T A = 0 and y^T k < 0.
+    """
+    nvars = len(variables)
+    first: dict[tuple[int, ...], int] = {}  # distinct row -> first form giving it
+    for i, f in enumerate(ineqs):
+        row = _int_row(f, variables)
+        if any(row[:nvars]):
+            first.setdefault(row, i)
+        elif row[nvars] < 0:
+            return None, [int(j == i) for j in range(len(ineqs))]
+    origin = list(first.values())
+    d = _Dictionary(list(first), nvars)
+    m, t = d.m, d.t
+    # each free variable enters the basis once and never leaves; one that
+    # cannot has a zero column in every slack row, so nothing bounds it
+    for v in range(nvars):
+        c = d.cols.index(m + v)
+        rows = [i for i in range(len(t)) if d.basis[i] < m and t[i][c]]
+        if rows:
+            d.pivot(min(rows, key=lambda i: abs(t[i][c])), c)
+    short = {i for i in range(len(t)) if d.basis[i] < m and t[i][0] < 0}
+    if short:
+        # phase one: a single artificial variable lifts every violated row,
+        # enters on the most violated one, and -artificial is maximized
+        for i, row in enumerate(t):
+            row.append(d.den if i in short else 0)
+        d.cols.append(_ARTIFICIAL)
+        r = min(short, key=lambda i: t[i][0])
+        d.pivot(r, len(d.cols) - 1)
+        d.objective = [-x for x in t[r]]
+        d.maximize(d.objective, 1)
+        obj, d.objective = d.objective, None
+        if obj[0] < 0:
+            # -artificial = obj . (1, nonbasic slacks) identically; its
+            # coefficients are <= 0 and cancel in x, which is Farkas' y
+            y = [0] * len(ineqs)
+            for c in range(1, len(d.cols)):
+                if 0 <= d.cols[c] < m:
+                    y[origin[d.cols[c]]] = -obj[c]
+            g = math.gcd(*y)
+            return None, [x // g for x in y]
+        # the artificial variable has the lowest index, so Bland's rule makes
+        # it leave on every tie: it stays basic only while positive, and at
+        # zero it is nonbasic and its column can go
+        c = d.cols.index(_ARTIFICIAL)
+        for row in t:
+            del row[c]
+        del d.cols[c]
+    stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
+    ends = {name: [None, None] for name in variables}
+    for sign in (-1, 1):  # every minimum, then every maximum; each warm-starts the next
+        for v, name in enumerate(variables):
+            obj = t[d.basis.index(m + v)] if m + v in d.basis else None
+            if obj is not None and not any(obj[c] for c in stuck) and d.maximize(obj, sign):
+                ends[name][sign > 0] = Fraction(obj[0], d.den)
+    return {name: tuple(e) for name, e in ends.items()}, None
+
+
 # -- the feasibility engine --------------------------------------------------------
+
+
+@dataclass
+class InfeasibleBranch:
+    """A distribution of the proper powers whose rational relaxation is
+    empty, with a Farkas certificate over the primitive integer rows of its
+    constraints: a multiplier pair (for mu >= 0, for mu <= chi(1)) per
+    (character, exponent) that has a nonzero one, and a pair for the sum of
+    the partial augmentations (>= 1, <= 1).  Every multiplier is >= 0, and
+    the weighted rows add up to zero coefficients and a negative constant."""
+
+    powers: dict[int, PartialAugmentationVector]
+    multipliers: dict[tuple[str, int], tuple[int, int]]
+    augmentation: tuple[int, int]
 
 
 @dataclass
 class FeasibilityResult:
     order: int
     variables: list[str]
-    status: str  # "infeasible" | "feasible" | "unbounded"
+    status: str  # "infeasible" | "feasible" | "unbounded" | "too-large"
     feasible: list[PartialAugmentationVector]
     bounds: dict[str, tuple[int, int]] | None
     forms: dict[tuple[str, int], LinearForm]
     congruences: list[Congruence]
+    certificates: list[InfeasibleBranch] = field(default_factory=list)
+    reason: str | None = None  # which limit an inconclusive search hit, and where
 
 
 def _coherent_power_assignments(n: int, pools: dict[int, list[PartialAugmentationVector]]):
@@ -548,11 +698,12 @@ def _search(
     exponents,
     candidate_cap: int,
 ) -> tuple[list[PartialAugmentationVector], dict]:
-    """Feasible pa trees for a unit of order n; also returns diagnostics from
-    the last-analyzed branch (bounds and multiplicity forms)."""
+    """Feasible pa trees for a unit of order n; also returns diagnostics: the
+    bounds and multiplicity forms of the last-analyzed branch, and a Farkas
+    certificate per rationally infeasible branch."""
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
-    diag: dict = {"bounds": None, "forms": {}, "congruences": congs}
+    diag: dict = {"bounds": None, "forms": {}, "congruences": congs, "certificates": []}
     if not var_names:
         return [], diag
 
@@ -579,10 +730,13 @@ def _search(
         aug = LinearForm(Fraction(-1), {v: Fraction(1) for v in var_names})
         ineqs.append(aug)
         ineqs.append(aug.scaled(-1))
-        rel = fm_bounds(ineqs, var_names)
+        rel, farkas = lp_bounds(ineqs, var_names)
         diag["forms"] = forms
-        if rel is None:
-            continue  # this branch is already rationally infeasible
+        if rel is None:  # this branch is already rationally infeasible
+            pairs = dict(zip(forms, zip(farkas[0:-2:2], farkas[1:-2:2])))
+            diag["certificates"].append(InfeasibleBranch(
+                dict(assign), {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
+            continue
         if any(lo is None or hi is None for lo, hi in rel.values()):
             raise UnboundedSearchError(
                 f"order {n}: no supplied character bounds "
@@ -592,13 +746,15 @@ def _search(
             v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()
         }
         diag["bounds"] = int_bounds
-        ranges = [range(int_bounds[v][0], int_bounds[v][1] + 1) for v in var_names]
+        # walk the augmentation hyperplane: the last variable is 1 - the others
+        *ranges, last = (range(int_bounds[v][0], int_bounds[v][1] + 1) for v in var_names)
         total = 1
         for r in ranges:
             total *= len(r)
             if total > candidate_cap:
                 raise SearchComplexityError(
-                    f"order {n}: candidate box exceeds cap {candidate_cap}"
+                    f"order {n}: more than {candidate_cap} integer candidates to walk on "
+                    f"the augmentation hyperplane (candidate cap {candidate_cap})"
                 )
         scaled = []  # (den, const, coeff list, degree): den*mu must be an
         for (chi_name, _), f in forms.items():  # integer multiple of den in [0, deg*den]
@@ -610,9 +766,11 @@ def _search(
                  [int(f.coeffs.get(v, Fraction(0)) * den) for v in var_names],
                  slice_.character(chi_name).degree)
             )
-        for point in itertools.product(*ranges):
-            if sum(point) != 1:
+        for head in itertools.product(*ranges):
+            tail = 1 - sum(head)
+            if tail not in last:
                 continue
+            point = (*head, tail)
             env = dict(zip(var_names, point))
             if not all(c.satisfied(env) for c in congs):
                 continue
@@ -650,12 +808,14 @@ def feasible_partial_augmentations(
     )
     if not chars:
         raise ValueError("at least one character is required")
+    reason = None
     try:
         found, diag = _search(slice_, n, chars, exponents, candidate_cap)
         status = "feasible" if found else "infeasible"
     except (UnboundedSearchError, SearchComplexityError) as e:
         status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
-        found, diag = [], {"bounds": None, "forms": {},
+        reason = str(e)
+        found, diag = [], {"bounds": None, "forms": {}, "certificates": [],
                            "congruences": congruence_constraints(slice_, n)}
     var_names = [c.name for c in slice_.variable_classes(n)]
     return FeasibilityResult(
@@ -666,6 +826,8 @@ def feasible_partial_augmentations(
         bounds=diag["bounds"],
         forms=diag["forms"],
         congruences=diag["congruences"],
+        certificates=diag["certificates"],
+        reason=reason,
     )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgq
-from pgq import cli, fixtures
+from pgq import cli, fixtures, helpmethod
 
 
 def run(argv):
@@ -59,9 +60,12 @@ class TestHelpCheck:
         path = tmp_path / "rows.json"
         path.write_text(json.dumps(dict(fixtures.load_json("onan.json"),
                                         rows=[[10**12 + 5, 1], [10**12 + 14, -1]])))
-        code, text = run(["help-check", "--table", str(path), "--order", "21"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["help-check", "--table", str(path), "--order", "21"])
         assert (code, text) == (1, "INCONCLUSIVE: search region too large for exact "
                                    "enumeration\n")
+        assert err.getvalue().endswith("candidates exceed cap 2000000\n")
         code, text = run(["help-check", "--table", str(path), "--order", "21",
                           "--format", "json"])
         assert code == 1 and json.loads(text)["status"] == "too-large"
@@ -77,6 +81,28 @@ class TestHelpCheck:
         doc = json.loads(text)
         assert doc["status"] == "infeasible"
         assert doc["bounds"]["5a"] == [-8, 2]
+
+    @pytest.mark.parametrize("order, count", [(7, 6), (21, 12)])
+    def test_c21_admits_exactly_the_trivial_units(self, order, count):
+        code, text = run(["help-check", "--table", "c21", "--order", str(order),
+                          "--format", "json"])
+        doc = json.loads(text)
+        assert code == 1 and doc["status"] == "feasible"
+        c21 = fixtures.load_slice("c21")
+        trivial = [helpmethod.trivial_pa(c21, c.name).to_json()
+                   for c in c21.classes if c.order == order]
+        assert len(trivial) == count
+        key = functools.partial(json.dumps, sort_keys=True)
+        assert sorted(map(key, doc["feasible"])) == sorted(map(key, trivial))
+
+    def test_inconclusive_names_its_limit_on_stderr(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["help-check", "--table", "s5", "--order", "2",
+                              "--characters", "triv"])
+        assert (code, text) == (1, "INCONCLUSIVE: unbounded search region (no character "
+                                   "pins a variable)\n")
+        assert err.getvalue() == "order 2: no supplied character bounds 2a, 2b\n"
 
     def test_feasible_order_on_small_group(self):
         code, text = run(["help-check", "--table", "s5", "--order", "6"])

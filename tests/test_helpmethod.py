@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgq import fixtures
@@ -234,7 +234,7 @@ class TestFeasibility:
 
     def test_trivial_distribution_always_feasible(self, s5):
         res = H.feasible_partial_augmentations(s5, 6)
-        assert res.status == "feasible"
+        assert res.status == "feasible" and res.reason is None
         assert any(pa.entries == {"6a": 1} for pa in res.feasible)
         for pa in res.feasible:
             pa.validate(s5)
@@ -261,6 +261,70 @@ class TestFeasibility:
         slice_ = H.CharacterTableSlice.from_json(doc)
         res = H.feasible_partial_augmentations(slice_, 2)
         assert res.status == "unbounded"
+        assert res.reason == "order 2: no supplied character bounds 2a, 2b"
+
+    def test_candidate_cap_is_inconclusive_and_says_so(self, s5):
+        res = H.feasible_partial_augmentations(s5, 6, candidate_cap=10)
+        assert res.status == "too-large" and res.feasible == []
+        assert res.reason == ("order 6: more than 10 integer candidates to walk on the "
+                              "augmentation hyperplane (candidate cap 10)")
+
+
+def primitive_row(form, variables):
+    """(coefficients..., constant) of a form as a primitive integer vector."""
+    vals = [Fraction(form.coeffs.get(v, 0)) for v in variables] + [Fraction(form.const)]
+    den = lcm(*(x.denominator for x in vals))
+    ints = [int(x * den) for x in vals]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
+def farkas_holds(pairs, variables):
+    """y >= 0 and, summed over the (y, form) pairs in integers, y^T A = 0 and
+    y^T k < 0: the forms cannot all be >= 0 at one rational point."""
+    total = [0] * (len(variables) + 1)
+    for y, form in pairs:
+        assert y >= 0
+        total = [t + y * x for t, x in zip(total, primitive_row(form, variables))]
+    return not any(total[:-1]) and total[-1] < 0
+
+
+def branch_certificate_holds(slice_, n, variables, branch):
+    """Rebuild the constraint rows of one infeasible branch from the
+    multiplicity forms and check its Farkas multipliers on them."""
+    pairs = []
+    for (chi_name, l), (lower, upper) in branch.multipliers.items():
+        chi = slice_.character(chi_name)
+        mu = H.multiplicity_form(slice_, chi, n, l, branch.powers)
+        pairs.append((lower, mu))
+        pairs.append((upper, H.LinearForm(chi.degree - mu.const,
+                                          {v: -c for v, c in mu.coeffs.items()})))
+    excess = H.LinearForm(Fraction(-1), {v: Fraction(1) for v in variables})  # sum e - 1
+    pairs.append((branch.augmentation[0], excess))
+    pairs.append((branch.augmentation[1], excess.scaled(-1)))
+    return farkas_holds(pairs, variables)
+
+
+class TestFarkasCertificates:
+    @pytest.mark.parametrize("table, n, branches", [
+        ("s5", 10, 1), ("s5", 15, 0), ("thompson", 35, 0),
+    ])
+    def test_every_infeasible_branch_is_certified(self, table, n, branches):
+        slice_ = fixtures.load_slice(table)
+        res = H.feasible_partial_augmentations(slice_, n)
+        assert res.status == "infeasible"
+        assert len(res.certificates) == branches
+        for branch in res.certificates:
+            assert branch_certificate_holds(slice_, n, res.variables, branch)
+
+    def test_checker_rejects_a_weakened_certificate(self, s5):
+        res = H.feasible_partial_augmentations(s5, 10)
+        branch = res.certificates[0]
+        key = next(iter(branch.multipliers))
+        lower, upper = branch.multipliers[key]
+        multipliers = {**branch.multipliers, key: (lower + 1, upper)}
+        weakened = H.InfeasibleBranch(branch.powers, multipliers, branch.augmentation)
+        assert not branch_certificate_holds(s5, 10, res.variables, weakened)
 
 
 class TestOnan:
@@ -296,12 +360,20 @@ class TestOnan:
         assert fixture.feasible_points() == want
 
 
+def lp_only_bounds(ineqs, variables):
+    return H.lp_bounds(ineqs, variables)[0]
+
+
+#: the search's simplex and its Fourier-Motzkin oracle answer every case alike
+BOUNDS_ENGINES = (H.fm_bounds, lp_only_bounds)
+
+
 class TestFourierMotzkin:
     def test_simple_box(self):
         x = H.LinearForm(Fraction(2), {"x": Fraction(1)})  # x >= -2
         y = H.LinearForm(Fraction(5), {"x": Fraction(-1)})  # x <= 5
-        bounds = H.fm_bounds([x, y], ["x"])
-        assert bounds == {"x": (Fraction(-2), Fraction(5))}
+        for bounds in BOUNDS_ENGINES:
+            assert bounds([x, y], ["x"]) == {"x": (Fraction(-2), Fraction(5))}
 
     def test_chained_elimination(self):
         # x + y = 1, 0 <= 3x + y <= 7  =>  x in [-1/2, 3], y = 1 - x
@@ -311,17 +383,65 @@ class TestFourierMotzkin:
             H.LinearForm(Fraction(0), {"x": Fraction(3), "y": Fraction(1)}),
             H.LinearForm(Fraction(7), {"x": Fraction(-3), "y": Fraction(-1)}),
         ]
-        bounds = H.fm_bounds(rows, ["x", "y"])
-        assert bounds["x"] == (Fraction(-1, 2), Fraction(3))
-        assert bounds["y"] == (Fraction(-2), Fraction(3, 2))
+        for bounds in BOUNDS_ENGINES:
+            found = bounds(rows, ["x", "y"])
+            assert found["x"] == (Fraction(-1, 2), Fraction(3))
+            assert found["y"] == (Fraction(-2), Fraction(3, 2))
 
     def test_infeasible_detected(self):
         rows = [
             H.LinearForm(Fraction(-2), {"x": Fraction(1)}),  # x >= 2
             H.LinearForm(Fraction(1), {"x": Fraction(-1)}),  # x <= 1
         ]
-        assert H.fm_bounds(rows, ["x"]) is None
+        for bounds in BOUNDS_ENGINES:
+            assert bounds(rows, ["x"]) is None
 
     def test_unbounded_direction(self):
         rows = [H.LinearForm(Fraction(0), {"x": Fraction(1)})]
-        assert H.fm_bounds(rows, ["x"])["x"] == (Fraction(0), None)
+        for bounds in BOUNDS_ENGINES:
+            assert bounds(rows, ["x"])["x"] == (Fraction(0), None)
+
+
+def systems():
+    """1-4 variables; up to 7 rows, half the time inside the box |x_v| <= 5,
+    and up to 2 equalities (each a pair of opposite rows); small integer
+    coefficients over a small denominator."""
+    def rows(nvars, size):
+        row = st.tuples(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars),
+                        st.integers(-6, 6), st.integers(1, 3))
+        return st.lists(row, max_size=size)
+
+    def boxed(nvars, rows):
+        unit = [[int(i == v) for i in range(nvars)] for v in range(nvars)]
+        return rows + [(u, 5, 1) for u in unit] + [([-c for c in u], 5, 1) for u in unit]
+
+    return st.integers(1, 4).flatmap(lambda nvars: st.tuples(
+        st.just(nvars),
+        st.one_of(rows(nvars, 7), rows(nvars, 7).map(lambda r: boxed(nvars, r))),
+        rows(nvars, 2)))
+
+
+class TestSimplex:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(systems())
+    @example((1, [([1], -2, 1), ([-1], 1, 1)], []))  # x >= 2, x <= 1
+    @example((2, [([1, 0], 0, 1)], []))  # y free, x >= 0
+    @example((2, [([1, 0], 0, 1), ([0, -1], 3, 2)], [([1, 1], -1, 1)]))  # x + y = 1
+    @example((2, [([0, 0], -1, 1)], []))  # 0 >= 1
+    def test_matches_fourier_motzkin(self, system):
+        nvars, rows, equalities = system
+        variables = ["x", "y", "z", "w"][:nvars]
+
+        def form(coeffs, const, den):
+            return H.LinearForm(Fraction(const, den),
+                                {v: Fraction(c, den) for v, c in zip(variables, coeffs) if c})
+
+        forms = [form(*r) for r in rows]
+        for r in equalities:
+            forms += [form(*r), form(*r).scaled(-1)]
+        bounds, farkas = H.lp_bounds(forms, variables)
+        assert bounds == H.fm_bounds(forms, variables)
+        if bounds is None:
+            assert farkas_holds(zip(farkas, forms), variables)
+        else:
+            assert farkas is None
