@@ -64,6 +64,15 @@ def moebius(n: int) -> int:
     return mu
 
 
+@lru_cache(maxsize=None)
+def _root_traces(n: int) -> tuple[int, ...]:
+    """Tr_{Q(zeta_n)/Q}(zeta_n^a) for a in range(n), the Ramanujan sums
+    mu(n/g) * phi(n) / phi(n/g) with g = gcd(a, n)."""
+    phi_n = euler_phi(n)
+    return tuple(moebius(n // gcd(a, n)) * (phi_n // euler_phi(n // gcd(a, n)))
+                 for a in range(n))
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -243,14 +252,8 @@ class CyclotomicElement:
         Tr(zeta_n^a) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(a, n); the
         full Galois-sum computation is kept alongside as an oracle.
         """
-        n = self.n
-        total = Fraction(0)
-        phi_n = euler_phi(n)
-        for a, c in self.coeffs.items():
-            g = gcd(a, n)
-            d = n // g
-            total += c * moebius(d) * (phi_n // euler_phi(d))
-        return total
+        traces = _root_traces(self.n)
+        return sum((c * traces[a] for a, c in self.coeffs.items()), Fraction(0))
 
     def trace_via_galois_sum(self) -> Fraction:
         """Independent trace path: literally sum the Galois conjugates."""
@@ -269,6 +272,29 @@ class CyclotomicElement:
         L = lcm(self.n, m)
         t = self.lift(L).trace_to_Q()
         return t * euler_phi(m) / euler_phi(L)
+
+    def trace_row(self, r: int) -> list[int | Fraction]:
+        """[Tr_{Q(zeta_r)/Q}(self * zeta_r^-l) for l in range(r)], each value
+        an int where it is integral.
+
+        As in `trace_over`, the trace is taken at the joint level L and
+        rescaled by phi(r)/phi(L); each term c_a * zeta_L^k of the product
+        traces by the closed form of `trace_to_Q`, so nothing is multiplied
+        or canonicalized.
+        """
+        L = lcm(self.n, r)
+        traces = _root_traces(L)
+        lift, step = L // self.n, L // r
+        common = lcm(*(c.denominator for c in self.coeffs.values()))
+        terms = [(a * lift, c.numerator * (common // c.denominator))
+                 for a, c in self.coeffs.items()]
+        scale, den = euler_phi(r), common * euler_phi(L)
+        row = []
+        for shift in range(0, L, step):
+            total = scale * sum(c * traces[(a - shift) % L] for a, c in terms)
+            q, rem = divmod(total, den)
+            row.append(Fraction(total, den) if rem else q)
+        return row
 
     def fixed_by(self, m: int) -> bool:
         """True iff the value lies in Q(zeta_m), tested by Galois stability."""

@@ -9,19 +9,25 @@ yield an exact rational multiplicity
     mu(zeta^l, u, chi) = (1/n) sum_{d | n} Tr_{Q(zeta_{n/d})/Q}(chi(u^d) zeta^{-dl})
 
 which for an actual unit is a non-negative integer bounded by chi(1).  It is
-linear in the partial augmentations of u and its powers, so it is a rational
-sum over one cached trace table per slice, Tr(chi(C) zeta_r^{-l}) as in HeLP
-(`CharacterTableSlice.trace`); the tests check it against the formula in
+linear in the partial augmentations of u and its powers, so n * mu is an
+integer sum over one cached trace table per slice, Tr(chi(C) zeta_r^{-l}) as
+in HeLP (`CharacterTableSlice.trace`).  Character values are algebraic
+integers, so every table entry is an integer, and each row of the table comes
+from closed-form traces of roots of unity with no cyclotomic product
+(`CyclotomicElement.trace_row`); the tests check it against the formula in
 cyclotomic arithmetic and against Fourier inversion of character values.
 The feasibility engine turns these conditions, the vanishing and congruence
 constraints on partial augmentations, and augmentation one into an exact
-integer search.  Variable bounds come from an exact simplex over the
-rational relaxation (`lp_bounds`: integer-preserving pivots, Bland's rule),
-which also certifies each branch it excludes with a Farkas vector;
-Fourier-Motzkin elimination (`fm_bounds`) stays only as the tests' oracle
-for it.  The integer stage walks the augmentation hyperplane inside those
-bounds, and the engine refuses (rather than truncating) when the relaxation
-leaves a variable unbounded or the walk would pass the candidate cap.
+integer search in Python ints.  The coefficients of each constraint row are
+the same in every branch (distribution of the proper powers); only the
+constant changes.  Variable bounds come from an exact simplex over the
+rational relaxation (`lp_bounds`: integer-preserving pivots that skip the
+rows they leave unchanged, Bland's rule), which also certifies each branch
+it excludes with a Farkas vector; Fourier-Motzkin elimination (`fm_bounds`)
+stays only as the tests' oracle for it.  The integer stage walks the
+augmentation hyperplane inside those bounds, and the engine refuses (rather
+than truncating) when the relaxation leaves a variable unbounded or the walk
+would pass the candidate cap.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ class CharacterTableSlice:
         self._by_name = {c.name: c for c in self.classes}
         self._chars = {c.name: c for c in self.characters}
         self._galois_powers: dict[tuple[str, int], str] = {}
-        self._traces: dict[tuple[str, str, int, int], Fraction] = {}
+        self._traces: dict[tuple[str, str, int], tuple[int, ...]] = {}
         self.validate()
 
     def validate(self):
@@ -110,7 +116,14 @@ class CharacterTableSlice:
             if val.to_rational() != chi.degree:
                 raise ValueError(f"character {chi.name}: value at identity != degree")
             for c in self.classes:
-                if c.name in chi.values and not chi.values[c.name].fixed_by(c.order):
+                if c.name not in chi.values:
+                    continue
+                if any(x.denominator != 1 for x in chi.values[c.name].coeffs.values()):
+                    raise ValueError(
+                        f"character {chi.name} value on {c.name} is not an algebraic integer "
+                        f"(its canonical coefficients must be integers)"
+                    )
+                if not chi.values[c.name].fixed_by(c.order):
                     raise ValueError(
                         f"character {chi.name} value on {c.name} is not in Q(zeta_{c.order})"
                     )
@@ -178,14 +191,16 @@ class CharacterTableSlice:
             self._galois_powers[key] = matches[0]
         return self._galois_powers[key]
 
-    def trace(self, chi: Character, class_name: str, r: int, l: int) -> Fraction:
-        """Tr_{Q(zeta_r)/Q}(chi(g) zeta_r^{-l}) for g in the named class,
-        computed once per slice and then read from the table."""
-        key = (chi.name, class_name, r, l % r)
-        if key not in self._traces:
-            value = chi.value(class_name) * CyclotomicElement.zeta(r, -l)
-            self._traces[key] = value.trace_over(r)
-        return self._traces[key]
+    def trace(self, chi: Character, class_name: str, r: int, l: int) -> int:
+        """Tr_{Q(zeta_r)/Q}(chi(g) zeta_r^{-l}) for g in the named class, an
+        integer because chi(g) is an algebraic integer of Q(zeta_r); read from
+        one row per (chi, class, r), computed once per slice."""
+        key = (chi.name, class_name, r)
+        row = self._traces.get(key)
+        if row is None:
+            row = self._traces[key] = tuple(chi.value(class_name).trace_row(r))
+            assert all(type(x) is int for x in row), "trace of an algebraic integer"
+        return row[l % r]
 
     def variable_classes(self, n: int) -> list[ConjugacyClassInfo]:
         """Classes that may carry a nonzero partial augmentation for a unit of
@@ -341,7 +356,7 @@ def multiplicity_form(
     The divisor-d term is a sum of table traces over Q(zeta_{n/d}), where
     both chi(u^d) and zeta^{-d} = zeta_{n/d}^{-l} live; u^n = 1 gives chi(1).
     """
-    const = Fraction(chi.degree)
+    const = chi.degree
     for d in divisors(n)[1:-1]:
         if d not in powers:
             raise KeyError(f"missing class distribution for the {d}-th power")
@@ -352,8 +367,8 @@ def multiplicity_form(
     for c in slice_.variable_classes(n):
         t = slice_.trace(chi, c.name, n, zeta_exponent)
         if t:
-            coeffs[c.name] = t / n
-    return LinearForm(const / n, coeffs)
+            coeffs[c.name] = Fraction(t, n)
+    return LinearForm(Fraction(const, n), coeffs)
 
 
 def lupa_multiplicity(
@@ -514,67 +529,141 @@ _ARTIFICIAL = -1
 
 
 class _Dictionary:
-    """A simplex dictionary over one common integer denominator.
+    """A simplex dictionary of integer rows, each over its own denominator.
 
     Slack i (row i of the system, >= 0) is variable i, the phase-one
     artificial variable (>= 0) is -1 and free variable v is m + v.  Row i
-    reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) / den over the
-    nonbasic cols[j], j >= 1.  Pivots are integer-preserving (Edmonds,
-    Bareiss): every entry stays a minor of the input rows, so each division
-    by the old denominator is exact.
+    reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) / rden[i] over the
+    nonbasic cols[j], j >= 1, with rden[i] > 0.  Pivots are integer-preserving
+    (Edmonds, Bareiss) and rewrite only the rows with a nonzero entry in the
+    pivot column; a row that a pivot skips keeps its entries and its older
+    denominator, and is lifted to the current one, den, when a later pivot
+    touches it.  With one common denominator every entry would be a minor of
+    the input rows, so the lift and the update divide exactly.  The ratio and
+    sign tests compare entries of one row, so a row's scale never matters.
     """
 
     def __init__(self, rows: list[tuple[int, ...]], nvars: int):
         self.m = m = len(rows)
         self.den = 1
         self.t = [[r[nvars], *r[:nvars]] for r in rows]
+        self.rden = [1] * m
         self.basis = list(range(m))
         self.cols = [None, *range(m, m + nvars)]
-        self.objective: list[int] | None = None  # phase one's row, pivoted along
+
+    def value(self, i: int, c: int) -> Fraction:
+        """Entry c of row i as a rational number."""
+        return Fraction(self.t[i][c], self.rden[i])
 
     def pivot(self, r: int, c: int) -> None:
         """Exchange basis[r] and cols[c]."""
-        den, pr = self.den, self.t[r]
-        p = pr[c]
-        rows = self.t if self.objective is None else [*self.t, self.objective]
-        for row in rows:
-            if row is pr:
+        den, t, rden = self.den, self.t, self.rden
+        pr = t[r]
+        if rden[r] != den:  # lift the pivot row to den
+            new = [den * a for a in pr]
+            pr[:] = [v // rden[r] for v in new]
+            assert [v * rden[r] for v in pr] == new, "inexact pivot"
+        p = abs(pr[c])
+        sign = 1 if pr[c] > 0 else -1
+        for i, row in enumerate(t):
+            q = sign * row[c]
+            if not q or i == r:
                 continue
-            q = row[c]
-            new = [p * a - q * b for a, b in zip(row, pr)] if q else [p * a for a in row]
-            row[:] = [v // den for v in new]
-            assert [v * den for v in row] == new, "inexact pivot"
-            row[c] = q
-        pr[:] = [-x for x in pr]
-        pr[c] = den
+            # as if lifted to den first: (p * a - q * b) / rden[i], and q * den /
+            # rden[i] for the pivot column, where p * a - q * b vanishes
+            new = [p * a - q * b for a, b in zip(row, pr)]
+            new[c] = q * den
+            d = rden[i]
+            row[:] = [v // d for v in new]
+            assert [v * d for v in row] == new, "inexact pivot"
+            rden[i] = p
+        pr[:] = [-sign * x for x in pr]
+        pr[c] = sign * den
+        rden[r] = self.den = p
         self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
-        self.den = p
-        if p < 0:
-            for row in rows:
-                row[:] = [-x for x in row]
-            self.den = -p
 
-    def maximize(self, obj: list[int], sign: int) -> bool:
-        """Pivot by Bland's rule until sign * obj, a row kept up to date by
-        `pivot`, is maximal over the non-negative variables; False when it
-        is unbounded.  Free variables never enter or leave."""
+    def maximize(self, i: int, sign: int) -> bool:
+        """Pivot by Bland's rule until sign * basis[i] is maximal over the
+        non-negative variables; False when it is unbounded.  Free variables
+        never enter or leave, and the walk ends when basis[i] leaves."""
         m, t, basis, cols = self.m, self.t, self.basis, self.cols
-        while True:
+        goal, obj = basis[i], t[i]
+        while basis[i] == goal:
             enter = [c for c in range(1, len(cols)) if cols[c] < m and sign * obj[c] > 0]
             if not enter:
                 return True
             c = min(enter, key=cols.__getitem__)
             best = None  # min ratio t[i][0] / -t[i][c], ties to the lowest variable
-            for i, row in enumerate(t):
-                if row[c] < 0 and basis[i] < m:
+            for j, row in enumerate(t):
+                if row[c] < 0 and basis[j] < m:
                     if best is not None:
                         lhs, rhs = row[0] * t[best][c], t[best][0] * row[c]
-                        if lhs < rhs or (lhs == rhs and basis[i] > basis[best]):
+                        if lhs < rhs or (lhs == rhs and basis[j] > basis[best]):
                             continue
-                    best = i
+                    best = j
             if best is None:
                 return False
             self.pivot(best, c)
+        return True
+
+
+def _simplex_bounds(
+    rows: list[tuple[int, ...]], nvars: int
+) -> tuple[list[tuple[Fraction | None, Fraction | None]] | None, list[int] | None]:
+    """`lp_bounds` on primitive integer rows (A | k), meaning A x + k >= 0:
+    the (min, max) of each variable, or None and a Farkas vector over the
+    rows."""
+    first: dict[tuple[int, ...], int] = {}  # distinct row -> first index giving it
+    for i, row in enumerate(rows):
+        if any(row[:nvars]):
+            first.setdefault(row, i)
+        elif row[nvars] < 0:
+            return None, [int(j == i) for j in range(len(rows))]
+    origin = list(first.values())
+    d = _Dictionary(list(first), nvars)
+    m, t = d.m, d.t
+    # each free variable enters the basis once and never leaves; one that
+    # cannot has a zero column in every slack row, so nothing bounds it
+    for v in range(nvars):
+        c = d.cols.index(m + v)
+        pivots = [i for i in range(m) if d.basis[i] < m and t[i][c]]
+        if pivots:
+            d.pivot(min(pivots, key=lambda i: abs(d.value(i, c))), c)
+    short = {i for i in range(m) if d.basis[i] < m and t[i][0] < 0}
+    if short:
+        # phase one: a single artificial variable lifts every violated row,
+        # enters on the most violated one, and -artificial is maximized
+        for i, row in enumerate(t):
+            row.append(d.rden[i] if i in short else 0)
+        d.cols.append(_ARTIFICIAL)
+        r = min(short, key=lambda i: d.value(i, 0))
+        d.pivot(r, len(d.cols) - 1)
+        d.maximize(r, -1)
+        # the artificial variable has the lowest index, so Bland's rule makes
+        # it leave on every tie: it stays basic only while positive
+        if d.basis[r] == _ARTIFICIAL:
+            # artificial = t[r] . (1, nonbasic slacks) / rden identically; its
+            # coefficients are >= 0 and cancel in x, which is Farkas' y
+            y = [0] * len(rows)
+            for c in range(1, len(d.cols)):
+                if 0 <= d.cols[c] < m:
+                    y[origin[d.cols[c]]] = t[r][c]
+            g = math.gcd(*y)
+            return None, [x // g for x in y]
+        # at zero it is nonbasic, and its column can go
+        c = d.cols.index(_ARTIFICIAL)
+        for row in t:
+            del row[c]
+        del d.cols[c]
+    stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
+    ends = [[None, None] for _ in range(nvars)]
+    for sign in (-1, 1):  # every minimum, then every maximum; each warm-starts the next
+        for v in range(nvars):
+            if m + v in d.basis:
+                i = d.basis.index(m + v)
+                if not any(t[i][c] for c in stuck) and d.maximize(i, sign):
+                    ends[v][sign > 0] = d.value(i, 0)
+    return [tuple(e) for e in ends], None
 
 
 def lp_bounds(
@@ -589,60 +678,8 @@ def lp_bounds(
     infeasible, with a Farkas certificate: one integer y_i >= 0 per form,
     y^T A = 0 and y^T k < 0.
     """
-    nvars = len(variables)
-    first: dict[tuple[int, ...], int] = {}  # distinct row -> first form giving it
-    for i, f in enumerate(ineqs):
-        row = _int_row(f, variables)
-        if any(row[:nvars]):
-            first.setdefault(row, i)
-        elif row[nvars] < 0:
-            return None, [int(j == i) for j in range(len(ineqs))]
-    origin = list(first.values())
-    d = _Dictionary(list(first), nvars)
-    m, t = d.m, d.t
-    # each free variable enters the basis once and never leaves; one that
-    # cannot has a zero column in every slack row, so nothing bounds it
-    for v in range(nvars):
-        c = d.cols.index(m + v)
-        rows = [i for i in range(len(t)) if d.basis[i] < m and t[i][c]]
-        if rows:
-            d.pivot(min(rows, key=lambda i: abs(t[i][c])), c)
-    short = {i for i in range(len(t)) if d.basis[i] < m and t[i][0] < 0}
-    if short:
-        # phase one: a single artificial variable lifts every violated row,
-        # enters on the most violated one, and -artificial is maximized
-        for i, row in enumerate(t):
-            row.append(d.den if i in short else 0)
-        d.cols.append(_ARTIFICIAL)
-        r = min(short, key=lambda i: t[i][0])
-        d.pivot(r, len(d.cols) - 1)
-        d.objective = [-x for x in t[r]]
-        d.maximize(d.objective, 1)
-        obj, d.objective = d.objective, None
-        if obj[0] < 0:
-            # -artificial = obj . (1, nonbasic slacks) identically; its
-            # coefficients are <= 0 and cancel in x, which is Farkas' y
-            y = [0] * len(ineqs)
-            for c in range(1, len(d.cols)):
-                if 0 <= d.cols[c] < m:
-                    y[origin[d.cols[c]]] = -obj[c]
-            g = math.gcd(*y)
-            return None, [x // g for x in y]
-        # the artificial variable has the lowest index, so Bland's rule makes
-        # it leave on every tie: it stays basic only while positive, and at
-        # zero it is nonbasic and its column can go
-        c = d.cols.index(_ARTIFICIAL)
-        for row in t:
-            del row[c]
-        del d.cols[c]
-    stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
-    ends = {name: [None, None] for name in variables}
-    for sign in (-1, 1):  # every minimum, then every maximum; each warm-starts the next
-        for v, name in enumerate(variables):
-            obj = t[d.basis.index(m + v)] if m + v in d.basis else None
-            if obj is not None and not any(obj[c] for c in stuck) and d.maximize(obj, sign):
-                ends[name][sign > 0] = Fraction(obj[0], d.den)
-    return {name: tuple(e) for name, e in ends.items()}, None
+    ends, farkas = _simplex_bounds([_int_row(f, variables) for f in ineqs], len(variables))
+    return (None if ends is None else dict(zip(variables, ends))), farkas
 
 
 # -- the feasibility engine --------------------------------------------------------
@@ -699,11 +736,18 @@ def _search(
     candidate_cap: int,
 ) -> tuple[list[PartialAugmentationVector], dict]:
     """Feasible pa trees for a unit of order n; also returns diagnostics: the
-    bounds and multiplicity forms of the last-analyzed branch, and a Farkas
-    certificate per rationally infeasible branch."""
+    bounds, constraint keys and power distributions of the last-analyzed
+    branch, and a Farkas certificate per rationally infeasible branch.
+
+    Everything is in integers: n * mu(zeta^l, u, chi) = k + sum_C T_C e_C
+    with T_C = Tr(chi(C) zeta_n^{-l}) from the trace table, the same for
+    every branch, and only the constant k (n times the constant of
+    `multiplicity_form`) depending on the distributions of the proper powers.
+    """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
-    diag: dict = {"bounds": None, "forms": {}, "congruences": congs, "certificates": []}
+    diag: dict = {"bounds": None, "keys": [], "powers": None, "congruences": congs,
+                  "certificates": []}
     if not var_names:
         return [], diag
 
@@ -716,28 +760,41 @@ def _search(
         pools[d] = sub
 
     exps = list(range(n)) if exponents is None else [e % n for e in exponents]
+    keys = list(dict.fromkeys((chi.name, l) for chi in chars for l in exps))
+    diag["keys"] = keys
+    coeffs = []  # per key: (character, exponent, T, gcd of T), branch-invariant
+    for name, l in keys:
+        chi = slice_.character(name)
+        row = [slice_.trace(chi, v, n, l) for v in var_names]
+        coeffs.append((chi, l, row, math.gcd(*row)))
+    nvars = len(var_names)
+    augmentation = [(1,) * nvars + (-1,), (-1,) * nvars + (1,)]  # sum e - 1 >= 0, <= 0
+
+    def primitive(row, k, g):
+        g = math.gcd(g, k)
+        return (*(x // g for x in row), k // g) if g > 1 else (*row, k)
+
     found = []
     for assign in _coherent_power_assignments(n, pools):
-        forms = {}
-        for chi in chars:
-            for l in exps:
-                forms[(chi.name, l)] = multiplicity_form(slice_, chi, n, l, assign)
-        ineqs = []
-        for (chi_name, _), f in forms.items():
-            deg = slice_.character(chi_name).degree
-            ineqs.append(f)  # mu >= 0
-            ineqs.append(LinearForm(Fraction(deg) - f.const, {v: -c for v, c in f.coeffs.items()}))
-        aug = LinearForm(Fraction(-1), {v: Fraction(1) for v in var_names})
-        ineqs.append(aug)
-        ineqs.append(aug.scaled(-1))
-        rel, farkas = lp_bounds(ineqs, var_names)
-        diag["forms"] = forms
-        if rel is None:  # this branch is already rationally infeasible
-            pairs = dict(zip(forms, zip(farkas[0:-2:2], farkas[1:-2:2])))
+        rows = []  # mu >= 0 and mu <= chi(1) per key, as primitive integer rows
+        checks = []  # (k, T, n * chi(1)): the walk wants 0 <= k + T.e <= n chi(1), n | k + T.e
+        for chi, l, row, g in coeffs:
+            k = chi.degree + sum(e * slice_.trace(chi, name, n // d, l)
+                                 for d, pa in assign.items()
+                                 for name, e in pa.entries.items() if e)
+            top = n * chi.degree
+            rows.append(primitive(row, k, g))
+            rows.append(primitive([-x for x in row], top - k, g))
+            checks.append((k, row, top))
+        ends, farkas = _simplex_bounds(rows + augmentation, nvars)
+        diag["powers"] = assign
+        if ends is None:  # this branch is already rationally infeasible
+            pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
             diag["certificates"].append(InfeasibleBranch(
                 dict(assign), {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
             continue
-        if any(lo is None or hi is None for lo, hi in rel.values()):
+        rel = dict(zip(var_names, ends))
+        if any(lo is None or hi is None for lo, hi in ends):
             raise UnboundedSearchError(
                 f"order {n}: no supplied character bounds "
                 + ", ".join(v for v, (lo, hi) in rel.items() if lo is None or hi is None)
@@ -756,16 +813,6 @@ def _search(
                     f"order {n}: more than {candidate_cap} integer candidates to walk on "
                     f"the augmentation hyperplane (candidate cap {candidate_cap})"
                 )
-        scaled = []  # (den, const, coeff list, degree): den*mu must be an
-        for (chi_name, _), f in forms.items():  # integer multiple of den in [0, deg*den]
-            den = 1
-            for x in (f.const, *f.coeffs.values()):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-            scaled.append(
-                (den, int(f.const * den),
-                 [int(f.coeffs.get(v, Fraction(0)) * den) for v in var_names],
-                 slice_.character(chi_name).degree)
-            )
         for head in itertools.product(*ranges):
             tail = 1 - sum(head)
             if tail not in last:
@@ -775,9 +822,9 @@ def _search(
             if not all(c.satisfied(env) for c in congs):
                 continue
             ok = True
-            for den, c0, coeffs, deg in scaled:
-                val = c0 + sum(c * x for c, x in zip(coeffs, point))
-                if val < 0 or val > deg * den or val % den:
+            for k, row, top in checks:
+                val = k + sum(c * x for c, x in zip(row, point))
+                if val < 0 or val > top or val % n:
                     ok = False
                     break
             if ok:
@@ -815,8 +862,12 @@ def feasible_partial_augmentations(
     except (UnboundedSearchError, SearchComplexityError) as e:
         status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
         reason = str(e)
-        found, diag = [], {"bounds": None, "forms": {}, "certificates": [],
+        found, diag = [], {"bounds": None, "powers": None, "certificates": [],
                            "congruences": congruence_constraints(slice_, n)}
+    forms = {}
+    if diag["powers"] is not None:  # the last-analyzed branch's multiplicity forms
+        forms = {(name, l): multiplicity_form(slice_, slice_.character(name), n, l,
+                                              diag["powers"]) for name, l in diag["keys"]}
     var_names = [c.name for c in slice_.variable_classes(n)]
     return FeasibilityResult(
         order=n,
@@ -824,7 +875,7 @@ def feasible_partial_augmentations(
         status=status,
         feasible=found,
         bounds=diag["bounds"],
-        forms=diag["forms"],
+        forms=forms,
         congruences=diag["congruences"],
         certificates=diag["certificates"],
         reason=reason,

@@ -40,7 +40,9 @@ class TestHelpCheck:
         ("s5", 10, 0, "b7ce9dcd97505ae334d81502f46129ad7a2de2c0b6651c30d841bb4b7a47c8f2"),
         ("s5", 15, 0, "1c46cfbc082c8eb5858b96d5fbf552fc26a67e9f88be5ab521197b49385be215"),
         ("c21", 3, 1, "1ceb8c2485a65003955f48854f286b8caff12362e3d2d03256a608cc54f39038"),
-    ], ids=["onan-21", "thompson-35", "s5-4", "s5-10", "s5-15", "c21-3"])
+        ("c21", 7, 1, "0ddb22f00244fad3dbc925d7d5ec0ab24f32884f1f21538d42d82f1752cfcaaf"),
+        ("c21", 21, 1, "905041f289ead552c4c07c1be833da3cef19dabe9d3c7790c5aa23e847ebb075"),
+    ], ids=["onan-21", "thompson-35", "s5-4", "s5-10", "s5-15", "c21-3", "c21-7", "c21-21"])
     def test_json_bytes_pinned(self, table, order, code, digest):
         exit_code, text = run(["help-check", "--table", table, "--order", str(order),
                                "--format", "json"])
@@ -360,6 +362,10 @@ class TestMalformedDocuments:
         ("profile_m11", "spectrum", [10**30]),
         # two characters named std: the constraints are keyed by character name
         ("s5", "characters", [dict(ch, name="std") if ch["name"] == "sgn" else ch
+                              for ch in BUNDLED["s5"]["characters"]]),
+        # 1/2 is no algebraic integer, so no character takes it as a value
+        ("s5", "characters", [dict(ch, values=dict(ch["values"], **{"2a": "1/2"}))
+                              if ch["name"] == "std" else ch
                               for ch in BUNDLED["s5"]["characters"]]),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, name, field, value):

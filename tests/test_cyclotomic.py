@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgq.cyclotomic import (
     CyclotomicElement,
@@ -147,6 +149,26 @@ class TestTrace:
         x = zeta(35, 7)  # = zeta_5
         assert x.trace_over(5) == -1
         assert CyclotomicElement.rational(3, 35).trace_over(7) == 3 * euler_phi(7)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 42).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(-5, 5)), max_size=5),
+        st.integers(1, 42))))
+    @example((6, [(1, 1), (5, -2)], 4))  # neither level divides the other
+    @example((3, [(1, 2)], 12))  # x.n divides r
+    @example((12, [(5, 1), (7, 3)], 4))  # r divides x.n
+    @example((7, [], 7))  # zero
+    def test_trace_row_matches_the_product(self, case):
+        # the closed-form row against the multiply-then-trace path
+        n, terms, r = case
+        x = CyclotomicElement.make(n, terms)
+        row = x.trace_row(r)
+        assert len(row) == r
+        for l in range(r):
+            assert row[l] == (x * zeta(r, -l)).trace_over(r)
+        if r % n == 0:  # an algebraic integer of Q(zeta_r): integer traces
+            assert all(type(v) is int for v in row)
 
 
 class TestSerialization:

@@ -317,6 +317,12 @@ class TestFarkasCertificates:
         for branch in res.certificates:
             assert branch_certificate_holds(slice_, n, res.variables, branch)
 
+    def test_s5_order_10_certificate_pinned(self, s5):
+        branch = H.feasible_partial_augmentations(s5, 10).certificates[0]
+        assert branch.multipliers == {("triv", 1): (4, 0), ("sgn", 2): (8, 0),
+                                      ("std", 5): (3, 0), ("w311", 5): (1, 0)}
+        assert branch.augmentation == (0, 0)
+
     def test_checker_rejects_a_weakened_certificate(self, s5):
         res = H.feasible_partial_augmentations(s5, 10)
         branch = res.certificates[0]
@@ -411,14 +417,59 @@ def systems():
                         st.integers(-6, 6), st.integers(1, 3))
         return st.lists(row, max_size=size)
 
-    def boxed(nvars, rows):
-        unit = [[int(i == v) for i in range(nvars)] for v in range(nvars)]
-        return rows + [(u, 5, 1) for u in unit] + [([-c for c in u], 5, 1) for u in unit]
-
     return st.integers(1, 4).flatmap(lambda nvars: st.tuples(
         st.just(nvars),
         st.one_of(rows(nvars, 7), rows(nvars, 7).map(lambda r: boxed(nvars, r))),
         rows(nvars, 2)))
+
+
+def sparse_systems():
+    """3-5 variables and 1-10 rows, each with one or two nonzero coefficients,
+    half the time inside the box |x_v| <= 5, and no equalities: most pivots
+    leave most rows untouched, so rows sit at older denominators across
+    several pivots."""
+    def rows(nvars):
+        def row(i, a, j, b, const, den):
+            coeffs = [0] * nvars
+            coeffs[i] += a
+            coeffs[j] += b
+            return coeffs, const, den
+
+        var, coeff = st.integers(0, nvars - 1), st.integers(-4, 4)
+        return st.lists(st.builds(row, var, coeff, var, coeff, st.integers(-8, 8),
+                                  st.integers(1, 3)), min_size=1, max_size=10)
+
+    return st.integers(3, 5).flatmap(lambda nvars: st.tuples(
+        st.just(nvars),
+        st.one_of(rows(nvars), rows(nvars).map(lambda r: boxed(nvars, r))),
+        st.just([])))
+
+
+def boxed(nvars, rows):
+    """The rows and |x_v| <= 5 for every variable."""
+    unit = [[int(i == v) for i in range(nvars)] for v in range(nvars)]
+    return rows + [(u, 5, 1) for u in unit] + [([-c for c in u], 5, 1) for u in unit]
+
+
+def assert_lp_matches_fm(system):
+    """lp_bounds and fm_bounds agree on (nvars, rows, equalities), and every
+    infeasible answer carries a valid Farkas certificate."""
+    nvars, rows, equalities = system
+    variables = ["x", "y", "z", "w", "v"][:nvars]
+
+    def form(coeffs, const, den):
+        return H.LinearForm(Fraction(const, den),
+                            {v: Fraction(c, den) for v, c in zip(variables, coeffs) if c})
+
+    forms = [form(*r) for r in rows]
+    for r in equalities:
+        forms += [form(*r), form(*r).scaled(-1)]
+    bounds, farkas = H.lp_bounds(forms, variables)
+    assert bounds == H.fm_bounds(forms, variables)
+    if bounds is None:
+        assert farkas_holds(zip(farkas, forms), variables)
+    else:
+        assert farkas is None
 
 
 class TestSimplex:
@@ -429,19 +480,10 @@ class TestSimplex:
     @example((2, [([1, 0], 0, 1), ([0, -1], 3, 2)], [([1, 1], -1, 1)]))  # x + y = 1
     @example((2, [([0, 0], -1, 1)], []))  # 0 >= 1
     def test_matches_fourier_motzkin(self, system):
-        nvars, rows, equalities = system
-        variables = ["x", "y", "z", "w"][:nvars]
+        assert_lp_matches_fm(system)
 
-        def form(coeffs, const, den):
-            return H.LinearForm(Fraction(const, den),
-                                {v: Fraction(c, den) for v, c in zip(variables, coeffs) if c})
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    def test_sparse_rows_match_fourier_motzkin(self, system):
+        assert_lp_matches_fm(system)
 
-        forms = [form(*r) for r in rows]
-        for r in equalities:
-            forms += [form(*r), form(*r).scaled(-1)]
-        bounds, farkas = H.lp_bounds(forms, variables)
-        assert bounds == H.fm_bounds(forms, variables)
-        if bounds is None:
-            assert farkas_holds(zip(farkas, forms), variables)
-        else:
-            assert farkas is None
