@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclotomic import CyclotomicElement, factorint, parse_cyclotomic
 from .schema import want, want_list, want_positive
@@ -706,10 +706,21 @@ class FeasibilityResult:
     status: str  # "infeasible" | "feasible" | "unbounded" | "too-large"
     feasible: list[PartialAugmentationVector]
     bounds: dict[str, tuple[int, int]] | None
-    forms: dict[tuple[str, int], LinearForm]
     congruences: list[Congruence]
     certificates: list[InfeasibleBranch] = field(default_factory=list)
     reason: str | None = None  # which limit an inconclusive search hit, and where
+    #: (slice, proper-power assignment, constraint keys) of the last-analyzed
+    #: branch, or None when no branch was analyzed
+    last_branch: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def forms(self) -> dict[tuple[str, int], LinearForm]:
+        """The last-analyzed branch's multiplicity forms, built on first access."""
+        if self.last_branch is None:
+            return {}
+        slice_, powers, keys = self.last_branch
+        return {(name, l): multiplicity_form(slice_, slice_.character(name), self.order, l, powers)
+                for name, l in keys}
 
 
 def _coherent_power_assignments(n: int, pools: dict[int, list[PartialAugmentationVector]]):
@@ -864,10 +875,6 @@ def feasible_partial_augmentations(
         reason = str(e)
         found, diag = [], {"bounds": None, "powers": None, "certificates": [],
                            "congruences": congruence_constraints(slice_, n)}
-    forms = {}
-    if diag["powers"] is not None:  # the last-analyzed branch's multiplicity forms
-        forms = {(name, l): multiplicity_form(slice_, slice_.character(name), n, l,
-                                              diag["powers"]) for name, l in diag["keys"]}
     var_names = [c.name for c in slice_.variable_classes(n)]
     return FeasibilityResult(
         order=n,
@@ -875,10 +882,10 @@ def feasible_partial_augmentations(
         status=status,
         feasible=found,
         bounds=diag["bounds"],
-        forms=forms,
         congruences=diag["congruences"],
         certificates=diag["certificates"],
         reason=reason,
+        last_branch=None if diag["powers"] is None else (slice_, diag["powers"], diag["keys"]),
     )
 
 

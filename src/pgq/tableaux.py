@@ -9,7 +9,11 @@ The module also carries the exhaustive verifiers for four combinatorial
 inequalities about semistandard lattice skew tableaux, and a brute-force
 linear-algebra oracle over GF(p) that recomputes which (submodule, quotient)
 partition pairs a nilpotent Jordan module admits, independently of the
-Littlewood-Richardson route.
+Littlewood-Richardson route.  The verifiers read each tableau's row tuples
+and gamma tables built once per tableau, building no tableau per check;
+split_at_column, content and gamma are their references in the tests.  The
+oracle tests the invariance of a whole block of RREF bases, one numpy array
+per pivot set, at once.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .numtheory import is_prime
 
@@ -138,12 +144,6 @@ class SkewTableau:
         """Entry in row i, absolute column j."""
         return self.rows[i][j - self.shape.inner_at(i)]
 
-    def cells_with_entries(self):
-        for i, row in enumerate(self.rows):
-            off = self.shape.inner_at(i)
-            for k, e in enumerate(row):
-                yield i, off + k, e
-
     @property
     def n_boxes(self) -> int:
         return self.shape.n_boxes
@@ -222,6 +222,8 @@ def _fillings(shape: SkewShape, max_letter: int, target: Partition | None):
 
     Cells are visited row by row, right to left, so the lattice condition is
     a running prefix check.  target, when given, pins the content exactly.
+    Each filling is yielded as the live cell -> entry dict, which changes as
+    soon as the generator resumes.
     """
     cells = []
     for i, lam in enumerate(shape.outer):
@@ -233,7 +235,7 @@ def _fillings(shape: SkewShape, max_letter: int, target: Partition | None):
 
     def rec(k: int):
         if k == n:
-            yield {cell: e for cell, e in entries.items()}
+            yield entries
             return
         i, j = cells[k]
         right = entries.get((i, j + 1))
@@ -256,14 +258,6 @@ def _fillings(shape: SkewShape, max_letter: int, target: Partition | None):
     yield from rec(0)
 
 
-def _cells_to_tableau(shape: SkewShape, cells: dict) -> SkewTableau:
-    rows = []
-    for i, lam in enumerate(shape.outer):
-        off = shape.inner_at(i)
-        rows.append(tuple(cells[(i, j)] for j in range(off, lam)))
-    return SkewTableau(shape, tuple(rows))
-
-
 def lr_coefficient(lam, mu, nu) -> int:
     """Number of semistandard lattice fillings of lam/mu with content nu.
 
@@ -277,18 +271,16 @@ def lr_coefficient(lam, mu, nu) -> int:
         return 0
     if weight(lam) == weight(mu):
         return 1 if not nu else 0
-    shape = SkewShape(lam, mu)
-    count = 0
-    for cells in _fillings(shape, len(nu), nu):
-        if all(list(cells.values()).count(i + 1) == nu[i] for i in range(len(nu))):
-            count += 1
-    return count
+    # no letter exceeds its count in nu and the boxes number |nu|, so every
+    # leaf has content nu exactly
+    return sum(1 for _ in _fillings(SkewShape(lam, mu), len(nu), nu))
 
 
 def semistandard_lattice_tableaux(shape: SkewShape):
     """All semistandard lattice fillings of the shape (any content)."""
+    rows = [[(i, j) for j in range(shape.inner_at(i), lam)] for i, lam in enumerate(shape.outer)]
     for cells in _fillings(shape, shape.n_boxes, None):
-        yield _cells_to_tableau(shape, cells)
+        yield SkewTableau(shape, tuple(tuple(cells[c] for c in row) for row in rows))
 
 
 def enumerate_corpus(max_boxes: int):
@@ -322,15 +314,25 @@ class VerifierReport:
         return {"checked": self.checked, "violations": self.violations}
 
 
+def _gamma_table(counts, size: int) -> list[int]:
+    """table[s] = gamma(s, content) for 1 <= s < size, from the letter counts
+    of the content (zeros allowed); table[0] is unused."""
+    table = [0] * size
+    for c in counts:
+        for s in range(1, min(c + 1, size)):
+            table[s] += 1
+    return table
+
+
 def _check_small_branch(t: SkewTableau) -> list:
     """In w(b), the entry of b occurs at least (boxes right of b in its row)+1 times."""
     bad = []
-    word: list[int] = []
+    seen: dict[int, int] = {}  # occurrences in the word read so far
     for i, row in enumerate(t.rows):
         for k, e in enumerate(reversed(row)):
-            word.append(e)
+            seen[e] = seen.get(e, 0) + 1
             ell = k  # boxes strictly to the right of this box in its row
-            if word.count(e) < ell + 1:
+            if seen[e] < ell + 1:
                 bad.append({"tableau": t.to_json(), "row": i, "right_boxes": ell, "entry": e})
     return bad
 
@@ -340,7 +342,7 @@ def _check_full_rectangle(t: SkewTableau) -> list:
     bad = []
     shape = t.shape
     nrows = len(shape.outer)
-    cont = content(t)
+    g = _gamma_table(content(t), t.n_boxes + 1)
     for r0 in range(nrows):
         lo, hi = shape.inner_at(r0), shape.outer[r0]
         for h in range(1, nrows - r0 + 1):
@@ -350,8 +352,8 @@ def _check_full_rectangle(t: SkewTableau) -> list:
             k = hi - lo
             if k <= 0:
                 break
-            if gamma(k, cont) < h:
-                bad.append({"tableau": t.to_json(), "h": h, "k": k, "gamma_k": gamma(k, cont)})
+            if g[k] < h:
+                bad.append({"tableau": t.to_json(), "h": h, "k": k, "gamma_k": g[k]})
     return bad
 
 
@@ -374,18 +376,18 @@ def _check_columns_between_lines(t: SkewTableau) -> list:
     bad = []
     left, right = _column_span(t)
     ell = right - left
-    cont = content(t)
+    g = _gamma_table(content(t), ell + 2)
+    # a row has a cell left of the cut exactly when its first cell is
+    firsts = [(t.shape.inner_at(i), i) for i, row in enumerate(t.rows) if row]
     for k in range(0, ell + 1):
         cut = left + (ell - k)  # columns < cut are "the first ell-k columns"
-        rows_touched = [i for i, j, _ in t.cells_with_entries() if j < cut]
+        rows_touched = [i for j, i in firsts if j < cut]
         if rows_touched:
             h = max(rows_touched) - min(rows_touched) + 1
         else:
             h = 1  # vacuous hypothesis: holds for every h >= 1, so test the strongest
-        if gamma(k + 1, cont) > h:
-            bad.append(
-                {"tableau": t.to_json(), "k": k, "h": h, "gamma": gamma(k + 1, cont)}
-            )
+        if g[k + 1] > h:
+            bad.append({"tableau": t.to_json(), "k": k, "h": h, "gamma": g[k + 1]})
     return bad
 
 
@@ -407,24 +409,64 @@ def split_at_column(t: SkewTableau, k: int):
     return SkewTableau.from_rows(tuple(outer), tuple(inner), rows)
 
 
+def _semistandard_cut(rows, starts) -> int:
+    """The least column c such that the cells in columns >= c form a
+    semistandard filling, row i starting at column starts[i]: a row descent
+    into column j survives every cut up to j - 1, a column clash in column j
+    every cut up to j."""
+    least = 0
+    for i, (row, s) in enumerate(zip(rows, starts)):
+        for q in range(1, len(row)):
+            if row[q - 1] > row[q]:
+                least = max(least, s + q)
+        if i + 1 < len(rows):
+            below, sb = rows[i + 1], starts[i + 1]
+            for j in range(max(s, sb), min(s + len(row), sb + len(below))):
+                if row[j - s] >= below[j - sb]:
+                    least = max(least, j + 1)
+    return least
+
+
+def _lattice_counts(rows, starts, cut: int, top: int) -> list[int] | None:
+    """Letter counts (index 0 unused) of the cells in columns >= cut, row i
+    starting at column starts[i]; None unless they read, rows top to bottom
+    and each right to left, as a lattice word."""
+    counts = [0] * (top + 1)
+    for row, s in zip(rows, starts):
+        for e in reversed(row[max(cut - s, 0):]):
+            counts[e] += 1
+            if e > 1 and counts[e] > counts[e - 1]:
+                return None
+    return counts
+
+
 def _check_divided_tableau(t: SkewTableau) -> list:
     """Cutting off the left k columns leaves a semistandard lattice tableau T'
-    with gamma_{n+k}(T) <= gamma_n(T') for every n."""
+    with gamma_{n+k}(T) <= gamma_n(T') for every n.
+
+    T' is read straight from the rows of T: split_at_column keeps the rows
+    that reach past the cut, in order, so adjacency, the reading word and the
+    content of T' are those of the cells of T right of the cut."""
     bad = []
     left, right = _column_span(t)
     ell = right - left
-    cont = content(t)
+    rows = t.rows
+    starts = [t.shape.inner_at(i) for i in range(len(rows))]
+    top = max(max(row) for row in rows if row)
+    n_max = t.n_boxes + 1
+    lhs = _gamma_table(content(t), n_max + ell + 1)
+    semistandard_from = _semistandard_cut(rows, starts)
     for k in range(0, ell + 1):
-        right_part = split_at_column(t, k)
-        if not (is_semistandard(right_part) and has_lattice_property(right_part)):
+        cut = left + k
+        counts = None if cut < semistandard_from else _lattice_counts(rows, starts, cut, top)
+        if counts is None:
             bad.append({"tableau": t.to_json(), "k": k, "reason": "right part not SSLT"})
             continue
-        cont_r = content(right_part)
-        for n in range(1, t.n_boxes + 2):
-            if gamma(n + k, cont) > gamma(n, cont_r):
+        rhs = _gamma_table(counts, n_max + 1)
+        for n in range(1, n_max + 1):
+            if lhs[n + k] > rhs[n]:
                 bad.append(
-                    {"tableau": t.to_json(), "k": k, "n": n,
-                     "lhs": gamma(n + k, cont), "rhs": gamma(n, cont_r)}
+                    {"tableau": t.to_json(), "k": k, "n": n, "lhs": lhs[n + k], "rhs": rhs[n]}
                 )
     return bad
 
@@ -502,27 +544,34 @@ def submodule_quotient_exists(m: ModulePartition, u: ModulePartition, q: ModuleP
 # -- independent Jordan oracle over GF(p) ------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _rref_bases(p: int, d: int) -> tuple:
-    """Every subspace of GF(p)^d exactly once, as the rows of its RREF basis.
-    For each pivot set, each row ranges on its own over the values of its
-    free columns, so a basis is one choice of row per pivot."""
-    out = []
+#: the most RREF bases one array holds: at d = 6 and p = 3 only the pivot set
+#: (0, 1, 2), with 3^9 bases, needs two chunks, and no block is kept
+_CHUNK = 1 << 14
+
+
+def _rref_blocks(p: int, d: int):
+    """Every subspace of GF(p)^d exactly once, as its RREF basis, grouped by
+    pivot set.  Yields (pivots, block), block an array of shape (M, k, d)
+    holding M <= _CHUNK bases with those k pivots: row j has a 1 at pivots[j],
+    zeros left of it and at the other pivots, and ranges freely over the
+    remaining columns to its right.  Entries stay below p, so every residue
+    the invariance test forms lies within k(p-1)^2 + p of zero: int16 while
+    that bound is below 2^15, int64 past it."""
+    dtype = np.int16 if d * (p - 1) ** 2 + p < 2**15 else np.int64
     for k in range(d + 1):
         for pivots in itertools.combinations(range(d), k):
-            choices = []
-            for pc in pivots:
-                free = [c for c in range(pc + 1, d) if c not in pivots]
-                rows = []
-                for vals in itertools.product(range(p), repeat=len(free)):
-                    row = [0] * d
-                    row[pc] = 1
-                    for c, v in zip(free, vals):
-                        row[c] = v
-                    rows.append(tuple(row))
-                choices.append(rows)
-            out.extend(itertools.product(*choices))
-    return tuple(out)
+            free = [(j, c) for j, pc in enumerate(pivots)
+                    for c in range(pc + 1, d) if c not in pivots]
+            free_rows = [j for j, _ in free]
+            free_cols = [c for _, c in free]
+            place = p ** np.arange(len(free))
+            total = p ** len(free)
+            for start in range(0, total, _CHUNK):
+                index = np.arange(start, min(start + _CHUNK, total))
+                block = np.zeros((len(index), k, d), dtype)
+                block[:, np.arange(k), list(pivots)] = 1
+                block[:, free_rows, free_cols] = index[:, None] // place % p
+                yield pivots, block
 
 
 def _reduce(v, rows, pivots, p) -> list[int]:
@@ -564,17 +613,21 @@ def jordan_submodule_quotient_pairs(p: int, parts: Partition) -> frozenset:
     N-invariant subspaces U of the Jordan module of the given type over GF(p),
     where v -> vN moves each coordinate one place along its block.
 
-    Every subspace of GF(p)^d is visited, as its RREF basis.  A visit shifts
-    the basis rows and reduces each image modulo U, stopping at the first
-    nonzero residue.  Only an invariant U gets ranks, and only of the powers
-    N^j that are not zero: on U, the rank of its shifted basis; on the
-    quotient, the rank of the nonzero rows of N^j reduced modulo U.  No
-    matrix is multiplied.  Exponential in d; meant for dim <= 6.
+    Every subspace of GF(p)^d is visited, as its RREF basis B, one array of
+    bases per pivot set.  A fully reduced basis needs one reduction step, so
+    U is invariant exactly when the residue S - sum_j S[:, p_j] B_j of the
+    shifted basis S vanishes mod p; that is one array expression per block.
+    Only an invariant U gets ranks, and only of the powers N^j that are not
+    zero: on U, the rank of its shifted basis; on the quotient, the rank of
+    the nonzero rows of N^j reduced modulo U.  When N itself is zero every
+    U has the same empty ranks, so a pivot set adds one pair.  No matrix is
+    multiplied.  Exponential in d; meant for dim <= 6.
     """
     mod = ModulePartition(p, parts)
     d = mod.dim
     starts = set(itertools.accumulate(parts[:-1], initial=0))
     src = [-1 if j in starts else j - 1 for j in range(d)]
+    moved = [j for j in range(d) if src[j] >= 0]
 
     def shift(v):
         return [v[s] if s >= 0 else 0 for s in src]
@@ -586,17 +639,25 @@ def jordan_submodule_quotient_pairs(p: int, parts: Partition) -> frozenset:
         powers.append(rows)
         rows = [shift(r) for r in rows]
     seen = set()  # (dim U, ranks on U, ranks on the quotient)
-    for basis in _rref_bases(p, d):
-        pivots = [row.index(1) for row in basis]
-        if any(any(_reduce(shift(row), basis, pivots, p)) for row in basis):
+    for pivots, block in _rref_blocks(p, d):
+        shifted = np.zeros_like(block)
+        shifted[:, :, moved] = block[:, :, [src[j] for j in moved]]
+        residue = shifted.copy()
+        for j, c in enumerate(pivots):
+            residue -= shifted[:, :, c, None] * block[:, None, j, :]
+        invariant = block[~(residue % p).any(axis=(1, 2))]
+        if not powers:
+            if len(invariant):
+                seen.add((len(pivots), (), ()))
             continue
-        sub_ranks, quo_ranks, image = [], [], basis
-        for pw in powers:
-            echelon = []
-            sub_ranks.append(_extend(echelon, [], [shift(v) for v in image], p))
-            image = echelon
-            quo_ranks.append(_extend(list(basis), pivots[:], pw, p))
-        seen.add((len(basis), tuple(sub_ranks), tuple(quo_ranks)))
+        for basis in invariant.tolist():
+            sub_ranks, quo_ranks, image = [], [], basis
+            for pw in powers:
+                echelon = []
+                sub_ranks.append(_extend(echelon, [], [shift(v) for v in image], p))
+                image = echelon
+                quo_ranks.append(_extend(list(basis), list(pivots), pw, p))
+            seen.add((len(basis), tuple(sub_ranks), tuple(quo_ranks)))
     return frozenset((_jordan_type_from_ranks(k, sub), _jordan_type_from_ranks(d - k, quo))
                      for k, sub, quo in seen)
 

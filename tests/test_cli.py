@@ -257,6 +257,30 @@ class TestTableauxVerify:
         doc = json.loads(text)
         assert doc["full-rectangle"]["violations"] == []
 
+    @pytest.mark.parametrize("lemma, fmt, digest", [
+        ("small-branch", "text",
+         "bb7992f7823551f3ea9e0e5608a1f633e472804a04c505e7fa5150ff549ebe7b"),
+        ("small-branch", "json",
+         "68870b8dd1b308740bed23c86032c0bd424cc12c6bcf6a5306f7154c07db8ddd"),
+        ("full-rectangle", "text",
+         "d6a8b1017fc67e37e93c5f75d2a5300f0373b557a0da3968e42163337a6116bd"),
+        ("full-rectangle", "json",
+         "9836e6ca933fdc4cafc25ec2469aa6e3eb0bfd5688ad5636483f8ded7d9a03a1"),
+        ("columns-between-lines", "text",
+         "a2fb808deb86fd9aa257409398d5587b229d56b94ec5a6b5090b0ef103d71e6b"),
+        ("columns-between-lines", "json",
+         "33c3593d6cfdad9817009b0ca8f2c8e7b20ef192e26e8b141e19e7c63da45114"),
+        ("divided-tableau", "text",
+         "1f3e058cf30f78517bda0a685c1295fdfd9c0786ffb0199e56ece8dd73d2603f"),
+        ("divided-tableau", "json",
+         "3abcea7a4a635ad45bd66cf692afdeda8bdd0084c8cdbe1bb755446291ebe792"),
+    ])
+    def test_stdout_bytes_pinned_at_ten(self, lemma, fmt, digest):
+        code, text = run(["tableaux-verify", "--max-boxes", "10", "--lemma", lemma,
+                          "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSelftest:
     def test_battery_passes(self):

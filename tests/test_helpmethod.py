@@ -131,6 +131,16 @@ class TestLupaMultiplicity:
         assert f0.evaluate({"5a": -6}) == 30
         assert f5.evaluate({"5a": -6}) == 2
 
+    def test_result_forms_are_built_on_first_access(self, s5, monkeypatch):
+        calls = []
+        real = H.multiplicity_form
+        monkeypatch.setattr(H, "multiplicity_form", lambda *a: calls.append(a) or real(*a))
+        res = H.feasible_partial_augmentations(s5, 10)
+        assert calls == []
+        forms = res.forms
+        assert len(calls) == len(forms) > 0
+        assert res.forms is forms and len(calls) == len(forms)
+
     def test_genuine_elements_have_integer_multiplicities(self, s5, c21):
         for slice_ in (s5, c21):
             for cl in slice_.classes:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgq import tableaux as T
 from pgq.tableaux import ModulePartition, SkewShape, SkewTableau
@@ -113,31 +115,29 @@ class TestModulePartitions:
                             assert a == b
 
 
+def assert_oracle_matches_lr(p, max_weight):
+    for w in range(1, max_weight + 1):
+        for lam in T.partitions_of(w, max_part=p):
+            pairs = T.jordan_submodule_quotient_pairs(p, lam)
+            for wu in range(0, w + 1):
+                for mu in T.partitions_of(wu, max_part=p):
+                    for nu in T.partitions_of(w - wu, max_part=p):
+                        assert ((mu, nu) in pairs) == (
+                            T.lr_coefficient(lam, mu, nu) > 0
+                        ), (lam, mu, nu)
+
+
 class TestJordanOracle:
     def test_pairs_match_lr_weight_up_to_5(self):
-        p = 3
-        for w in range(1, 6):
-            for lam in T.partitions_of(w, max_part=p):
-                pairs = T.jordan_submodule_quotient_pairs(p, lam)
-                for wu in range(0, w + 1):
-                    for mu in T.partitions_of(wu, max_part=p):
-                        for nu in T.partitions_of(w - wu, max_part=p):
-                            assert ((mu, nu) in pairs) == (
-                                T.lr_coefficient(lam, mu, nu) > 0
-                            ), (lam, mu, nu)
+        assert_oracle_matches_lr(3, 5)
 
     def test_pairs_match_lr_at_p5_weight_up_to_4(self):
         # parts up to 5 and p = 5: the shift and the powers of N assume neither 3
-        p = 5
-        for w in range(1, 5):
-            for lam in T.partitions_of(w, max_part=p):
-                pairs = T.jordan_submodule_quotient_pairs(p, lam)
-                for wu in range(0, w + 1):
-                    for mu in T.partitions_of(wu, max_part=p):
-                        for nu in T.partitions_of(w - wu, max_part=p):
-                            assert ((mu, nu) in pairs) == (
-                                T.lr_coefficient(lam, mu, nu) > 0
-                            ), (lam, mu, nu)
+        assert_oracle_matches_lr(5, 4)
+
+    def test_pairs_match_lr_at_p7_weight_up_to_4(self):
+        # the largest residues the int16 invariance test forms: 4 * 6^2 + 7
+        assert_oracle_matches_lr(7, 4)
 
     def test_pair_counts_at_weight_6(self):
         counts = {(1, 1, 1, 1, 1, 1): 7, (2, 1, 1, 1, 1): 15, (2, 2, 1, 1): 18, (2, 2, 2): 10,
@@ -149,8 +149,17 @@ class TestJordanOracle:
     def test_every_subspace_is_enumerated_once(self):
         # Galois numbers: the number of subspaces of GF(3)^d
         galois = [1, 2, 6, 28, 212, 2664, 56632]
-        assert [len(T._rref_bases(3, d)) for d in range(7)] == galois
-        assert len(set(T._rref_bases(3, 5))) == galois[5]
+        assert [sum(len(block) for _, block in T._rref_blocks(3, d))
+                for d in range(7)] == galois
+        bases = set()
+        for pivots, block in T._rref_blocks(3, 5):
+            for basis in block.tolist():
+                for row, c in zip(basis, pivots):
+                    assert row[:c] == [0] * c and row[c] == 1
+                    assert all(row[q] == 0 for q in pivots if q != c)
+                    assert all(0 <= x < 3 for x in row)
+                bases.add(tuple(map(tuple, basis)))
+        assert len(bases) == galois[5]
 
     def test_chain_swap_closure(self):
         # two-step factor sequences are permutable (verified by the oracle)
@@ -201,6 +210,112 @@ class TestVerifiers:
         assert T.is_semistandard(right) and T.has_lattice_property(right)
         full_cut = T.split_at_column(t, 3)
         assert full_cut.n_boxes == 0
+
+
+def ref_small_branch(t):
+    bad, word = [], T.reading_word(t)
+    at = 0
+    for i, row in enumerate(t.rows):
+        for k, e in enumerate(reversed(row)):
+            at += 1
+            if word[:at].count(e) < k + 1:
+                bad.append({"tableau": t.to_json(), "row": i, "right_boxes": k, "entry": e})
+    return bad
+
+
+def ref_full_rectangle(t):
+    bad, shape, cont = [], t.shape, T.content(t)
+    for r0 in range(len(shape.outer)):
+        lo, hi = shape.inner_at(r0), shape.outer[r0]
+        for i in range(r0, len(shape.outer)):
+            lo, hi = max(lo, shape.inner_at(i)), min(hi, shape.outer[i])
+            if hi <= lo:
+                break
+            if T.gamma(hi - lo, cont) < i - r0 + 1:
+                bad.append({"tableau": t.to_json(), "h": i - r0 + 1, "k": hi - lo,
+                            "gamma_k": T.gamma(hi - lo, cont)})
+    return bad
+
+
+def column_span(t):
+    cols = [j for _, j in t.shape.cells()]
+    return min(cols), max(cols) + 1
+
+
+def ref_columns_between_lines(t):
+    bad, cont = [], T.content(t)
+    left, right = column_span(t)
+    ell = right - left
+    for k in range(ell + 1):
+        rows = [i for i, j in t.shape.cells() if j < left + ell - k]
+        h = max(rows) - min(rows) + 1 if rows else 1
+        if T.gamma(k + 1, cont) > h:
+            bad.append({"tableau": t.to_json(), "k": k, "h": h, "gamma": T.gamma(k + 1, cont)})
+    return bad
+
+
+def ref_divided_tableau(t):
+    bad, cont = [], T.content(t)
+    left, right = column_span(t)
+    for k in range(right - left + 1):
+        part = T.split_at_column(t, k)
+        if not (T.is_semistandard(part) and T.has_lattice_property(part)):
+            bad.append({"tableau": t.to_json(), "k": k, "reason": "right part not SSLT"})
+            continue
+        for n in range(1, t.n_boxes + 2):
+            lhs, rhs = T.gamma(n + k, cont), T.gamma(n, part)
+            if lhs > rhs:
+                bad.append({"tableau": t.to_json(), "k": k, "n": n, "lhs": lhs, "rhs": rhs})
+    return bad
+
+
+#: each lemma check next to its reference, built from the public predicates
+CHECKS = [
+    (T._check_small_branch, ref_small_branch),
+    (T._check_full_rectangle, ref_full_rectangle),
+    (T._check_columns_between_lines, ref_columns_between_lines),
+    (T._check_divided_tableau, ref_divided_tableau),
+]
+
+#: the corpus shapes up to 7 boxes: first row nonempty
+CORPUS_SHAPES = [
+    (lam, mu)
+    for w in range(1, 8) for lam in T.partitions_of(w) for mu in T.subpartitions(lam)
+    if T.weight(mu) < w and not (mu and mu[0] == lam[0])
+]
+
+
+@st.composite
+def fillings(draw):
+    """Any filling of a corpus shape with entries 1-4, rows sorted or not."""
+    lam, mu = draw(st.sampled_from(CORPUS_SHAPES))
+    shape = SkewShape(lam, mu)
+    sort = draw(st.booleans())
+    rows = []
+    for i, part in enumerate(lam):
+        row = draw(st.lists(st.integers(1, 4), min_size=part - shape.inner_at(i),
+                            max_size=part - shape.inner_at(i)))
+        rows.append(sorted(row) if sort else row)
+    return SkewTableau(shape, tuple(map(tuple, rows)))
+
+
+class TestLemmaViolations:
+    @pytest.mark.parametrize("check, rows, expected", [
+        (T._check_small_branch, [[1, 2]], [{"row": 0, "right_boxes": 1, "entry": 1}]),
+        (T._check_full_rectangle, [[1, 2]], [{"h": 1, "k": 2, "gamma_k": 0}]),
+        (T._check_columns_between_lines, [[1, 2]], [{"k": 0, "h": 1, "gamma": 2}]),
+        (T._check_divided_tableau, [[1], [1]],
+         [{"k": 0, "reason": "right part not SSLT"}, {"k": 1, "n": 1, "lhs": 1, "rhs": 0}]),
+    ], ids=["small-branch", "full-rectangle", "columns-between-lines", "divided-tableau"])
+    def test_hand_made_violation(self, check, rows, expected):
+        t = SkewTableau.from_rows(tuple(map(len, rows)), (), rows)
+        assert check(t) == [{"tableau": t.to_json(), **v} for v in expected]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(fillings())
+    def test_checks_match_references(self, t):
+        for check, ref in CHECKS:
+            assert check(t) == ref(t), check.__name__
 
 
 class TestShapes:
