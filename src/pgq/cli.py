@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import brauer, fixtures, helpmethod, numtheory, selftest, tableaux
 
 EXIT_OK = 0
@@ -136,14 +138,16 @@ def cmd_sieve(args, out) -> int:
     if args.dual:
         other = "root-sieve" if args.method != "root-sieve" else "phi-factor"
         check = numtheory.count_N(args.bound, condition=args.condition, method=other)
-        if check.rows != result.rows:
+        if not (np.array_equal(check.primes, result.primes)
+                and np.array_equal(check.witness, result.witness)):
             print(f"dual-path disagreement: {args.method} vs {other} at bound {args.bound}",
                   file=sys.stderr)
             return EXIT_FINDING
     if args.format == "csv":
         out.write("p,status,witness\n")
-        for p, ok, w in result.rows:
-            out.write(f"{p},{'ok' if ok else 'square'},{w if w is not None else ''}\n")
+        for ps, ws in result.blocks():
+            out.write("".join(f"{p},square,{w}\n" if w else f"{p},ok,\n"
+                              for p, w in zip(ps, ws)))
     elif args.format == "json":
         _emit_json(result.summary(), out)
     else:
@@ -184,16 +188,15 @@ def cmd_lie(args, out) -> int:
 
 
 def cmd_tableaux_verify(args, out) -> int:
-    names = [args.lemma] if args.lemma else sorted(tableaux.ALL_VERIFIERS)
-    reports = {}
-    for name in names:
-        reports[name] = tableaux.ALL_VERIFIERS[name](args.max_boxes)
+    if args.lemma:
+        reports = {args.lemma: tableaux.ALL_VERIFIERS[args.lemma](args.max_boxes)}
+    else:
+        reports = tableaux.verify_lemmas(args.max_boxes, sorted(tableaux.ALL_VERIFIERS))
     ok = all(r.ok for r in reports.values())
     if args.format == "json":
         _emit_json({name: r.to_json() for name, r in reports.items()}, out)
     else:
-        for name in names:
-            r = reports[name]
+        for name, r in reports.items():
             out.write(
                 f"{name}: checked {r.checked} tableaux up to {args.max_boxes} boxes, "
                 f"{len(r.violations)} violation(s)\n"

@@ -342,12 +342,16 @@ def constant_c(truncation: int) -> tuple[Fraction, float]:
     with a float shadow; strictly positive and non-increasing in Q."""
     if truncation < 5:
         raise ValueError("truncation bound must be at least 5")
-    exact = Fraction(1)
+    # each factor is (phi - rho)/phi with phi = q(q-1): multiply the integer
+    # numerators and denominators apart and reduce once
+    num = den = 1
     for q in primes_up_to(truncation):
         if q <= 3:
             continue
-        r = _rho_prime_by_roots(q)
-        exact *= 1 - Fraction(r, q * (q - 1))
+        phi = q * (q - 1)
+        num *= phi - _rho_prime_by_roots(q)
+        den *= phi
+    exact = Fraction(num, den)
     return exact, float(exact)
 
 
@@ -414,12 +418,27 @@ CENSUS_MAX_BOUND = 3_037_000_499
 
 @dataclass
 class SieveResult:
+    """A census: the primes p <= x in ascending order and, for each, the
+    smallest witness q (q^2 divides a value of the condition's polynomials),
+    both as int64 arrays; witness 0 means p qualifies."""
+
     x: int
     condition: str
     method: str
     count: int
     total_primes: int
-    rows: list[tuple[int, bool, int | None]]  # (p, qualifies, smallest witness q)
+    primes: np.ndarray
+    witness: np.ndarray
+
+    def blocks(self):
+        """(primes, witnesses) as lists of Python ints, _BLOCK primes at a time."""
+        for s in range(0, self.primes.size, _BLOCK):
+            yield self.primes[s:s + _BLOCK].tolist(), self.witness[s:s + _BLOCK].tolist()
+
+    @property
+    def rows(self) -> list[tuple[int, bool, int | None]]:
+        """One (p, qualifies, smallest witness q or None) per prime, built on demand."""
+        return [(p, not w, w or None) for ps, ws in self.blocks() for p, w in zip(ps, ws)]
 
     @property
     def ratio(self) -> float:
@@ -452,24 +471,14 @@ def _horner(coeffs, x):
     return acc
 
 
-def _rows(P: np.ndarray, wit: np.ndarray) -> list:
-    """Census rows (p, qualifies, witness) from primes and witnesses (0 = none)."""
-    rows = []
-    for s in range(0, P.size, _BLOCK):
-        rows += [(p, True, None) for p in P[s:s + _BLOCK].tolist()]
-    for i in np.flatnonzero(wit).tolist():
-        rows[i] = (rows[i][0], False, int(wit[i]))
-    return rows
-
-
-def _count_phi_factor(x: int, ks, above: int) -> list:
+def _count_phi_factor(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     P = _prime_array(x)
     wit = np.zeros_like(P)
     for s in range(0, P.size, _BLOCK):
         block = P[s:s + _BLOCK]
         values = np.stack([_horner(_PHI_COEFFS[k], block) for k in ks])
         wit[s:s + _BLOCK] = _square_witnesses(values, above)
-    return _rows(P, wit)
+    return P, wit
 
 
 def _poly_eval(coeffs, x: int, m: int) -> int:
@@ -510,34 +519,42 @@ def _root_of_unity(Q: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _lifted_roots(k: int, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (q, r), q in the primes Q > 3, with Phi_k(r) = 0 mod q^2.
+def _lifted_roots(ks, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (q, r), q in the primes Q > 3, with Phi_k(r) = 0 mod q^2 for a
+    k of ks.
 
     Phi_1 and Phi_2 have the roots 1 and q^2 - 1.  The roots mod q of the
     other three are roots of unity: +-i for Phi_4 when q = 1 mod 4, w and
-    w^2 for Phi_3 and -w and -w^2 for Phi_6 when q = 1 mod 3.  Each is
-    simple, so one Newton step lifts it uniquely to q^2; every product stays
-    below q^2."""
-    if k == 1:
-        return Q, np.ones_like(Q)
-    if k == 2:
-        return Q, Q * Q - 1
-    n = 4 if k == 4 else 3
-    q = Q[Q % n == 1]
-    z = _root_of_unity(q, n)
-    if k == 4:
-        r = np.concatenate((z, q - z))
-    else:
-        z2 = z * z % q
-        r = np.concatenate((z, z2) if k == 3 else (q - z, q - z2))
-    q = np.concatenate((q, q))
-    # Phi_k = X^2 + bX + 1, so the slope s = 2r + b has s^2 = b^2 - 4 = -n
-    # mod q and 1/s = -s/n; as q = 1 mod n, 1/n = (1 + (n-1)q)/n.  The step
-    # r -> r - Phi_k(r)/s adds q*t with t = (Phi_k(r)/q) * s/n mod q.
-    b = _PHI_COEFFS[k][1]
-    slope = (2 * r + b) % q
-    t = _horner(_PHI_COEFFS[k], r) // q * slope % q * ((1 + (n - 1) * q) // n) % q
-    return q, r + q * t
+    w^2 for Phi_3 and -w and -w^2 for Phi_6 when q = 1 mod 3, so the cube
+    roots w are found once for both.  Each root is simple, so one Newton
+    step lifts it uniquely to q^2; every product stays below q^2."""
+    qs, rs = [], []
+    unity = {}  # n -> (the q = 1 mod n, a primitive n-th root of unity mod each)
+    for k in ks:
+        if k in (1, 2):
+            qs.append(Q)
+            rs.append(np.ones_like(Q) if k == 1 else Q * Q - 1)
+            continue
+        n = 4 if k == 4 else 3
+        if n not in unity:
+            q = Q[Q % n == 1]
+            unity[n] = q, _root_of_unity(q, n)
+        q, z = unity[n]
+        if k == 4:
+            r = np.concatenate((z, q - z))
+        else:
+            z2 = z * z % q
+            r = np.concatenate((z, z2) if k == 3 else (q - z, q - z2))
+        q = np.concatenate((q, q))
+        # Phi_k = X^2 + bX + 1, so the slope s = 2r + b has s^2 = b^2 - 4 = -n
+        # mod q and 1/s = -s/n; as q = 1 mod n, 1/n = (1 + (n-1)q)/n.  The step
+        # r -> r - Phi_k(r)/s adds q*t with t = (Phi_k(r)/q) * s/n mod q.
+        b = _PHI_COEFFS[k][1]
+        slope = (2 * r + b) % q
+        t = _horner(_PHI_COEFFS[k], r) // q * slope % q * ((1 + (n - 1) * q) // n) % q
+        qs.append(q)
+        rs.append(r + q * t)
+    return np.concatenate(qs), np.concatenate(rs)
 
 
 def phi_roots_mod_q2(k: int, q: int) -> list[int]:
@@ -551,7 +568,7 @@ def phi_roots_mod_q2(k: int, q: int) -> list[int]:
     m = q * q
     if q <= 3:
         return [a for a in range(m) if _poly_eval(_PHI_COEFFS[k], a, m) == 0]
-    return sorted(_lifted_roots(k, np.array([q], dtype=np.int64))[1].tolist())
+    return sorted(_lifted_roots((k,), np.array([q], dtype=np.int64))[1].tolist())
 
 
 def _mark(P: np.ndarray, best: np.ndarray, q, hits: np.ndarray) -> None:
@@ -562,7 +579,7 @@ def _mark(P: np.ndarray, best: np.ndarray, q, hits: np.ndarray) -> None:
     np.minimum.at(best, j[prime], q if np.isscalar(q) else q[prime])
 
 
-def _count_root_sieve(x: int, ks, above: int) -> list:
+def _count_root_sieve(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     P = _prime_array(x)
     none = np.iinfo(np.int64).max
     best = np.full(P.size, none)
@@ -571,44 +588,43 @@ def _count_root_sieve(x: int, ks, above: int) -> list:
     # isqrt(x^2+x+1) == x, so every such q is in P
     Q = P[np.searchsorted(P, max(above, 3), side="right"):]
     for s in range(0, Q.size, _BLOCK):
-        for k in ks:
-            q, r = _lifted_roots(k, Q[s:s + _BLOCK])
-            small = q * q <= x
-            pairs += zip(q[small].tolist(), r[small].tolist())
-            # for q^2 > x the class of a root r holds one candidate p = r at most
-            large = ~small & (r <= x)
-            _mark(P, best, q[large], r[large])
+        q, r = _lifted_roots(ks, Q[s:s + _BLOCK])
+        small = q * q <= x
+        pairs += zip(q[small].tolist(), r[small].tolist())
+        # for q^2 > x the class of a root r holds one candidate p = r at most
+        large = ~small & (r <= x)
+        _mark(P, best, q[large], r[large])
     for q, r in pairs:
         m = q * q
         for start in range(r, x + 1, m * _BLOCK):
             _mark(P, best, q, np.arange(start, min(x + 1, start + m * _BLOCK), m))
     best[best == none] = 0
-    return _rows(P, best)
+    return P, best
 
 
-def _count_full_product(x: int, ks, above: int) -> list:
-    rows = []
-    for p in primes_up_to(x):
+def _count_full_product(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
+    P = _prime_array(x)
+    wit = np.zeros_like(P)
+    for i, p in enumerate(P.tolist()):
         value = 1
         for k in ks:
             value *= cyclotomic_value(k, p)
-        best = None
         for prime, e in sorted(factorize(value).items()):
             if e >= 2 and prime > above:
-                best = prime
+                wit[i] = prime
                 break
-        rows.append((p, best is None, best))
-    return rows
+    return P, wit
 
 
 def count_N(x: int, condition: str = "thm51", method: str = "phi-factor") -> SieveResult:
     """Census of primes p <= x whose polynomial values pass the squarefree
-    condition, with a per-prime witness log.
+    condition, with each prime's smallest witness in an int64 array.
 
     Methods: 'phi-factor' trial-divides each cyclotomic value for square
     factors; 'root-sieve' marks residue classes from polynomial roots mod
     q^2 without ever factoring; 'full-F' factors the whole product.  All
-    must agree row by row.  Bounds above CENSUS_MAX_BOUND are refused.
+    must agree prime by prime.  Python tuples are built only when
+    `SieveResult.rows` is read.  Bounds above CENSUS_MAX_BOUND are refused.
     """
     if x < 2:
         raise ValueError("bound must be at least 2")
@@ -619,21 +635,21 @@ def count_N(x: int, condition: str = "thm51", method: str = "phi-factor") -> Sie
         raise ValueError(f"unknown condition {condition!r}")
     ks, above = CONDITIONS[condition]
     if method == "phi-factor":
-        rows = _count_phi_factor(x, ks, above)
+        primes, witness = _count_phi_factor(x, ks, above)
     elif method == "root-sieve":
-        rows = _count_root_sieve(x, ks, above)
+        primes, witness = _count_root_sieve(x, ks, above)
     elif method == "full-F":
-        rows = _count_full_product(x, ks, above)
+        primes, witness = _count_full_product(x, ks, above)
     else:
         raise ValueError(f"unknown method {method!r}")
-    rows.sort()
     return SieveResult(
         x=x,
         condition=condition,
         method=method,
-        count=sum(1 for _, ok, _ in rows if ok),
-        total_primes=len(rows),
-        rows=rows,
+        count=int(np.count_nonzero(witness == 0)),
+        total_primes=int(primes.size),
+        primes=primes,
+        witness=witness,
     )
 
 

@@ -471,31 +471,33 @@ def _check_divided_tableau(t: SkewTableau) -> list:
     return bad
 
 
-def _run_verifier(max_boxes: int, check) -> VerifierReport:
+def _run_verifier(max_boxes: int, checks) -> list[VerifierReport]:
+    """One report per check, all from a single pass over the corpus."""
     if max_boxes > 12:
         raise ValueError("enumeration budget capped at 12 boxes")
     checked = 0
-    violations = []
+    violations = [[] for _ in checks]
     for t in enumerate_corpus(max_boxes):
         checked += 1
-        violations.extend(check(t))
-    return VerifierReport(checked, violations)
+        for found, check in zip(violations, checks):
+            found.extend(check(t))
+    return [VerifierReport(checked, found) for found in violations]
 
 
 def verify_lemma_small_branch(max_boxes: int) -> VerifierReport:
-    return _run_verifier(max_boxes, _check_small_branch)
+    return _run_verifier(max_boxes, [_check_small_branch])[0]
 
 
 def verify_lemma_full_rectangle(max_boxes: int) -> VerifierReport:
-    return _run_verifier(max_boxes, _check_full_rectangle)
+    return _run_verifier(max_boxes, [_check_full_rectangle])[0]
 
 
 def verify_lemma_columns_between_lines(max_boxes: int) -> VerifierReport:
-    return _run_verifier(max_boxes, _check_columns_between_lines)
+    return _run_verifier(max_boxes, [_check_columns_between_lines])[0]
 
 
 def verify_lemma_divided_tableau(max_boxes: int) -> VerifierReport:
-    return _run_verifier(max_boxes, _check_divided_tableau)
+    return _run_verifier(max_boxes, [_check_divided_tableau])[0]
 
 
 ALL_VERIFIERS = {
@@ -504,6 +506,19 @@ ALL_VERIFIERS = {
     "columns-between-lines": verify_lemma_columns_between_lines,
     "divided-tableau": verify_lemma_divided_tableau,
 }
+
+_CHECKS = {
+    "small-branch": _check_small_branch,
+    "full-rectangle": _check_full_rectangle,
+    "columns-between-lines": _check_columns_between_lines,
+    "divided-tableau": _check_divided_tableau,
+}
+
+
+def verify_lemmas(max_boxes: int, names) -> dict[str, VerifierReport]:
+    """The reports of the named verifiers of ALL_VERIFIERS, all from one
+    enumeration of the corpus."""
+    return dict(zip(names, _run_verifier(max_boxes, [_CHECKS[n] for n in names])))
 
 
 # -- module partitions and the submodule/quotient criterion ------------------

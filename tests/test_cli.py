@@ -186,8 +186,7 @@ class TestSieve:
             result = real(*args, **kwargs)
             calls.append(result)
             if len(calls) == 2:
-                p, ok, w = result.rows[0]
-                result.rows[0] = (p, not ok, w)
+                result.witness[0] = 0 if result.witness[0] else 5
             return result
 
         monkeypatch.setattr(cli.numtheory, "count_N", second_call_differs)
@@ -208,7 +207,14 @@ class TestSieve:
          "b3f7dedd762ffcc343b3d4dee09513af23a5147a6f5ab14dde842aa26fbfeaf1"),
         (["--dual"],
          "e845e653d363a5beb7ec37e9674fd3f354e113509dcf6b1ff5c9ec07d7348fde"),
-    ], ids=["csv", "csv-root-sieve", "cor13-csv", "json", "dual"])
+        ([],
+         "e845e653d363a5beb7ec37e9674fd3f354e113509dcf6b1ff5c9ec07d7348fde"),
+        (["--method", "root-sieve"],
+         "1130ab0126a5831aad5df42ded03c934817ca474733dddd33b2b4b2e8e99ca72"),
+        (["--condition", "cor13"],
+         "da859e1f671d444017a4a862498dcb313abb879c17c34c4223e8bc5c670e27d4"),
+    ], ids=["csv", "csv-root-sieve", "cor13-csv", "json", "dual", "text", "text-root-sieve",
+            "cor13-text"])
     def test_stdout_bytes_pinned_at_1e5(self, argv, digest):
         code, text = run(["sieve", "--bound", "100000", *argv])
         assert code == 0
@@ -219,6 +225,27 @@ class TestSieve:
         assert (code, text) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_census_memory_stays_near_the_import(self):
+        # the census lives in two int64 arrays (16 bytes a prime, 1.25 MB at
+        # 1e6); one Python tuple per prime would add about 12 MB.  A child's
+        # peak RSS includes what it inherits from the process that forked it,
+        # so a small launcher forks each measured child, not this test process
+        launcher = ("import os, subprocess, sys\n"
+                    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                    "_, status, usage = os.wait4(proc.pid, 0)\n"
+                    "print(status, usage.ru_maxrss)")
+
+        def peak_mb(*argv):
+            proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, *argv],
+                                  env=_child_env(), capture_output=True, text=True, check=True)
+            status, kb = map(int, proc.stdout.split())
+            assert status == 0
+            return kb / 1024
+
+        base = peak_mb("-c", "import pgq.cli")
+        census = peak_mb("-m", "pgq", "sieve", "--bound", "1000000", "--method", "root-sieve")
+        assert census - base < 6, (base, census)
 
     def test_byte_stability_across_runs(self):
         _, a = run(["sieve", "--bound", "400", "--format", "csv"])
@@ -289,12 +316,16 @@ class TestSelftest:
         assert text.endswith("selftest: all checks passed\n")
 
 
-def test_python_dash_m_pgq_matches_main():
+def _child_env():
+    """The environment of a child `python` that imports this pgq."""
     src = os.path.dirname(os.path.dirname(pgq.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_dash_m_pgq_matches_main():
     argv = ["lie", "--family", "G2", "--q", "5"]
-    proc = subprocess.run([sys.executable, "-m", "pgq", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "pgq", *argv], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == run(argv)[1]

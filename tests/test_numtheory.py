@@ -216,14 +216,20 @@ class TestRho:
     def test_lifted_roots_for_every_prime_to_1e4(self):
         Q = np.array([q for q in NT.primes_up_to(10**4) if q > 3], dtype=np.int64)
         counts = dict.fromkeys(Q.tolist(), 0)
+        per_k = []
         for k in (1, 2, 3, 4, 6):
-            qs, rs = NT._lifted_roots(k, Q)
+            qs, rs = NT._lifted_roots((k,), Q)
+            per_k.append((qs, rs))
             for q, r in zip(qs.tolist(), rs.tolist()):
                 assert 0 < r < q * q and NT._poly_eval(NT._PHI_COEFFS[k], r, q * q) == 0
                 counts[q] += 1
             for q in Q[:: 40].tolist():
                 assert NT.phi_roots_mod_q2(k, q) == sorted(rs[qs == q].tolist())
         assert all(c == NT._rho_prime_by_roots(q) for q, c in counts.items())
+        # one call for all five shares the cube roots of Phi_3 and Phi_6
+        qs, rs = NT._lifted_roots((1, 2, 3, 4, 6), Q)
+        assert np.array_equal(qs, np.concatenate([q for q, _ in per_k]))
+        assert np.array_equal(rs, np.concatenate([r for _, r in per_k]))
 
 
 class TestConstant:
@@ -291,6 +297,19 @@ class TestCensus:
             a = NT.count_N(2 * 10**5, condition, "phi-factor")
             b = NT.count_N(2 * 10**5, condition, "root-sieve")
             assert a.rows == b.rows
+
+    def test_rows_from_arrays_match_full_F_tuples_at_3000(self):
+        for condition, (ks, above) in NT.CONDITIONS.items():
+            tuples = []  # the full-F rows, one tuple per prime as the census once kept them
+            for p in NT.primes_up_to(3000):
+                w = factorize_witness(prod(NT.cyclotomic_value(k, p) for k in ks), above)
+                tuples.append((p, w == inf, None if w == inf else w))
+            for method in ("phi-factor", "root-sieve", "full-F"):
+                res = NT.count_N(3000, condition, method)
+                assert res.primes.dtype == res.witness.dtype == np.int64
+                assert res.rows == tuples
+                assert res.count == sum(ok for _, ok, _ in tuples)
+                assert res.total_primes == len(tuples)
 
     @pytest.mark.parametrize("method", ["phi-factor", "root-sieve", "full-F"])
     def test_row_fields_are_plain_python(self, method):

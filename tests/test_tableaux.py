@@ -183,6 +183,19 @@ class TestVerifiers:
             assert report.ok, (name, report.violations[:2])
             assert report.checked == 198
 
+    def test_one_enumeration_gives_the_per_lemma_reports(self):
+        names = sorted(T.ALL_VERIFIERS)
+        joint = T.verify_lemmas(7, names)
+        assert list(joint) == names
+        for name in names:
+            assert joint[name] == T.ALL_VERIFIERS[name](7)
+        # each check keeps its own violations, in corpus order
+        three = [t for t in T.enumerate_corpus(5) if t.shape.n_boxes == 3]
+        marked, clean = T._run_verifier(5, [lambda t: [t] if t.shape.n_boxes == 3 else [],
+                                            lambda t: []])
+        assert (marked.checked, marked.violations) == (clean.checked, three)
+        assert three and not clean.violations
+
     def test_single_box(self):
         report = T.verify_lemma_small_branch(1)
         assert report.ok and report.checked == 1
