@@ -332,6 +332,15 @@ class CyclotomicElement:
 _TERM_RE = re.compile(r"^(?P<c>[+-]?\d+(?:/\d+)?)(?:\*z\^(?P<a>\d+))?$")
 
 
+def _coefficient(c: str, text) -> Fraction:
+    """A written coefficient of the cyclotomic number `text` as a Fraction."""
+    try:
+        return Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"cyclotomic coefficient {c!r} in {text!r} has a zero denominator") from None
+
+
 def parse_cyclotomic(text) -> CyclotomicElement:
     """Parse the textual 'c0 + c1*z^1 + ... @ n' form or a JSON coeff map.
 
@@ -339,7 +348,7 @@ def parse_cyclotomic(text) -> CyclotomicElement:
     """
     if isinstance(text, dict):
         n = want_positive(text["n"], "cyclotomic level n")
-        terms = [(int(a), Fraction(want(c, str, "cyclotomic coefficient")))
+        terms = [(int(a), _coefficient(want(c, str, "cyclotomic coefficient"), text))
                  for a, c in want(text["coeffs"], dict, "cyclotomic coeffs").items()]
         return CyclotomicElement.make(n, terms)
     if isinstance(text, int):
@@ -365,7 +374,7 @@ def parse_cyclotomic(text) -> CyclotomicElement:
         if not m:
             raise ValueError(f"cannot parse cyclotomic term {tok!r} in {text!r}")
         a = int(m.group("a") or 0)
-        terms.append((a, Fraction(m.group("c"))))
+        terms.append((a, _coefficient(m.group("c"), text)))
     return CyclotomicElement.make(n, terms)
 
 

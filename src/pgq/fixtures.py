@@ -34,8 +34,11 @@ def resolve(path_or_name: str) -> dict:
     import os
 
     if os.path.exists(path_or_name):
-        with open(path_or_name) as fh:
-            doc = json.load(fh)
+        try:
+            with open(path_or_name) as fh:
+                doc = json.load(fh)
+        except OSError as e:  # a directory, or a file without read permission
+            raise ValueError(f"{path_or_name}: cannot read it: {e.strerror}") from None
     else:
         try:
             doc = load_json(path_or_name)

@@ -20,14 +20,15 @@ The feasibility engine turns these conditions, the vanishing and congruence
 constraints on partial augmentations, and augmentation one into an exact
 integer search in Python ints.  The coefficients of each constraint row are
 the same in every branch (distribution of the proper powers); only the
-constant changes.  Variable bounds come from an exact simplex over the
-rational relaxation (`lp_bounds`: integer-preserving pivots that skip the
-rows they leave unchanged, Bland's rule), which also certifies each branch
-it excludes with a Farkas vector; Fourier-Motzkin elimination (`fm_bounds`)
-stays only as the tests' oracle for it.  The integer stage walks the
-augmentation hyperplane inside those bounds, and the engine refuses (rather
-than truncating) when the relaxation leaves a variable unbounded or the walk
-would pass the candidate cap.
+constant changes.  `lp_bounds(rows, nvars)` is the one bounds entry point,
+for these rows and for published inequality rows alike: an exact simplex
+over the rational relaxation of integer rows (A | k) (integer-preserving
+pivots that skip the rows they leave unchanged, Bland's rule), which also
+certifies each branch it excludes with a Farkas vector; Fourier-Motzkin
+elimination (`fm_bounds`, on the same rows) stays only as the tests' oracle
+for it.  The integer stage walks the augmentation hyperplane inside those
+bounds, and the engine refuses (rather than truncating) when the relaxation
+leaves a variable unbounded or the walk would pass `CANDIDATE_CAP`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cyclotomic import CyclotomicElement, factorint, parse_cyclotomic
+from .numtheory import is_prime
 from .schema import want, want_list, want_positive
 
 
@@ -103,6 +105,8 @@ class CharacterTableSlice:
         self.identity = identities[0]
         for c in self.classes:
             for p, target in c.power_map.items():
+                if not is_prime(p):
+                    raise ValueError(f"power map of {c.name}: key {p} is not a prime")
                 if target not in self._by_name:
                     raise ValueError(f"power map of {c.name} leaves the slice: {target}")
                 expected = c.order // (p if c.order % p == 0 else 1)
@@ -343,6 +347,21 @@ class LinearForm:
         return " + ".join(parts) if parts else "0"
 
 
+def _power_constant(slice_: CharacterTableSlice, chi: Character, n: int, l: int,
+                    powers: dict[int, PartialAugmentationVector]) -> int:
+    """n times the constant of mu(zeta_n^l, u, chi): chi(1), from u^n = 1,
+    plus per proper divisor d a sum of table traces over Q(zeta_{n/d}), where
+    both chi(u^d) and zeta^{-d} = zeta_{n/d}^{-l} live."""
+    const = chi.degree
+    for d in divisors(n)[1:-1]:
+        if d not in powers:
+            raise KeyError(f"missing class distribution for the {d}-th power")
+        for name, e in powers[d].entries.items():
+            if e:
+                const += e * slice_.trace(chi, name, n // d, l)
+    return const
+
+
 def multiplicity_form(
     slice_: CharacterTableSlice,
     chi: Character,
@@ -351,18 +370,8 @@ def multiplicity_form(
     powers: dict[int, PartialAugmentationVector],
 ) -> LinearForm:
     """mu(zeta_n^l, u, chi) as an affine form in the order-n partial
-    augmentations, with the proper-power distributions fixed.
-
-    The divisor-d term is a sum of table traces over Q(zeta_{n/d}), where
-    both chi(u^d) and zeta^{-d} = zeta_{n/d}^{-l} live; u^n = 1 gives chi(1).
-    """
-    const = chi.degree
-    for d in divisors(n)[1:-1]:
-        if d not in powers:
-            raise KeyError(f"missing class distribution for the {d}-th power")
-        for name, e in powers[d].entries.items():
-            if e:
-                const += e * slice_.trace(chi, name, n // d, zeta_exponent)
+    augmentations, with the proper-power distributions fixed."""
+    const = _power_constant(slice_, chi, n, zeta_exponent, powers)
     coeffs = {}
     for c in slice_.variable_classes(n):
         t = slice_.trace(chi, c.name, n, zeta_exponent)
@@ -439,15 +448,6 @@ _FM_ROW_CAP = 50_000
 CANDIDATE_CAP = 2_000_000
 
 
-def _int_row(form: LinearForm, variables) -> tuple[int, ...]:
-    """(coeffs..., const) scaled to a primitive integer vector."""
-    vals = [form.coeffs.get(v, 0) for v in variables] + [form.const]
-    den = math.lcm(*(x.denominator for x in vals))
-    ints = [x.numerator * (den // x.denominator) for x in vals]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
-
-
 class _Infeasible(Exception):
     pass
 
@@ -458,31 +458,24 @@ def _reduce_row(comb, nvars):
         if comb[nvars] < 0:
             raise _Infeasible
         return None
-    g = 0
-    for x in comb:
-        g = math.gcd(g, x)
+    g = math.gcd(*comb)
     if g > 1:
         comb = tuple(x // g for x in comb)
     return comb
 
 
 def fm_bounds(
-    ineqs: list[LinearForm], variables: list[str]
-) -> dict[str, tuple[Fraction | None, Fraction | None]] | None:
-    """Exact min/max of each variable over {x : f(x) >= 0 for all f} by
-    Fourier-Motzkin elimination on primitive integer rows.
+    rows: list[tuple[int, ...]], nvars: int
+) -> list[tuple[Fraction | None, Fraction | None]] | None:
+    """The (min, max) of each variable over {x : A x + k >= 0} for integer
+    rows (A | k), by Fourier-Motzkin elimination on primitive rows.
 
     Returns None when the system is rationally infeasible; a None endpoint
     marks an unbounded direction.  The search uses `lp_bounds`; this
     independent path is the tests' oracle for it.
     """
-    nvars = len(variables)
     try:
-        base = set()
-        for f in ineqs:
-            row = _reduce_row(_int_row(f, variables), nvars)
-            if row is not None:
-                base.add(row)
+        base = {_reduce_row(r, nvars) for r in rows} - {None}
 
         def eliminate(rows, idx):
             pos = [r for r in rows if r[idx] > 0]
@@ -498,12 +491,12 @@ def fm_bounds(
                         out.add(comb)
                 if len(out) > _FM_ROW_CAP:
                     raise SearchComplexityError(
-                        f"elimination exceeded {_FM_ROW_CAP} rows at {len(variables)} variables"
+                        f"elimination exceeded {_FM_ROW_CAP} rows at {nvars} variables"
                     )
             return out
 
-        bounds = {}
-        for i, target in enumerate(variables):
+        bounds = []
+        for i in range(nvars):
             rows = base
             for j in range(nvars):
                 if j != i:
@@ -519,7 +512,7 @@ def fm_bounds(
                     hi = cand if hi is None else min(hi, cand)
             if lo is not None and hi is not None and lo > hi:
                 return None
-            bounds[target] = (lo, hi)
+            bounds.append((lo, hi))
         return bounds
     except _Infeasible:
         return None
@@ -607,12 +600,18 @@ class _Dictionary:
         return True
 
 
-def _simplex_bounds(
+def lp_bounds(
     rows: list[tuple[int, ...]], nvars: int
 ) -> tuple[list[tuple[Fraction | None, Fraction | None]] | None, list[int] | None]:
-    """`lp_bounds` on primitive integer rows (A | k), meaning A x + k >= 0:
-    the (min, max) of each variable, or None and a Farkas vector over the
-    rows."""
+    """The (min, max) of each variable over {x : A x + k >= 0} for integer
+    rows (A | k), by the simplex method on the distinct rows, with the same
+    answers as `fm_bounds`.
+
+    Returns (bounds, None) when the system is rationally feasible; a None
+    endpoint marks an unbounded direction.  Returns (None, y) when it is
+    infeasible, with a Farkas certificate: one integer y_i >= 0 per row,
+    y^T A = 0 and y^T k < 0.
+    """
     first: dict[tuple[int, ...], int] = {}  # distinct row -> first index giving it
     for i, row in enumerate(rows):
         if any(row[:nvars]):
@@ -664,22 +663,6 @@ def _simplex_bounds(
                 if not any(t[i][c] for c in stuck) and d.maximize(i, sign):
                     ends[v][sign > 0] = d.value(i, 0)
     return [tuple(e) for e in ends], None
-
-
-def lp_bounds(
-    ineqs: list[LinearForm], variables: list[str]
-) -> tuple[dict[str, tuple[Fraction | None, Fraction | None]] | None, list[int] | None]:
-    """Exact min/max of each variable over {x : f(x) >= 0 for all f} by the
-    simplex method on the distinct primitive integer rows (A | k) of the
-    forms, with the same answers as `fm_bounds`.
-
-    Returns (bounds, None) when the system is rationally feasible; a None
-    endpoint marks an unbounded direction.  Returns (None, y) when it is
-    infeasible, with a Farkas certificate: one integer y_i >= 0 per form,
-    y^T A = 0 and y^T k < 0.
-    """
-    ends, farkas = _simplex_bounds([_int_row(f, variables) for f in ineqs], len(variables))
-    return (None if ends is None else dict(zip(variables, ends))), farkas
 
 
 # -- the feasibility engine --------------------------------------------------------
@@ -740,39 +723,33 @@ def _coherent_power_assignments(n: int, pools: dict[int, list[PartialAugmentatio
 
 
 def _search(
-    slice_: CharacterTableSlice,
-    n: int,
-    chars: list[Character],
-    exponents,
-    candidate_cap: int,
-) -> tuple[list[PartialAugmentationVector], dict]:
-    """Feasible pa trees for a unit of order n; also returns diagnostics: the
-    bounds, constraint keys and power distributions of the last-analyzed
-    branch, and a Farkas certificate per rationally infeasible branch.
+    slice_: CharacterTableSlice, n: int, chars: list[Character], exponents
+) -> FeasibilityResult:
+    """Feasible pa trees for a unit of order n, with the bounds of the last
+    rationally feasible branch, the last-analyzed branch, and a Farkas
+    certificate per rationally infeasible branch.
 
     Everything is in integers: n * mu(zeta^l, u, chi) = k + sum_C T_C e_C
     with T_C = Tr(chi(C) zeta_n^{-l}) from the trace table, the same for
-    every branch, and only the constant k (n times the constant of
-    `multiplicity_form`) depending on the distributions of the proper powers.
+    every branch, and only the constant k (`_power_constant`) depending on
+    the distributions of the proper powers.
     """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
-    diag: dict = {"bounds": None, "keys": [], "powers": None, "congruences": congs,
-                  "certificates": []}
+    res = FeasibilityResult(n, var_names, "infeasible", [], None, congs)
     if not var_names:
-        return [], diag
+        return res
 
     proper = [d for d in divisors(n) if 1 < d < n]
     pools = {}
     for d in proper:
-        sub, _ = _search(slice_, n // d, chars, None, candidate_cap)
+        sub = _search(slice_, n // d, chars, None).feasible
         if not sub:
-            return [], diag
+            return res
         pools[d] = sub
 
     exps = list(range(n)) if exponents is None else [e % n for e in exponents]
     keys = list(dict.fromkeys((chi.name, l) for chi in chars for l in exps))
-    diag["keys"] = keys
     coeffs = []  # per key: (character, exponent, T, gcd of T), branch-invariant
     for name, l in keys:
         chi = slice_.character(name)
@@ -785,23 +762,20 @@ def _search(
         g = math.gcd(g, k)
         return (*(x // g for x in row), k // g) if g > 1 else (*row, k)
 
-    found = []
     for assign in _coherent_power_assignments(n, pools):
         rows = []  # mu >= 0 and mu <= chi(1) per key, as primitive integer rows
         checks = []  # (k, T, n * chi(1)): the walk wants 0 <= k + T.e <= n chi(1), n | k + T.e
         for chi, l, row, g in coeffs:
-            k = chi.degree + sum(e * slice_.trace(chi, name, n // d, l)
-                                 for d, pa in assign.items()
-                                 for name, e in pa.entries.items() if e)
+            k = _power_constant(slice_, chi, n, l, assign)
             top = n * chi.degree
             rows.append(primitive(row, k, g))
             rows.append(primitive([-x for x in row], top - k, g))
             checks.append((k, row, top))
-        ends, farkas = _simplex_bounds(rows + augmentation, nvars)
-        diag["powers"] = assign
+        ends, farkas = lp_bounds(rows + augmentation, nvars)
+        res.last_branch = (slice_, assign, keys)
         if ends is None:  # this branch is already rationally infeasible
             pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
-            diag["certificates"].append(InfeasibleBranch(
+            res.certificates.append(InfeasibleBranch(
                 dict(assign), {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
             continue
         rel = dict(zip(var_names, ends))
@@ -810,19 +784,16 @@ def _search(
                 f"order {n}: no supplied character bounds "
                 + ", ".join(v for v, (lo, hi) in rel.items() if lo is None or hi is None)
             )
-        int_bounds = {
-            v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()
-        }
-        diag["bounds"] = int_bounds
+        res.bounds = {v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()}
         # walk the augmentation hyperplane: the last variable is 1 - the others
-        *ranges, last = (range(int_bounds[v][0], int_bounds[v][1] + 1) for v in var_names)
+        *ranges, last = (range(lo, hi + 1) for lo, hi in res.bounds.values())
         total = 1
         for r in ranges:
             total *= len(r)
-            if total > candidate_cap:
+            if total > CANDIDATE_CAP:
                 raise SearchComplexityError(
-                    f"order {n}: more than {candidate_cap} integer candidates to walk on "
-                    f"the augmentation hyperplane (candidate cap {candidate_cap})"
+                    f"order {n}: more than {CANDIDATE_CAP} integer candidates to walk on "
+                    f"the augmentation hyperplane (candidate cap {CANDIDATE_CAP})"
                 )
         for head in itertools.product(*ranges):
             tail = 1 - sum(head)
@@ -839,10 +810,11 @@ def _search(
                     ok = False
                     break
             if ok:
-                found.append(
+                res.feasible.append(
                     PartialAugmentationVector(n, {k: v for k, v in env.items() if v}, dict(assign))
                 )
-    return found, diag
+    res.status = "feasible" if res.feasible else "infeasible"
+    return res
 
 
 def feasible_partial_augmentations(
@@ -850,7 +822,6 @@ def feasible_partial_augmentations(
     n: int,
     characters: list[str] | None = None,
     exponents: list[int] | None = None,
-    candidate_cap: int = CANDIDATE_CAP,
 ) -> FeasibilityResult:
     """Exact feasible set of order-n partial augmentation vectors.
 
@@ -861,32 +832,15 @@ def feasible_partial_augmentations(
     """
     if n < 2:
         raise ValueError("unit order must be at least 2")
-    chars = (
-        [slice_.character(c) for c in characters] if characters else list(slice_.characters)
-    )
+    chars = [slice_.character(c) for c in characters] if characters else slice_.characters
     if not chars:
         raise ValueError("at least one character is required")
-    reason = None
     try:
-        found, diag = _search(slice_, n, chars, exponents, candidate_cap)
-        status = "feasible" if found else "infeasible"
+        return _search(slice_, n, chars, exponents)
     except (UnboundedSearchError, SearchComplexityError) as e:
         status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
-        reason = str(e)
-        found, diag = [], {"bounds": None, "powers": None, "certificates": [],
-                           "congruences": congruence_constraints(slice_, n)}
-    var_names = [c.name for c in slice_.variable_classes(n)]
-    return FeasibilityResult(
-        order=n,
-        variables=var_names,
-        status=status,
-        feasible=found,
-        bounds=diag["bounds"],
-        congruences=diag["congruences"],
-        certificates=diag["certificates"],
-        reason=reason,
-        last_branch=None if diag["powers"] is None else (slice_, diag["powers"], diag["keys"]),
-    )
+        return FeasibilityResult(n, [c.name for c in slice_.variable_classes(n)], status, [],
+                                 None, congruence_constraints(slice_, n), reason=str(e))
 
 
 # -- published inequality rows ---------------------------------------------------
@@ -935,20 +889,17 @@ class InequalityRowsFixture:
 
     def feasible_points(self) -> list[tuple[int, int]]:
         """All (eps, 1 - eps) satisfying every row and congruence.  Row
-        non-negativity bounds the search; the congruences and the row
-        divisibility leave one residue class, and only that class is walked.
-        Raises SearchComplexityError when it holds more than CANDIDATE_CAP
-        candidates."""
-        lo, hi = None, None
-        for const, coeff in self.rows:
-            if coeff > 0:
-                b = math.ceil(Fraction(-const, coeff))
-                lo = b if lo is None else max(lo, b)
-            elif coeff < 0:
-                b = math.floor(Fraction(-const, coeff))
-                hi = b if hi is None else min(hi, b)
+        non-negativity bounds the search (`lp_bounds` on the rows); the
+        congruences and the row divisibility leave one residue class, and
+        only that class is walked.  Raises SearchComplexityError when it holds
+        more than CANDIDATE_CAP candidates."""
+        ends, _ = lp_bounds([(coeff, const) for const, coeff in self.rows], 1)
+        if ends is None:
+            return []
+        (lo, hi), = ends
         if lo is None or hi is None:
             raise UnboundedSearchError("rows do not bound the variable on both sides")
+        lo, hi = math.ceil(lo), math.floor(hi)
         # every condition is a*eps = b (mod m); with eps = r + n*t so far, it
         # becomes a*n*t = b - a*r (mod m), which fixes t modulo m/g
         r, n = 0, 1

@@ -58,7 +58,7 @@ def is_prime(n: int) -> bool:
     intermediates in scope stay within 128 bits)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -176,25 +176,26 @@ def alpha(n: int) -> int:
     return n
 
 
-_CYCLOTOMIC = {
-    1: lambda q: q - 1,
-    2: lambda q: q + 1,
-    3: lambda q: q * q + q + 1,
-    4: lambda q: q * q + 1,
-    6: lambda q: q * q - q + 1,
-}
-
 #: coefficient lists (constant first) of the degree <= 2 cyclotomics in play
 _PHI_COEFFS = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
 
 
+def _horner(coeffs, x):
+    """The polynomial with the given coefficients (constant first) at x:
+    exact on a Python int, and int64 on an int64 array."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def cyclotomic_value(k: int, q: int) -> int:
     """Phi_k(q) for k in {1, 2, 3, 4, 6} and q >= 2."""
-    if k not in _CYCLOTOMIC:
+    if k not in _PHI_COEFFS:
         raise ValueError(f"only k in {{1,2,3,4,6}} is supported, got {k}")
     if q < 2:
         raise ValueError("q must be at least 2")
-    return _CYCLOTOMIC[k](q)
+    return _horner(_PHI_COEFFS[k], q)
 
 
 def F_value(q: int) -> int:
@@ -463,14 +464,6 @@ class SieveResult:
 _BLOCK = 1 << 13
 
 
-def _horner(coeffs, x):
-    """The polynomial with the given coefficients (constant first) at x, exactly."""
-    acc = np.zeros_like(x)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _count_phi_factor(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     P = _prime_array(x)
     wit = np.zeros_like(P)
@@ -479,13 +472,6 @@ def _count_phi_factor(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
         values = np.stack([_horner(_PHI_COEFFS[k], block) for k in ks])
         wit[s:s + _BLOCK] = _square_witnesses(values, above)
     return P, wit
-
-
-def _poly_eval(coeffs, x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def _powmod(g: int, e: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -567,7 +553,7 @@ def phi_roots_mod_q2(k: int, q: int) -> list[int]:
         raise ValueError(f"q = {q} is above {CENSUS_MAX_BOUND}: q^2 must fit in 64 bits")
     m = q * q
     if q <= 3:
-        return [a for a in range(m) if _poly_eval(_PHI_COEFFS[k], a, m) == 0]
+        return [a for a in range(m) if _horner(_PHI_COEFFS[k], a) % m == 0]
     return sorted(_lifted_roots((k,), np.array([q], dtype=np.int64))[1].tolist())
 
 

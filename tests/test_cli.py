@@ -344,6 +344,15 @@ class TestErrors:
         code, _ = run(["verdict", "--profile", "no_such_profile"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["help-check", "--order", "2", "--table"],
+                                      ["tree-check", "--tree"], ["verdict", "--profile"]],
+                             ids=["table", "tree", "profile"])
+    def test_unreadable_path_is_an_input_error(self, tmp_path, capsys, argv):
+        code, text = run([*argv, str(tmp_path)])  # the directory exists but cannot be read
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("doc", [
         {"name": "M11", "order": None, "spectrum": [1, 2, 3, 4, 5, 6, 8, 11]},
         {"name": "M11", "order": "7920", "spectrum": "123"},
@@ -420,6 +429,19 @@ class TestMalformedDocuments:
                               for ch in BUNDLED["s5"]["characters"]]),
         # 1/2 is no algebraic integer, so no character takes it as a value
         ("s5", "characters", [dict(ch, values=dict(ch["values"], **{"2a": "1/2"}))
+                              if ch["name"] == "std" else ch
+                              for ch in BUNDLED["s5"]["characters"]]),
+        # power-map keys are primes: 0 would divide by zero, 4 is no prime
+        ("s5", "classes", [dict(c, powers={"0": "1a"}) if c["name"] == "2a" else c
+                           for c in BUNDLED["s5"]["classes"]]),
+        ("s5", "classes", [dict(c, powers={**c["powers"], "4": "2a"}) if c["name"] == "2a"
+                           else c for c in BUNDLED["s5"]["classes"]]),
+        # a zero denominator, in either encoding of a cyclotomic number
+        ("s5", "characters", [dict(ch, values=dict(ch["values"], **{"2a": "1/0 @ 2"}))
+                              if ch["name"] == "std" else ch
+                              for ch in BUNDLED["s5"]["characters"]]),
+        ("s5", "characters", [dict(ch, values=dict(ch["values"],
+                                                   **{"2a": {"n": 2, "coeffs": {"0": "1/0"}}}))
                               if ch["name"] == "std" else ch
                               for ch in BUNDLED["s5"]["characters"]]),
     ])

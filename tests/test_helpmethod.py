@@ -273,8 +273,9 @@ class TestFeasibility:
         assert res.status == "unbounded"
         assert res.reason == "order 2: no supplied character bounds 2a, 2b"
 
-    def test_candidate_cap_is_inconclusive_and_says_so(self, s5):
-        res = H.feasible_partial_augmentations(s5, 6, candidate_cap=10)
+    def test_candidate_cap_is_inconclusive_and_says_so(self, s5, monkeypatch):
+        monkeypatch.setattr(H, "CANDIDATE_CAP", 10)
+        res = H.feasible_partial_augmentations(s5, 6)
         assert res.status == "too-large" and res.feasible == []
         assert res.reason == ("order 6: more than 10 integer candidates to walk on the "
                               "augmentation hyperplane (candidate cap 10)")
@@ -286,7 +287,7 @@ def primitive_row(form, variables):
     den = lcm(*(x.denominator for x in vals))
     ints = [int(x * den) for x in vals]
     g = gcd(*ints) or 1
-    return [x // g for x in ints]
+    return tuple(x // g for x in ints)
 
 
 def farkas_holds(pairs, variables):
@@ -376,12 +377,16 @@ class TestOnan:
         assert fixture.feasible_points() == want
 
 
-def lp_only_bounds(ineqs, variables):
-    return H.lp_bounds(ineqs, variables)[0]
+def by_name(engine):
+    """A bounds engine on the primitive rows of forms, keyed by variable name."""
+    def bounds(ineqs, variables):
+        ends = engine([primitive_row(f, variables) for f in ineqs], len(variables))
+        return None if ends is None else dict(zip(variables, ends))
+    return bounds
 
 
 #: the search's simplex and its Fourier-Motzkin oracle answer every case alike
-BOUNDS_ENGINES = (H.fm_bounds, lp_only_bounds)
+BOUNDS_ENGINES = (by_name(H.fm_bounds), by_name(lambda *a: H.lp_bounds(*a)[0]))
 
 
 class TestFourierMotzkin:
@@ -474,8 +479,9 @@ def assert_lp_matches_fm(system):
     forms = [form(*r) for r in rows]
     for r in equalities:
         forms += [form(*r), form(*r).scaled(-1)]
-    bounds, farkas = H.lp_bounds(forms, variables)
-    assert bounds == H.fm_bounds(forms, variables)
+    rows = [primitive_row(f, variables) for f in forms]
+    bounds, farkas = H.lp_bounds(rows, nvars)
+    assert bounds == H.fm_bounds(rows, nvars)
     if bounds is None:
         assert farkas_holds(zip(farkas, forms), variables)
     else:

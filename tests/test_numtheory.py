@@ -195,7 +195,7 @@ class TestRho:
             for k in (1, 2, 3, 4, 6):
                 for r in NT.phi_roots_mod_q2(k, q):
                     coeffs = NT._PHI_COEFFS[k]
-                    assert NT._poly_eval(coeffs, r, q * q) == 0
+                    assert NT._horner(coeffs, r) % (q * q) == 0
 
     def test_square_roots_are_coprime_and_hit_a_unique_factor(self):
         # spot-enumerated across 3 < q <= 10^4: any a with q^2 | F(a) is a
@@ -209,7 +209,7 @@ class TestRho:
                     assert NT.F_value(a) % m == 0
                     assert gcd(a, q) == 1
                     hits = [
-                        kk for kk, cs in phi_poly.items() if NT._poly_eval(cs, a, m) == 0
+                        kk for kk, cs in phi_poly.items() if NT._horner(cs, a) % m == 0
                     ]
                     assert hits == [k]
 
@@ -221,7 +221,7 @@ class TestRho:
             qs, rs = NT._lifted_roots((k,), Q)
             per_k.append((qs, rs))
             for q, r in zip(qs.tolist(), rs.tolist()):
-                assert 0 < r < q * q and NT._poly_eval(NT._PHI_COEFFS[k], r, q * q) == 0
+                assert 0 < r < q * q and NT._horner(NT._PHI_COEFFS[k], r) % (q * q) == 0
                 counts[q] += 1
             for q in Q[:: 40].tolist():
                 assert NT.phi_roots_mod_q2(k, q) == sorted(rs[qs == q].tolist())
