@@ -188,6 +188,8 @@ def cmd_lie(args, out) -> int:
 
 
 def cmd_tableaux_verify(args, out) -> int:
+    if args.max_boxes < 1:
+        raise ValueError(f"--max-boxes must be at least 1, got {args.max_boxes}")
     if args.lemma:
         reports = {args.lemma: tableaux.ALL_VERIFIERS[args.lemma](args.max_boxes)}
     else:

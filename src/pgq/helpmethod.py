@@ -22,13 +22,14 @@ integer search in Python ints.  The coefficients of each constraint row are
 the same in every branch (distribution of the proper powers); only the
 constant changes.  `lp_bounds(rows, nvars)` is the one bounds entry point,
 for these rows and for published inequality rows alike: an exact simplex
-over the rational relaxation of integer rows (A | k) (integer-preserving
-pivots that skip the rows they leave unchanged, Bland's rule), which also
-certifies each branch it excludes with a Farkas vector; Fourier-Motzkin
-elimination (`fm_bounds`, on the same rows) stays only as the tests' oracle
-for it.  The integer stage walks the augmentation hyperplane inside those
-bounds, and the engine refuses (rather than truncating) when the relaxation
-leaves a variable unbounded or the walk would pass `CANDIDATE_CAP`.
+over the rational relaxation of integer rows (A | k) (each dictionary row
+in lowest terms over its own denominator, pivots that skip the rows they
+leave unchanged, Bland's rule), which also certifies each branch it
+excludes with a Farkas vector; Fourier-Motzkin elimination (`fm_bounds`, on
+the same rows) stays only as the tests' oracle for it.  The integer stage
+walks the augmentation hyperplane inside those bounds, and the engine refuses
+(rather than truncating) when the relaxation leaves a variable unbounded or
+the walk would pass `CANDIDATE_CAP`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cyclotomic import CyclotomicElement, factorint, parse_cyclotomic
-from .numtheory import is_prime
+from .numtheory import factorize, is_prime
 from .schema import want, want_list, want_positive
 
 
@@ -136,7 +137,10 @@ class CharacterTableSlice:
         return self._by_name[name]
 
     def character(self, name: str) -> Character:
-        return self._chars[name]
+        try:
+            return self._chars[name]
+        except KeyError:
+            raise ValueError(f"no character named {name!r} in {self.group_name}") from None
 
     def power_class(self, name: str, k: int) -> str:
         """Name of the class of g^k for g in the named class.
@@ -527,18 +531,17 @@ class _Dictionary:
     Slack i (row i of the system, >= 0) is variable i, the phase-one
     artificial variable (>= 0) is -1 and free variable v is m + v.  Row i
     reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) / rden[i] over the
-    nonbasic cols[j], j >= 1, with rden[i] > 0.  Pivots are integer-preserving
-    (Edmonds, Bareiss) and rewrite only the rows with a nonzero entry in the
-    pivot column; a row that a pivot skips keeps its entries and its older
-    denominator, and is lifted to the current one, den, when a later pivot
-    touches it.  With one common denominator every entry would be a minor of
-    the input rows, so the lift and the update divide exactly.  The ratio and
-    sign tests compare entries of one row, so a row's scale never matters.
+    nonbasic cols[j], j >= 1, with rden[i] > 0.  A pivot rewrites only the
+    rows with a nonzero entry in the pivot column, each over the product of
+    its denominator and the pivot's, and divides it by its content, so that
+    every rewritten row is in lowest terms: gcd(rden[i], *t[i]) == 1, and
+    its entries are as small as the rational entries allow (Schrijver,
+    Theory of Linear and Integer Programming, 3.3).  The ratio and sign
+    tests compare entries of one row, so a row's scale never matters.
     """
 
     def __init__(self, rows: list[tuple[int, ...]], nvars: int):
         self.m = m = len(rows)
-        self.den = 1
         self.t = [[r[nvars], *r[:nvars]] for r in rows]
         self.rden = [1] * m
         self.basis = list(range(m))
@@ -548,31 +551,34 @@ class _Dictionary:
         """Entry c of row i as a rational number."""
         return Fraction(self.t[i][c], self.rden[i])
 
+    def _store(self, i: int, new: list[int], den: int) -> None:
+        """Row i := new / den, divided by its content."""
+        row, g = self.t[i], math.gcd(den, *new)
+        if g == 1:
+            row[:] = new
+        else:
+            row[:] = [v // g for v in new]
+            assert [v * g for v in row] == new, "inexact pivot"
+        self.rden[i] = den // g
+
     def pivot(self, r: int, c: int) -> None:
         """Exchange basis[r] and cols[c]."""
-        den, t, rden = self.den, self.t, self.rden
-        pr = t[r]
-        if rden[r] != den:  # lift the pivot row to den
-            new = [den * a for a in pr]
-            pr[:] = [v // rden[r] for v in new]
-            assert [v * rden[r] for v in pr] == new, "inexact pivot"
-        p = abs(pr[c])
+        t, rden = self.t, self.rden
+        pr, pd = t[r], rden[r]
         sign = 1 if pr[c] > 0 else -1
+        p = sign * pr[c]
         for i, row in enumerate(t):
             q = sign * row[c]
             if not q or i == r:
                 continue
-            # as if lifted to den first: (p * a - q * b) / rden[i], and q * den /
-            # rden[i] for the pivot column, where p * a - q * b vanishes
+            # basis[r] = (... + P x_c) / pd gives x_c; substituted into row i:
+            # (p * a - q * b) / (p * rden[i]), and q * pd on basis[r]
             new = [p * a - q * b for a, b in zip(row, pr)]
-            new[c] = q * den
-            d = rden[i]
-            row[:] = [v // d for v in new]
-            assert [v * d for v in row] == new, "inexact pivot"
-            rden[i] = p
-        pr[:] = [-sign * x for x in pr]
-        pr[c] = sign * den
-        rden[r] = self.den = p
+            new[c] = q * pd
+            self._store(i, new, p * rden[i])
+        new = [-sign * x for x in pr]
+        new[c] = sign * pd
+        self._store(r, new, p)
         self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
 
     def maximize(self, i: int, sign: int) -> bool:
@@ -620,14 +626,18 @@ def lp_bounds(
             return None, [int(j == i) for j in range(len(rows))]
     origin = list(first.values())
     d = _Dictionary(list(first), nvars)
-    m, t = d.m, d.t
+    m, t, rden = d.m, d.t, d.rden
     # each free variable enters the basis once and never leaves; one that
     # cannot has a zero column in every slack row, so nothing bounds it
     for v in range(nvars):
         c = d.cols.index(m + v)
-        pivots = [i for i in range(m) if d.basis[i] < m and t[i][c]]
-        if pivots:
-            d.pivot(min(pivots, key=lambda i: abs(d.value(i, c))), c)
+        best = None  # least |t[i][c] / rden[i]| over the slack rows, first on ties
+        for i in range(m):
+            if d.basis[i] < m and t[i][c] and (
+                    best is None or abs(t[i][c]) * rden[best] < abs(t[best][c]) * rden[i]):
+                best = i
+        if best is not None:
+            d.pivot(best, c)
     short = {i for i in range(m) if d.basis[i] < m and t[i][0] < 0}
     if short:
         # phase one: a single artificial variable lifts every violated row,
@@ -832,6 +842,18 @@ def feasible_partial_augmentations(
     """
     if n < 2:
         raise ValueError("unit order must be at least 2")
+    # Cauchy: a prime dividing n and |G| is the order of some element of G.
+    # The prime class orders are divided out of gcd(n, |G|) first, so only a
+    # slice that lacks one of them needs a factorization.
+    rest = math.gcd(n, slice_.group_order)
+    for c in slice_.classes:
+        if is_prime(c.order):
+            while rest % c.order == 0:
+                rest //= c.order
+    if rest > 1:
+        p = min(factorize(rest))
+        raise ValueError(f"{p} divides the unit order {n} and the order of "
+                         f"{slice_.group_name}, but the slice has no class of order {p}")
     chars = [slice_.character(c) for c in characters] if characters else slice_.characters
     if not chars:
         raise ValueError("at least one character is required")

@@ -366,6 +366,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["help-check", "--table", "thompson", "--order", "2"], "no class of order 2"),
+        (["help-check", "--table", "thompson", "--order", "10"], "no class of order 2"),
+        (["help-check", "--table", "s5", "--order", "6", "--characters", "nope"],
+         "no character named 'nope' in S5"),
+        (["tableaux-verify", "--max-boxes", "0"], "--max-boxes must be at least 1"),
+        (["tableaux-verify", "--max-boxes", "-1"], "--max-boxes must be at least 1"),
+    ], ids=["thompson-2", "thompson-10", "unknown-character", "max-boxes-0", "max-boxes--1"])
+    def test_query_outside_the_contract_is_an_input_error(self, capsys, argv, message):
+        code, text = run(argv)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_unknown_subcommand(self):
         code, _ = run(["frobnicate"])
         assert code == 2

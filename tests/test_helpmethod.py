@@ -503,3 +503,48 @@ class TestSimplex:
     def test_sparse_rows_match_fourier_motzkin(self, system):
         assert_lp_matches_fm(system)
 
+
+def fraction_pivot(f, r, c):
+    """The dictionary f (rows of Fractions, entry 0 the constant) after the
+    exchange of basis[r] and cols[c], solved by hand in rationals."""
+    inv = 1 / f[r][c]
+    pr = [-x * inv for x in f[r]]
+    pr[c] = inv
+    out = []
+    for i, row in enumerate(f):
+        if i == r:
+            out.append(pr)
+        else:
+            new = [a + row[c] * b for a, b in zip(row, pr)]
+            new[c] = row[c] * inv
+            out.append(new)
+    return out
+
+
+class TestDictionary:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_pivots_match_fractions_in_lowest_terms(self, data):
+        nvars = data.draw(st.integers(1, 4))
+        entry = st.integers(-6, 6)
+        rows = data.draw(st.lists(st.tuples(*[entry] * (nvars + 1)), min_size=1, max_size=6))
+        d = H._Dictionary(rows, nvars)
+        f = [[Fraction(x) for x in (r[nvars], *r[:nvars])] for r in rows]
+        for _ in range(data.draw(st.integers(0, 10))):
+            choices = [(r, c) for r in range(d.m) for c in range(1, nvars + 1) if f[r][c]]
+            if not choices:
+                break
+            r, c = data.draw(st.sampled_from(choices))
+            d.pivot(r, c)
+            f = fraction_pivot(f, r, c)
+            for i in range(d.m):
+                assert d.rden[i] > 0 and gcd(d.rden[i], *d.t[i]) == 1
+                assert [d.value(i, j) for j in range(nvars + 1)] == f[i]
+
+    def test_c21_order_21_pivot_count_pinned(self, c21, monkeypatch):
+        pivots = []
+        pivot = H._Dictionary.pivot
+        monkeypatch.setattr(H._Dictionary, "pivot",
+                            lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
+        assert H.feasible_partial_augmentations(c21, 21).status == "feasible"
+        assert len(pivots) == 1902
