@@ -5,22 +5,29 @@ tableau is a filled skew diagram outer/inner; row i occupies columns
 inner[i]..outer[i]-1 (0-based).  Semistandardness and the lattice property
 are checkable predicates, never enforced by construction.
 
+One filling kernel, an iterative backtrack over an explicit cell stack,
+enumerates the semistandard lattice fillings of a skew shape, with or
+without a pinned content: Littlewood-Richardson coefficients count its
+leaves, and the lemma corpus reads them.
+
 The module also carries the exhaustive verifiers for four combinatorial
 inequalities about semistandard lattice skew tableaux, and a brute-force
 linear-algebra oracle over GF(p) that recomputes which (submodule, quotient)
 partition pairs a nilpotent Jordan module admits, independently of the
-Littlewood-Richardson route.  The verifiers read each tableau's row tuples
-and gamma tables built once per tableau, building no tableau per check;
-split_at_column, content and gamma are their references in the tests.  The
-oracle tests the invariance of a whole block of RREF bases, one numpy array
-per pivot set, at once.
+Littlewood-Richardson route.  The verifiers read per-shape tables built
+once per skew shape (row starts, column span, rectangles, columns-between-
+lines pairs) and, per tableau, only its row tuples and the kernel's letter
+counts; a SkewTableau is built only for a violation.  split_at_column,
+content and gamma are their references in the tests.  The oracle tests the
+invariance of a whole block of RREF bases, one numpy array per pivot set,
+at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,9 +39,9 @@ Partition = tuple[int, ...]
 
 def is_partition(parts) -> bool:
     parts = tuple(parts)
-    return all(isinstance(x, int) and x >= 1 for x in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    return (all(isinstance(x, int) for x in parts)
+            and tuple(sorted(parts, reverse=True)) == parts
+            and (not parts or parts[-1] >= 1))
 
 
 def check_partition(parts) -> Partition:
@@ -69,27 +76,20 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def subpartitions(lam: Partition):
-    """All subpartitions of lam (weakly decreasing, componentwise <= lam)."""
-    lam = tuple(lam)
-    if not lam:
-        yield ()
-        return
-
-    def rec(i, prev):
-        if i == len(lam):
-            yield ()
+def subpartitions(lam):
+    """All subpartitions of the partition lam (weakly decreasing, componentwise
+    <= lam), in decreasing lexicographic order: lam first, () last."""
+    lam = check_partition(lam)
+    mu = list(lam)
+    while True:
+        nonzero = len(mu) - mu.count(0)  # the zeros trail
+        yield tuple(mu[:nonzero])
+        if not nonzero:
             return
-        for v in range(min(prev, lam[i]), -1, -1):
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    for mu in rec(0, lam[0]):
-        # strip trailing zeros so subpartitions are genuine partitions
-        k = len(mu)
-        while k and mu[k - 1] == 0:
-            k -= 1
-        yield mu[:k]
+        # the next one down: lower the last nonzero part, refill the rest
+        mu[nonzero - 1] -= 1
+        for j in range(nonzero, len(mu)):
+            mu[j] = min(mu[j - 1], lam[j])
 
 
 @dataclass(frozen=True)
@@ -214,48 +214,71 @@ def gamma(s: int, obj) -> int:
     return sum(1 for v in obj if v >= s)
 
 
-# -- fillings and Littlewood-Richardson counts ------------------------------
+# -- the filling kernel and Littlewood-Richardson counts ---------------------
 
 
-def _fillings(shape: SkewShape, max_letter: int, target: Partition | None):
-    """Backtrack over semistandard lattice fillings in reading-word order.
+def _fillings(outer, inner, target=None):
+    """Every semistandard lattice filling of outer/inner (at least one cell),
+    by backtracking over an explicit cell stack (Knuth, TAOCP 4A, 7.2.2,
+    Algorithm B).
 
-    Cells are visited row by row, right to left, so the lattice condition is
-    a running prefix check.  target, when given, pins the content exactly.
-    Each filling is yielded as the live cell -> entry dict, which changes as
-    soon as the generator resumes.
+    The grid holds the rows left to right, one after another, then the
+    sentinel 0 and one cap per row.  Cells are visited in reading order,
+    rows top to bottom and each right to left, so a cell's right neighbour
+    (or its row's cap) bounds its entry from above and the cell above it (or
+    the sentinel 0) bounds it strictly from below.  Row i (from 0) holds no
+    letter above i + 1, since the first letter read in it is its largest and
+    at most one above some letter read before.  counts[e] is the number of
+    letters e read so far and counts[0] exceeds every count, so the lattice
+    prefix test of a letter e is counts[e] < counts[e - 1].  target, when
+    given, pins the content: e occurs at most target[e - 1] times and never
+    past len(target), so with |target| boxes every leaf has content target.
+
+    Each leaf is yielded as (grid, counts), two live lists that change as
+    soon as the generator resumes.  Leaves come in lexicographic order of
+    the reading word.
     """
-    cells = []
-    for i, lam in enumerate(shape.outer):
-        off = shape.inner_at(i)
-        cells.extend((i, j) for j in range(lam - 1, off - 1, -1))
-    n = len(cells)
-    entries: dict[tuple[int, int], int] = {}
-    counts = [0] * (max_letter + 2)  # counts[e] = occurrences of e so far
-
-    def rec(k: int):
-        if k == n:
-            yield entries
-            return
-        i, j = cells[k]
-        right = entries.get((i, j + 1))
-        above = entries.get((i - 1, j))
-        hi = right if right is not None else max_letter
-        for e in range(1, hi + 1):
-            if above is not None and e <= above:
-                continue
-            if e > 1 and counts[e] + 1 > counts[e - 1]:
-                continue  # lattice prefix would fail
-            if target is not None:
-                if e > len(target) or counts[e] + 1 > target[e - 1]:
-                    continue
-            entries[(i, j)] = e
-            counts[e] += 1
-            yield from rec(k + 1)
+    top = len(outer) if target is None else len(target)
+    starts = [inner[i] if i < len(inner) else 0 for i in range(len(outer))]
+    ends = list(itertools.accumulate(o - s for o, s in zip(outer, starts)))
+    n = ends[-1]
+    order, right, above = [], [], []  # per visit: grid index, cap, floor
+    for i, (o, s) in enumerate(zip(outer, starts)):
+        base = ends[i] - o  # grid index of column 0 of row i
+        up = ends[i - 1] - outer[i - 1] if i else 0
+        for j in range(o - 1, s - 1, -1):
+            order.append(base + j)
+            right.append(base + j + 1 if j + 1 < o else n + 1 + i)
+            above.append(up + j if i and starts[i - 1] <= j < outer[i - 1] else n)
+    grid = [0] * (n + 1) + [min(i + 1, top) for i in range(len(outer))]
+    counts = [n + 1] + [0] * top
+    caps = [n + 1] + (list(target) if target is not None else [n + 1] * top)
+    last = n - 1
+    k = 0
+    while k >= 0:
+        at = order[k]
+        e = grid[at]
+        if e:  # resumed: take the entry back and try the next letter
             counts[e] -= 1
-            del entries[(i, j)]
-
-    yield from rec(0)
+            e += 1
+        else:
+            e = grid[above[k]] + 1
+        hi = grid[right[k]]
+        while e <= hi:
+            c = counts[e]
+            if c < counts[e - 1] and c < caps[e]:
+                break
+            e += 1
+        else:
+            grid[at] = 0
+            k -= 1
+            continue
+        grid[at] = e
+        counts[e] = c + 1
+        if k == last:
+            yield grid, counts
+        else:
+            k += 1
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -271,16 +294,69 @@ def lr_coefficient(lam, mu, nu) -> int:
         return 0
     if weight(lam) == weight(mu):
         return 1 if not nu else 0
-    # no letter exceeds its count in nu and the boxes number |nu|, so every
-    # leaf has content nu exactly
-    return sum(1 for _ in _fillings(SkewShape(lam, mu), len(nu), nu))
+    return sum(1 for _ in _fillings(lam, mu, nu))
 
 
-def semistandard_lattice_tableaux(shape: SkewShape):
-    """All semistandard lattice fillings of the shape (any content)."""
-    rows = [[(i, j) for j in range(shape.inner_at(i), lam)] for i, lam in enumerate(shape.outer)]
-    for cells in _fillings(shape, shape.n_boxes, None):
-        yield SkewTableau(shape, tuple(tuple(cells[c] for c in row) for row in rows))
+class _ShapeTables:
+    """What the lemma checks read of one skew shape, built once for all its
+    tableaux: the row starts, the slice of the kernel's grid that holds each
+    row and the occupied columns left..left+ell-1; on first use, the
+    rectangles and the columns-between-lines pairs."""
+
+    def __init__(self, shape: SkewShape):
+        outer = shape.outer
+        starts = [shape.inner_at(i) for i in range(len(outer))]
+        ends = itertools.accumulate(o - s for o, s in zip(outer, starts))
+        self.shape, self.starts = shape, starts
+        self.row_slices = [slice(e - (o - s), e) for e, o, s in zip(ends, outer, starts)]
+        self.occupied = [i for i, (s, o) in enumerate(zip(starts, outer)) if o > s]
+        self.left = min(starts[i] for i in self.occupied)
+        self.ell = max(outer[i] for i in self.occupied) - self.left
+
+    @cached_property
+    def rectangles(self) -> list[tuple[int, int]]:
+        """(h, k) for every fully contained h x k rectangle that is maximal
+        downwards from its top row."""
+        outer, starts = self.shape.outer, self.starts
+        found = []
+        for r0 in range(len(outer)):
+            lo, hi = starts[r0], outer[r0]
+            for i in range(r0, len(outer)):
+                lo, hi = max(lo, starts[i]), min(hi, outer[i])
+                if hi <= lo:
+                    break
+                found.append((i - r0 + 1, hi - lo))
+        return found
+
+    @cached_property
+    def between(self) -> list[tuple[int, int]]:
+        """(k, h) for 0 <= k <= ell: the first ell-k columns lie within h
+        consecutive rows, h the least such (1 when they hold no cell, since
+        the hypothesis then holds for every h >= 1)."""
+        found = []
+        for k in range(self.ell + 1):
+            # a row has a cell left of the cut exactly when its first cell is
+            cut = self.left + self.ell - k
+            touched = [i for i in self.occupied if self.starts[i] < cut]
+            found.append((k, touched[-1] - touched[0] + 1 if touched else 1))
+        return found
+
+    def tableau_json(self, rows) -> dict:
+        return SkewTableau(self.shape, rows).to_json()
+
+
+def _corpus(max_boxes: int):
+    """(tables, rows, counts) for each tableau of the corpus, in the order of
+    enumerate_corpus; counts is the kernel's live letter count list."""
+    for w in range(1, max_boxes + 1):
+        for lam in partitions_of(w):
+            for mu in subpartitions(lam):
+                if weight(mu) == w or (mu and mu[0] == lam[0]):
+                    continue  # no box, or first row empty: same diagram with the row dropped
+                tables = _ShapeTables(SkewShape(lam, mu))
+                slices = tables.row_slices
+                for grid, counts in _fillings(lam, mu):
+                    yield tables, tuple(map(tuple, map(grid.__getitem__, slices))), counts
 
 
 def enumerate_corpus(max_boxes: int):
@@ -288,17 +364,15 @@ def enumerate_corpus(max_boxes: int):
     outer partition has weight <= max_boxes and whose first row is nonempty
     (empty leading rows are translated away; larger translates of the same
     diagram re-occur at higher budgets)."""
-    for w in range(1, max_boxes + 1):
-        for lam in partitions_of(w):
-            for mu in subpartitions(lam):
-                if weight(mu) == weight(lam):
-                    continue
-                if mu and mu[0] == lam[0]:
-                    continue  # first row empty: same diagram with the row dropped
-                yield from semistandard_lattice_tableaux(SkewShape(lam, mu))
+    for tables, rows, _ in _corpus(max_boxes):
+        yield SkewTableau(tables.shape, rows)
 
 
 # -- the four exhaustively verified inequalities ----------------------------
+#
+# Each check reads one tableau as (tables, rows, counts): the tables of its
+# shape, its row tuples and its letter counts, counts[e] for every letter
+# e >= 1 and counts[0] unused.
 
 
 @dataclass
@@ -316,86 +390,48 @@ class VerifierReport:
 
 def _gamma_table(counts, size: int) -> list[int]:
     """table[s] = gamma(s, content) for 1 <= s < size, from the letter counts
-    of the content (zeros allowed); table[0] is unused."""
-    table = [0] * size
-    for c in counts:
-        for s in range(1, min(c + 1, size)):
-            table[s] += 1
-    return table
+    counts[1:] (zeros allowed); table[0] is unused."""
+    at_least = [0] * size  # at_least[min(c, size - 1)] counts each c
+    for c in counts[1:]:
+        at_least[c if c < size else size - 1] += 1
+    return list(itertools.accumulate(reversed(at_least)))[::-1]
 
 
-def _check_small_branch(t: SkewTableau) -> list:
+def _check_small_branch(tables, rows, counts) -> list:
     """In w(b), the entry of b occurs at least (boxes right of b in its row)+1 times."""
     bad = []
-    seen: dict[int, int] = {}  # occurrences in the word read so far
-    for i, row in enumerate(t.rows):
-        for k, e in enumerate(reversed(row)):
-            seen[e] = seen.get(e, 0) + 1
-            ell = k  # boxes strictly to the right of this box in its row
-            if seen[e] < ell + 1:
-                bad.append({"tableau": t.to_json(), "row": i, "right_boxes": ell, "entry": e})
+    seen = [0] * len(counts)  # occurrences in the word read so far
+    for i, row in enumerate(rows):
+        for k, e in enumerate(reversed(row)):  # k boxes strictly right of this one
+            seen[e] += 1
+            if seen[e] <= k:
+                bad.append({"tableau": tables.tableau_json(rows), "row": i,
+                            "right_boxes": k, "entry": e})
     return bad
 
 
-def _check_full_rectangle(t: SkewTableau) -> list:
+def _check_full_rectangle(tables, rows, counts) -> list:
     """Every fully contained h x k rectangle forces gamma_k >= h (maximal ones suffice)."""
-    bad = []
-    shape = t.shape
-    nrows = len(shape.outer)
-    g = _gamma_table(content(t), t.n_boxes + 1)
-    for r0 in range(nrows):
-        lo, hi = shape.inner_at(r0), shape.outer[r0]
-        for h in range(1, nrows - r0 + 1):
-            i = r0 + h - 1
-            lo = max(lo, shape.inner_at(i))
-            hi = min(hi, shape.outer[i])
-            k = hi - lo
-            if k <= 0:
-                break
-            if g[k] < h:
-                bad.append({"tableau": t.to_json(), "h": h, "k": k, "gamma_k": g[k]})
-    return bad
+    g = _gamma_table(counts, tables.ell + 1)
+    return [{"tableau": tables.tableau_json(rows), "h": h, "k": k, "gamma_k": g[k]}
+            for h, k in tables.rectangles if g[k] < h]
 
 
-def _column_span(t: SkewTableau) -> tuple[int, int]:
-    """(leftmost, rightmost+1) absolute column indices of occupied cells."""
-    cols = [
-        (t.shape.inner_at(i), t.shape.outer[i])
-        for i in range(len(t.shape.outer))
-        if t.shape.outer[i] > t.shape.inner_at(i)
-    ]
-    return min(c for c, _ in cols), max(c for _, c in cols)
-
-
-def _check_columns_between_lines(t: SkewTableau) -> list:
+def _check_columns_between_lines(tables, rows, counts) -> list:
     """If the first ell-k columns sit between rows c+1..c+h then gamma_{k+1} <= h.
 
     Checked at the tightest applicable (c, h) for each k (weaker pairs follow);
     k = 0 is included since a tableau inside h rows must have gamma_1 <= h.
     """
-    bad = []
-    left, right = _column_span(t)
-    ell = right - left
-    g = _gamma_table(content(t), ell + 2)
-    # a row has a cell left of the cut exactly when its first cell is
-    firsts = [(t.shape.inner_at(i), i) for i, row in enumerate(t.rows) if row]
-    for k in range(0, ell + 1):
-        cut = left + (ell - k)  # columns < cut are "the first ell-k columns"
-        rows_touched = [i for j, i in firsts if j < cut]
-        if rows_touched:
-            h = max(rows_touched) - min(rows_touched) + 1
-        else:
-            h = 1  # vacuous hypothesis: holds for every h >= 1, so test the strongest
-        if g[k + 1] > h:
-            bad.append({"tableau": t.to_json(), "k": k, "h": h, "gamma": g[k + 1]})
-    return bad
+    g = _gamma_table(counts, tables.ell + 2)
+    return [{"tableau": tables.tableau_json(rows), "k": k, "h": h, "gamma": g[k + 1]}
+            for k, h in tables.between if g[k + 1] > h]
 
 
 def split_at_column(t: SkewTableau, k: int):
     """The part strictly right of the first k geometric columns, re-rooted
     (the empty tableau when the cut leaves nothing)."""
-    left, _ = _column_span(t)
-    cut = left + k
+    cut = _ShapeTables(t.shape).left + k
     outer, inner, rows = [], [], []
     for i, lam in enumerate(t.shape.outer):
         off = t.shape.inner_at(i)
@@ -433,41 +469,42 @@ def _lattice_counts(rows, starts, cut: int, top: int) -> list[int] | None:
     and each right to left, as a lattice word."""
     counts = [0] * (top + 1)
     for row, s in zip(rows, starts):
-        for e in reversed(row[max(cut - s, 0):]):
+        for e in reversed(row[cut - s:] if cut > s else row):
             counts[e] += 1
             if e > 1 and counts[e] > counts[e - 1]:
                 return None
     return counts
 
 
-def _check_divided_tableau(t: SkewTableau) -> list:
+def _check_divided_tableau(tables, rows, counts) -> list:
     """Cutting off the left k columns leaves a semistandard lattice tableau T'
     with gamma_{n+k}(T) <= gamma_n(T') for every n.
 
     T' is read straight from the rows of T: split_at_column keeps the rows
     that reach past the cut, in order, so adjacency, the reading word and the
-    content of T' are those of the cells of T right of the cut."""
+    content of T' are those of the cells of T right of the cut.  Only
+    n <= most - k is tested, most the largest letter count, since
+    gamma_{n+k}(T) is 0 past it."""
     bad = []
-    left, right = _column_span(t)
-    ell = right - left
-    rows = t.rows
-    starts = [t.shape.inner_at(i) for i in range(len(rows))]
-    top = max(max(row) for row in rows if row)
-    n_max = t.n_boxes + 1
-    lhs = _gamma_table(content(t), n_max + ell + 1)
+    starts = tables.starts
+    most = max(counts[1:])
+    lhs = _gamma_table(counts, most + 1)
     semistandard_from = _semistandard_cut(rows, starts)
-    for k in range(0, ell + 1):
-        cut = left + k
-        counts = None if cut < semistandard_from else _lattice_counts(rows, starts, cut, top)
-        if counts is None:
-            bad.append({"tableau": t.to_json(), "k": k, "reason": "right part not SSLT"})
+    for k in range(tables.ell + 1):
+        cut = tables.left + k
+        right = None if cut < semistandard_from else _lattice_counts(
+            rows, starts, cut, len(counts) - 1)
+        if right is None:
+            bad.append({"tableau": tables.tableau_json(rows), "k": k,
+                        "reason": "right part not SSLT"})
             continue
-        rhs = _gamma_table(counts, n_max + 1)
-        for n in range(1, n_max + 1):
+        if k >= most:
+            continue
+        rhs = _gamma_table(right, most - k + 1)
+        for n in range(1, most - k + 1):
             if lhs[n + k] > rhs[n]:
-                bad.append(
-                    {"tableau": t.to_json(), "k": k, "n": n, "lhs": lhs[n + k], "rhs": rhs[n]}
-                )
+                bad.append({"tableau": tables.tableau_json(rows), "k": k, "n": n,
+                            "lhs": lhs[n + k], "rhs": rhs[n]})
     return bad
 
 
@@ -477,10 +514,10 @@ def _run_verifier(max_boxes: int, checks) -> list[VerifierReport]:
         raise ValueError("enumeration budget capped at 12 boxes")
     checked = 0
     violations = [[] for _ in checks]
-    for t in enumerate_corpus(max_boxes):
+    for tables, rows, counts in _corpus(max_boxes):
         checked += 1
         for found, check in zip(violations, checks):
-            found.extend(check(t))
+            found.extend(check(tables, rows, counts))
     return [VerifierReport(checked, found) for found in violations]
 
 
@@ -536,7 +573,7 @@ class ModulePartition:
     def __post_init__(self):
         if self.p < 3 or not is_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
-        check_partition(self.parts) if self.parts else None
+        check_partition(self.parts)
         if any(x > self.p for x in self.parts):
             raise ValueError(f"parts of {self.parts} must be at most p={self.p}")
 
@@ -622,8 +659,7 @@ def _jordan_type_from_ranks(dim: int, ranks: list[int]) -> Partition:
     return tuple(sum(g >= i for g in ge) for i in range(1, ge[0] + 1))
 
 
-@lru_cache(maxsize=None)
-def jordan_submodule_quotient_pairs(p: int, parts: Partition) -> frozenset:
+def jordan_submodule_quotient_pairs(p: int, parts) -> frozenset:
     """Brute force: all (submodule type, quotient type) pairs realized by
     N-invariant subspaces U of the Jordan module of the given type over GF(p),
     where v -> vN moves each coordinate one place along its block.
@@ -636,8 +672,14 @@ def jordan_submodule_quotient_pairs(p: int, parts: Partition) -> frozenset:
     zero: on U, the rank of its shifted basis; on the quotient, the rank of
     the nonzero rows of N^j reduced modulo U.  When N itself is zero every
     U has the same empty ranks, so a pivot set adds one pair.  No matrix is
-    multiplied.  Exponential in d; meant for dim <= 6.
+    multiplied.  Exponential in d; meant for dim <= 6.  parts may be any
+    sequence; the pairs are cached per (p, tuple(parts)).
     """
+    return _jordan_pairs(p, tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _jordan_pairs(p: int, parts: Partition) -> frozenset:
     mod = ModulePartition(p, parts)
     d = mod.dim
     starts = set(itertools.accumulate(parts[:-1], initial=0))
@@ -682,9 +724,9 @@ def jordan_chain_realizable(p: int, m: Partition, steps: tuple[Partition, ...], 
     with final quotient t, per the brute-force oracle."""
     if not steps:
         return tuple(m) == tuple(t)
-    pairs = jordan_submodule_quotient_pairs(p, tuple(m))
+    pairs = jordan_submodule_quotient_pairs(p, m)
     return any(
-        quo is not None and jordan_chain_realizable(p, quo, steps[1:], t)
+        jordan_chain_realizable(p, quo, steps[1:], t)
         for sub, quo in pairs
         if sub == tuple(steps[0])
     )

@@ -14,6 +14,94 @@ def figure_S():
     return SkewTableau.from_rows((3, 2, 2, 1), (1,), [[1, 1], [1, 2], [2, 3], [4]])
 
 
+def oracle_subpartitions(lam):
+    """The recursive subpartition generator the iterative one replaced."""
+    lam = tuple(lam)
+    if not lam:
+        yield ()
+        return
+
+    def rec(i, prev):
+        if i == len(lam):
+            yield ()
+            return
+        for v in range(min(prev, lam[i]), -1, -1):
+            for rest in rec(i + 1, v):
+                yield (v,) + rest
+
+    for mu in rec(0, lam[0]):
+        k = len(mu)
+        while k and mu[k - 1] == 0:
+            k -= 1
+        yield mu[:k]
+
+
+def oracle_fillings(shape, max_letter, target):
+    """The recursive backtrack the filling kernel replaced: semistandard
+    lattice fillings in reading-word order, each as a live cell -> entry dict."""
+    cells = []
+    for i, lam in enumerate(shape.outer):
+        off = shape.inner_at(i)
+        cells.extend((i, j) for j in range(lam - 1, off - 1, -1))
+    n = len(cells)
+    entries = {}
+    counts = [0] * (max_letter + 2)
+
+    def rec(k):
+        if k == n:
+            yield entries
+            return
+        i, j = cells[k]
+        right = entries.get((i, j + 1))
+        above = entries.get((i - 1, j))
+        hi = right if right is not None else max_letter
+        for e in range(1, hi + 1):
+            if above is not None and e <= above:
+                continue
+            if e > 1 and counts[e] + 1 > counts[e - 1]:
+                continue
+            if target is not None:
+                if e > len(target) or counts[e] + 1 > target[e - 1]:
+                    continue
+            entries[(i, j)] = e
+            counts[e] += 1
+            yield from rec(k + 1)
+            counts[e] -= 1
+            del entries[(i, j)]
+
+    yield from rec(0)
+
+
+def oracle_lr(lam, mu, nu):
+    if T.weight(mu) + T.weight(nu) != T.weight(lam) or not T.is_subpartition(mu, lam):
+        return 0
+    if T.weight(lam) == T.weight(mu):
+        return 1 if not nu else 0
+    return sum(1 for _ in oracle_fillings(SkewShape(lam, mu), len(nu), nu))
+
+
+def oracle_corpus(max_boxes):
+    for w in range(1, max_boxes + 1):
+        for lam in T.partitions_of(w):
+            for mu in oracle_subpartitions(lam):
+                if T.weight(mu) == w or (mu and mu[0] == lam[0]):
+                    continue
+                shape = SkewShape(lam, mu)
+                rows = [[(i, j) for j in range(shape.inner_at(i), part)]
+                        for i, part in enumerate(lam)]
+                for cells in oracle_fillings(shape, shape.n_boxes, None):
+                    yield lam, mu, tuple(tuple(cells[c] for c in row) for row in rows)
+
+
+def run_check(check, t):
+    """A lemma check on one tableau, through the per-shape tables."""
+    counts = [0] * (max(max(row) for row in t.rows if row) + 1)
+    for row in t.rows:
+        for e in row:
+            counts[e] += 1
+    return check(T._ShapeTables(t.shape), t.rows, counts)
+
+
 class TestPredicates:
     def test_semistandard_examples(self):
         good = SkewTableau.from_rows((3, 2, 2, 1), (), [[1, 1, 2], [2, 3], [3, 4], [5]])
@@ -75,6 +163,38 @@ class TestLRCoefficients:
     def test_known_multiplicity_two(self):
         # the smallest LR coefficient equal to 2
         assert T.lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
+
+    def test_kernel_matches_recursive_oracle_up_to_weight_7(self):
+        for w in range(1, 8):
+            for lam in T.partitions_of(w):
+                for mu in T.subpartitions(lam):
+                    for nu in T.partitions_of(w - T.weight(mu)):
+                        assert T.lr_coefficient(lam, mu, nu) == oracle_lr(lam, mu, nu), (
+                            lam, mu, nu)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_kernel_matches_recursive_oracle_up_to_weight_9(self, data):
+        w = data.draw(st.integers(1, 9))
+        lam = data.draw(st.sampled_from(T.partitions_of(w)))
+        mu = data.draw(st.sampled_from(list(T.subpartitions(lam))))
+        nu = data.draw(st.sampled_from(T.partitions_of(w - T.weight(mu))))
+        assert T.lr_coefficient(lam, mu, nu) == oracle_lr(lam, mu, nu)
+        assert T.lr_coefficient(list(lam), list(mu), list(nu)) == oracle_lr(lam, mu, nu)
+
+
+class TestSubpartitions:
+    def test_matches_recursive_oracle(self):
+        for w in range(0, 9):
+            for lam in T.partitions_of(w):
+                assert list(T.subpartitions(lam)) == list(oracle_subpartitions(lam)), lam
+        assert list(T.subpartitions([2, 1])) == [(2, 1), (2,), (1, 1), (1,), ()]
+
+    @pytest.mark.parametrize("bad", [(2, 0), (1, 2), (0,), (2, -1), (1.5,)],
+                             ids=["zero-part", "increasing", "only-zero", "negative", "float"])
+    def test_non_partition_raises(self, bad):
+        with pytest.raises(ValueError, match="is not a partition"):
+            list(T.subpartitions(bad))
 
 
 class TestModulePartitions:
@@ -161,6 +281,16 @@ class TestJordanOracle:
                 bases.add(tuple(map(tuple, basis)))
         assert len(bases) == galois[5]
 
+    def test_any_sequence_of_parts(self):
+        pairs = T.jordan_submodule_quotient_pairs(3, (2, 1))
+        assert T.jordan_submodule_quotient_pairs(3, [2, 1]) == pairs
+        assert ((1,), (2,)) in pairs
+        for w in range(4):
+            for sub in T.partitions_of(w):
+                for quo in T.partitions_of(3 - w):
+                    assert T.jordan_chain_realizable(3, [2, 1], ([*sub],), [*quo]) == (
+                        (sub, quo) in pairs), (sub, quo)
+
     def test_chain_swap_closure(self):
         # two-step factor sequences are permutable (verified by the oracle)
         p = 3
@@ -191,8 +321,10 @@ class TestVerifiers:
             assert joint[name] == T.ALL_VERIFIERS[name](7)
         # each check keeps its own violations, in corpus order
         three = [t for t in T.enumerate_corpus(5) if t.shape.n_boxes == 3]
-        marked, clean = T._run_verifier(5, [lambda t: [t] if t.shape.n_boxes == 3 else [],
-                                            lambda t: []])
+        marked, clean = T._run_verifier(5, [
+            lambda tables, rows, counts: ([SkewTableau(tables.shape, rows)]
+                                          if tables.shape.n_boxes == 3 else []),
+            lambda tables, rows, counts: []])
         assert (marked.checked, marked.violations) == (clean.checked, three)
         assert three and not clean.violations
 
@@ -211,6 +343,21 @@ class TestVerifiers:
         s = figure_S()
         word = T.reading_word(s)
         assert word[:2] == [1, 1]
+
+    def test_corpus_matches_recursive_oracle_up_to_8_boxes(self):
+        assert [(t.shape.outer, t.shape.inner, t.rows)
+                for t in T.enumerate_corpus(8)] == list(oracle_corpus(8))
+
+    def test_checks_read_the_kernel_counts(self):
+        # the live counts of the kernel, counts[0] its sentinel, give each
+        # check the reference's answer on every corpus tableau
+        seen = 0
+        for tables, rows, counts in T._corpus(6):
+            t = SkewTableau(tables.shape, rows)
+            for check, ref in CHECKS:
+                assert check(tables, rows, counts) == ref(t), (check.__name__, t)
+            seen += 1
+        assert seen == 198
 
     def test_lattice_content_always_partition_in_corpus(self):
         for t in T.enumerate_corpus(5):
@@ -322,13 +469,13 @@ class TestLemmaViolations:
     ], ids=["small-branch", "full-rectangle", "columns-between-lines", "divided-tableau"])
     def test_hand_made_violation(self, check, rows, expected):
         t = SkewTableau.from_rows(tuple(map(len, rows)), (), rows)
-        assert check(t) == [{"tableau": t.to_json(), **v} for v in expected]
+        assert run_check(check, t) == [{"tableau": t.to_json(), **v} for v in expected]
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(fillings())
     def test_checks_match_references(self, t):
         for check, ref in CHECKS:
-            assert check(t) == ref(t), check.__name__
+            assert run_check(check, t) == ref(t), check.__name__
 
 
 class TestShapes:
