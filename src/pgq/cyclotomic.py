@@ -93,27 +93,39 @@ def _reduction_data(n: int):
     return data
 
 
-def _canonicalize(n: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    cur = {}
+def _canonicalize(n: int, coeffs: dict[int, Fraction | int]) -> dict[int, Fraction]:
+    """The nonzero coefficients of sum c_a zeta_n^a in the basis of the
+    module docstring (Zumbroich's basis, as in Breuer, AAECC 8, 1997), as
+    Fractions.
+
+    The rewrite runs on integer numerators over the lcm of the denominators
+    and divides once at the end; the exponents come out in the same order
+    as a rewrite in Fractions would give them.
+    """
+    den = 1
+    for c in coeffs.values():
+        if den % c.denominator:
+            den = lcm(den, c.denominator)
+    cur: dict[int, int] = {}
     for a, c in coeffs.items():
         if c:
             a %= n
-            cur[a] = cur.get(a, Fraction(0)) + c
+            cur[a] = cur.get(a, 0) + c.numerator * (den // c.denominator)
     for p, P, phiP, step, m, inv in _reduction_data(n):
-        nxt: dict[int, Fraction] = {}
+        nxt: dict[int, int] = {}
         for a, c in cur.items():
             if not c:
                 continue
             e = (a * inv) % P
             if e < phiP:
-                nxt[a] = nxt.get(a, Fraction(0)) + c
+                nxt[a] = nxt.get(a, 0) + c
             else:
                 r = e - phiP
                 for j in range(p - 1):
                     a2 = (a + (r + j * step - e) * m) % n
-                    nxt[a2] = nxt.get(a2, Fraction(0)) - c
+                    nxt[a2] = nxt.get(a2, 0) - c
         cur = nxt
-    return {a: c for a, c in cur.items() if c}
+    return {a: Fraction(c, den) for a, c in cur.items() if c}
 
 
 class CyclotomicElement:
@@ -297,13 +309,11 @@ class CyclotomicElement:
         return row
 
     def fixed_by(self, m: int) -> bool:
-        """True iff the value lies in Q(zeta_m), tested by Galois stability."""
+        """True iff the value lies in Q(zeta_m), tested by Galois stability:
+        at L = lcm(n, m), under every zeta_L -> zeta_L^k with k = 1 (mod m)."""
         L = lcm(self.n, m)
         x = self.lift(L)
-        for k in range(1, L):
-            if k % m == 1 and gcd(k, L) == 1 and x.galois(k) != x:
-                return False
-        return True
+        return all(x.galois(k) == x for k in range(1 + m, L, m) if gcd(k, L) == 1)
 
     # -- float shadow ----------------------------------------------------
 

@@ -327,9 +327,11 @@ class LinearForm:
     coeffs: dict[str, Fraction]
 
     def evaluate(self, env: dict[str, int | Fraction]) -> Fraction:
-        return self.const + sum(
-            (c * Fraction(env.get(v, 0)) for v, c in self.coeffs.items()), Fraction(0)
-        )
+        """The value at env, where a missing variable is 0 and a missing
+        coefficient is 0, summed over the nonzero entries of env only."""
+        coeffs = self.coeffs
+        return sum((coeffs[v] * x for v, x in env.items() if x and v in coeffs),
+                   Fraction(self.const))
 
     def substitute(self, var: str, replacement: "LinearForm") -> "LinearForm":
         if var not in self.coeffs:
@@ -613,6 +615,13 @@ def lp_bounds(
     rows (A | k), by the simplex method on the distinct rows, with the same
     answers as `fm_bounds`.
 
+    Phase one finds a feasible basis (or the certificate below); then each
+    minimum is walked to, and each maximum, warm-started from the last basis.
+    The maximum walks are skipped when the minima pin the only point: some
+    row a.x + k >= 0 has every a_v > 0, its negation is a row too, and
+    a.min = -k.  The augmentation pair sum(e) = 1 is such a row, so a branch
+    whose minima meet it answers with every maximum equal to its minimum.
+
     Returns (bounds, None) when the system is rationally feasible; a None
     endpoint marks an unbounded direction.  Returns (None, y) when it is
     infeasible, with a Farkas certificate: one integer y_i >= 0 per row,
@@ -667,6 +676,12 @@ def lp_bounds(
     stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
     ends = [[None, None] for _ in range(nvars)]
     for sign in (-1, 1):  # every minimum, then every maximum; each warm-starts the next
+        if sign > 0 and None not in (lows := [lo for lo, _ in ends]) and any(
+                all(x > 0 for x in row[:nvars]) and tuple(-x for x in row) in first
+                and sum(x * lo for x, lo in zip(row, lows)) == -row[nvars] for row in first):
+            # a.x + k = 0 with a > 0 holds on P, and so does x >= lows; a point
+            # of P off lows would give a.x > a.lows = -k, so P is one point
+            return [(lo, lo) for lo in lows], None
         for v in range(nvars):
             if m + v in d.basis:
                 i = d.basis.index(m + v)

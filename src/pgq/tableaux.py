@@ -285,12 +285,14 @@ def lr_coefficient(lam, mu, nu) -> int:
     """Number of semistandard lattice fillings of lam/mu with content nu.
 
     Violated preconditions (weight mismatch, mu not inside lam, nu not a
-    partition) yield 0.
+    partition) yield 0, and so does nu not inside lam (c^lam_{mu nu} =
+    c^lam_{nu mu}), all without running the filling kernel.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if not (is_partition(lam) and is_partition(mu) and is_partition(nu)):
         return 0
-    if weight(mu) + weight(nu) != weight(lam) or not is_subpartition(mu, lam):
+    if (weight(mu) + weight(nu) != weight(lam) or not is_subpartition(mu, lam)
+            or not is_subpartition(nu, lam)):
         return 0
     if weight(lam) == weight(mu):
         return 1 if not nu else 0

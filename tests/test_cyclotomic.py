@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from pgq.cyclotomic import (
     CyclotomicElement,
+    _canonicalize,
+    _reduction_data,
     euler_phi,
     factorint,
     moebius,
@@ -15,6 +17,30 @@ from pgq.cyclotomic import (
     zeta,
 )
 from pgq.numtheory import primes_up_to
+
+
+def fraction_canonicalize(n, coeffs):
+    """The canonicalizer as it was in Fractions: the oracle for the integer one."""
+    cur = {}
+    for a, c in coeffs.items():
+        if c:
+            a %= n
+            cur[a] = cur.get(a, Fraction(0)) + c
+    for p, P, phiP, step, m, inv in _reduction_data(n):
+        nxt = {}
+        for a, c in cur.items():
+            if not c:
+                continue
+            e = (a * inv) % P
+            if e < phiP:
+                nxt[a] = nxt.get(a, Fraction(0)) + c
+            else:
+                r = e - phiP
+                for j in range(p - 1):
+                    a2 = (a + (r + j * step - e) * m) % n
+                    nxt[a2] = nxt.get(a2, Fraction(0)) - c
+        cur = nxt
+    return {a: c for a, c in cur.items() if c}
 
 
 class TestMake:
@@ -42,6 +68,23 @@ class TestMake:
             for p in [p for p in primes_up_to(n) if n % p == 0]:
                 s = CyclotomicElement.make(n, [(j * (n // p), 1) for j in range(1, p)])
                 assert s == -1, (n, p)
+
+
+class TestCanonicalize:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 105).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+        st.integers(-2 * n, 2 * n),  # negative and unreduced exponents
+        st.one_of(st.integers(-4, 4),  # zeros among them
+                  st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))),
+        max_size=8))))
+    @example((30, {1: Fraction(1, 2), 31: Fraction(1, 2), -29: Fraction(-1, 3), 7: 0}))
+    @example((12, {5: Fraction(2, 3), 7: Fraction(4, 6), 1: 2}))
+    def test_integer_rewrite_matches_fractions(self, case):
+        n, coeffs = case
+        got = _canonicalize(n, coeffs)
+        want = fraction_canonicalize(n, {a: Fraction(c) for a, c in coeffs.items()})
+        assert got == want and list(got) == list(want)  # same exponents, same order
+        assert all(type(c) is Fraction for c in got.values())
 
 
 class TestArithmetic:
@@ -119,6 +162,34 @@ class TestGalois:
             k = rng.choice([k for k in range(1, n) if gcd(k, n) == 1])
             assert (x + y).galois(k) == x.galois(k) + y.galois(k)
             assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+
+
+class TestFixedBy:
+    def test_level_one_is_the_rationals(self):
+        assert not zeta(3).fixed_by(1)
+        assert CyclotomicElement.rational(Fraction(-5, 3), 12).fixed_by(1)
+
+    def test_subfield_of_level_21(self):
+        assert zeta(21, 7).fixed_by(3)  # zeta_3
+        assert not zeta(21).fixed_by(3)
+        assert zeta(21).fixed_by(21) and zeta(21).fixed_by(42)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=4),
+        st.integers(1, 30), st.sampled_from([1, 2, 3, 5]))))
+    @example((3, [(1, 1)], 1, 1))
+    def test_matches_the_galois_orbit(self, case):
+        # x lies in Q(zeta_m) iff its orbit under Gal(Q(zeta_L)/Q(zeta_m)),
+        # the k mod L with k = 1 (mod m), is {x}; a value built at level d | m
+        # lies there by construction
+        n, terms, m, s = case
+        x = CyclotomicElement.make(n, terms)
+        L = lcm(n, m)
+        orbit = [x.lift(L).galois(k) for k in range(L) if gcd(k, L) == 1 and k % m == 1 % m]
+        assert x.fixed_by(m) == all(y == x for y in orbit)
+        assert x.lift(n * s).fixed_by(n)
 
 
 class TestTrace:

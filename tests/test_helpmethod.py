@@ -113,6 +113,27 @@ def direct_multiplicity(slice_, chi, n, l, entries, powers):
     return total / n
 
 
+def full_sum(form, env):
+    """const + sum over every coefficient of c * env[v], 0 where env lacks v."""
+    return form.const + sum((c * Fraction(env.get(v, 0)) for v, c in form.coeffs.items()),
+                            Fraction(0))
+
+
+class TestLinearForm:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_evaluate_matches_the_full_coefficient_sum(self, data):
+        names = st.sampled_from("abcdef")
+        value = st.one_of(st.integers(-9, 9),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+        form = H.LinearForm(Fraction(data.draw(value)),
+                            {v: Fraction(c) for v, c in
+                             data.draw(st.dictionaries(names, value)).items()})
+        env = data.draw(st.dictionaries(names, value))  # keys missing on either side
+        got = form.evaluate(env)
+        assert got == full_sum(form, env) and type(got) is Fraction
+
+
 class TestLupaMultiplicity:
     def test_identity_unit_gives_degree(self, s5):
         # order-1 units collapse the sum to a single term chi(1)
@@ -460,6 +481,25 @@ def sparse_systems():
         st.just([])))
 
 
+def pinned_systems():
+    """systems() plus an equality a.x = b with every a_v > 0.  Half the time
+    b = a.l for lower bounds x_v >= l_v that join the rows, so the minima,
+    where the system is feasible, are l and pin the only point; otherwise b
+    is drawn, and the minima rarely meet the equality."""
+    def pin(system, a, lows, meet, b):
+        nvars, rows, equalities = system
+        a, lows = a[:nvars], lows[:nvars]
+        if meet:
+            rows = rows + [([int(i == v) for i in range(nvars)], -lo, 1)
+                           for v, lo in enumerate(lows)]
+            b = sum(x * lo for x, lo in zip(a, lows))
+        return nvars, rows, equalities + [(a, -b, 1)]
+
+    four = st.lists(st.integers(1, 3), min_size=4, max_size=4)
+    return st.builds(pin, systems(), four, st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+                     st.booleans(), st.integers(-12, 12))
+
+
 def boxed(nvars, rows):
     """The rows and |x_v| <= 5 for every variable."""
     unit = [[int(i == v) for i in range(nvars)] for v in range(nvars)]
@@ -502,6 +542,27 @@ class TestSimplex:
     @given(sparse_systems())
     def test_sparse_rows_match_fourier_motzkin(self, system):
         assert_lp_matches_fm(system)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pinned_systems())
+    @example((2, [([1, 0], 1, 1), ([0, 1], -2, 1)], [([2, 1], 0, 1)]))  # pinned at (-1, 2)
+    @example((2, [([1, 0], 1, 1), ([0, 1], -2, 1)], [([2, 1], -1, 1)]))  # a segment
+    def test_positive_equalities_match_fourier_motzkin(self, system):
+        assert_lp_matches_fm(system)
+
+    def test_pinned_point_skips_the_maximum_walks(self, monkeypatch):
+        # x >= -1, y >= 2 and 2x + y = 0: the minima are the only point
+        rows = [(1, 0, 1), (0, 1, -2), (2, 1, 0), (-2, -1, 0)]
+        walks = []
+        maximize = H._Dictionary.maximize
+        monkeypatch.setattr(H._Dictionary, "maximize",
+                            lambda d, i, sign: walks.append(sign) or maximize(d, i, sign))
+        assert H.lp_bounds(rows, 2) == ([(-1, -1), (2, 2)], None)
+        assert walks and 1 not in walks
+        walks.clear()
+        assert H.lp_bounds(rows[:2] + [(2, 1, -1), (-2, -1, 1)], 2)[0] == [(-1, Fraction(-1, 2)),
+                                                                         (2, 3)]
+        assert 1 in walks
 
 
 def fraction_pivot(f, r, c):
@@ -547,4 +608,4 @@ class TestDictionary:
         monkeypatch.setattr(H._Dictionary, "pivot",
                             lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
         assert H.feasible_partial_augmentations(c21, 21).status == "feasible"
-        assert len(pivots) == 1902
+        assert len(pivots) == 1192

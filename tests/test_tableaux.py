@@ -153,6 +153,22 @@ class TestLRCoefficients:
         assert T.lr_coefficient((2, 1), (3,), ()) == 0  # mu not inside lam
         assert T.lr_coefficient((2, 2), (1,), (1, 2)) == 0  # nu not a partition
 
+    def test_shapes_outside_lam_skip_the_kernel(self, monkeypatch):
+        calls = []
+        fillings = T._fillings
+        monkeypatch.setattr(T, "_fillings", lambda *a: calls.append(a) or fillings(*a))
+        cases = 0
+        for w in range(1, 8):
+            for lam in T.partitions_of(w):
+                for mu in T.subpartitions(lam):
+                    for nu in T.partitions_of(w - T.weight(mu)):
+                        if not T.is_subpartition(nu, lam):
+                            cases += 1
+                            assert T.lr_coefficient(lam, mu, nu) == 0
+                            assert T.lr_coefficient(lam, nu, mu) == 0
+        assert cases and not calls
+        assert T.lr_coefficient((2, 1), (1,), (2,)) == 1 and calls
+
     def test_symmetry_small(self):
         for w in range(1, 8):
             for lam in T.partitions_of(w):
