@@ -6,8 +6,6 @@ character of degree 248 already pins the two unknowns into a box that the
 congruence conditions cannot meet.
 """
 
-from fractions import Fraction
-
 from pgq import fixtures
 from pgq import helpmethod as H
 
@@ -23,13 +21,21 @@ print(f"\ncharacter {chi.name}: degree {chi.degree}, "
 # each order has a single class
 powers = {5: H.trivial_pa(slice_, "7a"), 7: H.trivial_pa(slice_, "5a")}
 
-print("\neigenvalue multiplicities as affine forms in (e_5a, e_7a):")
-eliminate = H.LinearForm(Fraction(1), {"5a": Fraction(-1)})  # e_7a = 1 - e_5a
+
+def show(k, coeffs):
+    """k + sum T[C] e_C, written with signs."""
+    return f"{k}" + "".join(f" {'-' if t < 0 else '+'} {abs(t)}*e_{c}" for c, t in coeffs.items())
+
+
+print("\n35 * eigenvalue multiplicities as integer affine forms in (e_5a, e_7a):")
 for label, l in (("mu(1, u, chi)", 0), ("mu(zeta_5, u, chi)", 7)):
-    form = H.multiplicity_form(slice_, chi, 35, l, powers)
-    reduced = form.substitute("7a", eliminate)
-    print(f"  {label} = {form}   -->   {reduced}")
-    print(f"      at e_5a = -6: {reduced.evaluate({'5a': -6})}")
+    k, coeffs = H.multiplicity_form(slice_, chi, 35, l, powers)
+    # augmentation one: e_7a = 1 - e_5a
+    t7 = coeffs.get("7a", 0)
+    k5, t5 = k + t7, coeffs.get("5a", 0) - t7
+    print(f"  35*{label} = {show(k, coeffs)}   -->   {show(k5, {'5a': t5})}")
+    at = k5 + t5 * -6
+    print(f"      at e_5a = -6: {label} = {at}/35 = {at // 35}")
 
 result = H.feasible_partial_augmentations(slice_, 35, exponents=[0, 7])
 print(f"\nderived integer bounds: {result.bounds}")

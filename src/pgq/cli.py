@@ -156,8 +156,8 @@ def cmd_sieve(args, out) -> int:
             f"{result.count} of {result.total_primes} primes <= {args.bound} satisfy "
             f"condition {args.condition} (method {result.method})\n"
         )
-        out.write(f"  ratio = {s['ratio']:.6f}, Li(x) = {s['li_x']:.6f}, "
-                  f"count/Li = {s['count_over_li']:.6f}\n")
+        per_li = "n/a" if s["count_over_li"] is None else f"{s['count_over_li']:.6f}"
+        out.write(f"  ratio = {s['ratio']:.6f}, Li(x) = {s['li_x']:.6f}, count/Li = {per_li}\n")
         out.write(f"  Euler-product truncation c = {s['c_truncated']:.6f}\n")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .schema import want, want_positive
+from .schema import want, want_int, want_positive
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +358,8 @@ def parse_cyclotomic(text) -> CyclotomicElement:
     """
     if isinstance(text, dict):
         n = want_positive(text["n"], "cyclotomic level n")
-        terms = [(int(a), _coefficient(want(c, str, "cyclotomic coefficient"), text))
+        terms = [(want_int(a, "cyclotomic exponent"),
+                  _coefficient(want(c, str, "cyclotomic coefficient"), text))
                  for a, c in want(text["coeffs"], dict, "cyclotomic coeffs").items()]
         return CyclotomicElement.make(n, terms)
     if isinstance(text, int):
@@ -369,7 +370,7 @@ def parse_cyclotomic(text) -> CyclotomicElement:
     s = text.strip()
     if "@" in s:
         body, level = s.rsplit("@", 1)
-        n = int(level.strip())
+        n = want_int(level.strip(), "cyclotomic level")
     else:
         body, n = s, 1
     body = body.strip()

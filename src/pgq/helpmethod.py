@@ -11,7 +11,9 @@ yield an exact rational multiplicity
 which for an actual unit is a non-negative integer bounded by chi(1).  It is
 linear in the partial augmentations of u and its powers, so n * mu is an
 integer sum over one cached trace table per slice, Tr(chi(C) zeta_r^{-l}) as
-in HeLP (`CharacterTableSlice.trace`).  Character values are algebraic
+in HeLP (`CharacterTableSlice.trace`): `multiplicity_form` gives it as
+integers (k, T) with n * mu = k + sum_C T[C] e_C, and `lupa_multiplicity`
+divides by n once, at a given vector.  Character values are algebraic
 integers, so every table entry is an integer, and each row of the table comes
 from closed-form traces of roots of unity with no cyclotomic product
 (`CyclotomicElement.trace_row`); the tests check it against the formula in
@@ -38,11 +40,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .cyclotomic import CyclotomicElement, factorint, parse_cyclotomic
 from .numtheory import factorize, is_prime
-from .schema import want, want_list, want_positive
+from .schema import want, want_int, want_list, want_positive
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +225,7 @@ class CharacterTableSlice:
             classes.append(ConjugacyClassInfo(
                 name=want(c["name"], str, "class name"),
                 order=want_positive(c["order"], "class order"),
-                power_map={int(p): want(t, str, "power map target")
+                power_map={want_int(p, "power map key"): want(t, str, "power map target")
                            for p, t in want(c.get("powers", {}), dict, "class powers").items()},
                 size=None if size is None else want_positive(size, "class size"),
             ))
@@ -319,40 +321,6 @@ def trivial_pa(slice_: CharacterTableSlice, class_name: str) -> PartialAugmentat
 # -- the multiplicity formula --------------------------------------------------
 
 
-@dataclass
-class LinearForm:
-    """const + sum coeffs[v] * v with exact rational coefficients."""
-
-    const: Fraction
-    coeffs: dict[str, Fraction]
-
-    def evaluate(self, env: dict[str, int | Fraction]) -> Fraction:
-        """The value at env, where a missing variable is 0 and a missing
-        coefficient is 0, summed over the nonzero entries of env only."""
-        coeffs = self.coeffs
-        return sum((coeffs[v] * x for v, x in env.items() if x and v in coeffs),
-                   Fraction(self.const))
-
-    def substitute(self, var: str, replacement: "LinearForm") -> "LinearForm":
-        if var not in self.coeffs:
-            return self
-        c = self.coeffs[var]
-        coeffs = {v: x for v, x in self.coeffs.items() if v != var}
-        for v, x in replacement.coeffs.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c * x
-        return LinearForm(self.const + c * replacement.const, {v: x for v, x in coeffs.items() if x})
-
-    def scaled(self, f) -> "LinearForm":
-        f = Fraction(f)
-        return LinearForm(self.const * f, {v: c * f for v, c in self.coeffs.items()})
-
-    def __str__(self):
-        parts = [str(self.const)] if self.const or not self.coeffs else []
-        for v in sorted(self.coeffs):
-            parts.append(f"{self.coeffs[v]}*{v}")
-        return " + ".join(parts) if parts else "0"
-
-
 def _power_constant(slice_: CharacterTableSlice, chi: Character, n: int, l: int,
                     powers: dict[int, PartialAugmentationVector]) -> int:
     """n times the constant of mu(zeta_n^l, u, chi): chi(1), from u^n = 1,
@@ -374,16 +342,16 @@ def multiplicity_form(
     n: int,
     zeta_exponent: int,
     powers: dict[int, PartialAugmentationVector],
-) -> LinearForm:
-    """mu(zeta_n^l, u, chi) as an affine form in the order-n partial
-    augmentations, with the proper-power distributions fixed."""
-    const = _power_constant(slice_, chi, n, zeta_exponent, powers)
+) -> tuple[int, dict[str, int]]:
+    """(k, T) with n * mu(zeta_n^zeta_exponent, u, chi) = k + sum_C T[C] e_C
+    over the order-n partial augmentations, the proper-power distributions
+    fixed: k from `_power_constant`, T the nonzero table traces, all ints."""
     coeffs = {}
     for c in slice_.variable_classes(n):
         t = slice_.trace(chi, c.name, n, zeta_exponent)
         if t:
-            coeffs[c.name] = Fraction(t, n)
-    return LinearForm(Fraction(const, n), coeffs)
+            coeffs[c.name] = t
+    return _power_constant(slice_, chi, n, zeta_exponent, powers), coeffs
 
 
 def lupa_multiplicity(
@@ -396,8 +364,8 @@ def lupa_multiplicity(
     a representation with the named character; a non-negative integer for a
     genuine unit."""
     chi = slice_.character(chi_name)
-    form = multiplicity_form(slice_, chi, pa.order, zeta_exponent, pa.powers)
-    return form.evaluate(pa.entries)
+    k, coeffs = multiplicity_form(slice_, chi, pa.order, zeta_exponent, pa.powers)
+    return Fraction(k + sum(coeffs.get(v, 0) * e for v, e in pa.entries.items()), pa.order)
 
 
 # -- congruence constraints -----------------------------------------------------
@@ -717,18 +685,6 @@ class FeasibilityResult:
     congruences: list[Congruence]
     certificates: list[InfeasibleBranch] = field(default_factory=list)
     reason: str | None = None  # which limit an inconclusive search hit, and where
-    #: (slice, proper-power assignment, constraint keys) of the last-analyzed
-    #: branch, or None when no branch was analyzed
-    last_branch: tuple | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def forms(self) -> dict[tuple[str, int], LinearForm]:
-        """The last-analyzed branch's multiplicity forms, built on first access."""
-        if self.last_branch is None:
-            return {}
-        slice_, powers, keys = self.last_branch
-        return {(name, l): multiplicity_form(slice_, slice_.character(name), self.order, l, powers)
-                for name, l in keys}
 
 
 def _coherent_power_assignments(n: int, pools: dict[int, list[PartialAugmentationVector]]):
@@ -751,13 +707,13 @@ def _search(
     slice_: CharacterTableSlice, n: int, chars: list[Character], exponents
 ) -> FeasibilityResult:
     """Feasible pa trees for a unit of order n, with the bounds of the last
-    rationally feasible branch, the last-analyzed branch, and a Farkas
-    certificate per rationally infeasible branch.
+    rationally feasible branch and a Farkas certificate per rationally
+    infeasible branch.
 
-    Everything is in integers: n * mu(zeta^l, u, chi) = k + sum_C T_C e_C
-    with T_C = Tr(chi(C) zeta_n^{-l}) from the trace table, the same for
-    every branch, and only the constant k (`_power_constant`) depending on
-    the distributions of the proper powers.
+    Everything is in integers: n * mu(zeta^l, u, chi) = k + sum_C T_C e_C, the
+    form of `multiplicity_form`, with T_C = Tr(chi(C) zeta_n^{-l}).  T does not
+    depend on the branch, so the rows are built here once per (chi, l), not per
+    branch through `multiplicity_form`; only k (`_power_constant`) is per branch.
     """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
@@ -797,7 +753,6 @@ def _search(
             rows.append(primitive([-x for x in row], top - k, g))
             checks.append((k, row, top))
         ends, farkas = lp_bounds(rows + augmentation, nvars)
-        res.last_branch = (slice_, assign, keys)
         if ends is None:  # this branch is already rationally infeasible
             pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
             res.certificates.append(InfeasibleBranch(

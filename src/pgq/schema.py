@@ -26,6 +26,15 @@ def want_list(value, kind: type, what: str, length: int | None = None) -> list:
     return [want(v, kind, f"each entry of {what}") for v in value]
 
 
+def want_int(text: str, what: str) -> int:
+    """The integer written in `text`, such as a JSON object key, else a
+    ValueError naming `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 def want_positive(value, what: str) -> int:
     """A positive integer; a decimal string is accepted too, since group
     orders exceed 64 bits."""

@@ -39,12 +39,15 @@ def test_criterion_02_thompson_order_35_exclusion():
     elapsed = time.monotonic() - t0
     assert res.status == "infeasible" and res.feasible == []
     assert res.bounds["5a"] == (-8, 2)
-    # the two multiplicity forms are exactly (330 - 120 e)/35 and (250 + 30 e)/35
-    sub = H.LinearForm(Fraction(1), {"5a": Fraction(-1)})
-    f0 = res.forms[("chi248", 0)].substitute("7a", sub)
-    f5 = res.forms[("chi248", 7)].substitute("7a", sub)
-    assert (f0.const, f0.coeffs["5a"]) == (Fraction(330, 35), Fraction(-120, 35))
-    assert (f5.const, f5.coeffs["5a"]) == (Fraction(250, 35), Fraction(30, 35))
+    # the two multiplicity forms are exactly (330 - 120 e)/35 and (250 + 30 e)/35:
+    # 35 mu = k + T_5a e + T_7a e_7a with e_7a = 1 - e
+    chi = slice_.character("chi248")
+    powers = {5: H.trivial_pa(slice_, "7a"), 7: H.trivial_pa(slice_, "5a")}
+    forms = []
+    for l in (0, 7):
+        k, coeffs = H.multiplicity_form(slice_, chi, 35, l, powers)
+        forms.append((k + coeffs["7a"], coeffs["5a"] - coeffs["7a"]))
+    assert forms == [(330, -120), (250, 30)]
     congs = {(c.classes, c.modulus, c.residue) for c in res.congruences}
     assert (("5a",), 5, 0) in congs and (("5a",), 7, 1) in congs
     assert elapsed < 1.0, f"exclusion took {elapsed:.2f}s"

@@ -359,6 +359,12 @@ class TestVerdicts:
         assert len(profile.spectrum) == 961
         assert profile.spectrum == {2**a * 5**b for a in range(31) for b in range(31)}
 
+    def test_spectrum_closure_of_a_huge_prime(self):
+        # 2**89 - 1 is prime: trial division would never reach it
+        p = 2**89 - 1
+        profile = GroupArithmeticProfile.from_json({"name": "big", "order": str(p), "spectrum": [p]})
+        assert profile.spectrum == {1, p}
+
 
 class TestTreeJson:
     def test_inline_exceptional_marker(self):

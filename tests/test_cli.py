@@ -131,6 +131,13 @@ class TestVerdict:
         code, text = run(["verdict", "--profile", str(path)])
         assert code == 0 and "(2, 5): edge-in-group" in text
 
+    def test_huge_prime_spectrum_entry_answers(self, tmp_path):
+        p = 2**89 - 1  # prime, so only the complete factorizer closes the spectrum
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"name": "big", "order": str(2 * p), "spectrum": [p, 2]}))
+        code, text = run(["verdict", "--profile", str(path)])
+        assert code == 0 and f"(2, {p}): settled-by-theorem" in text
+
     def test_csv_format(self):
         code, text = run(["verdict", "--profile", "profile_thompson", "--format", "csv"])
         assert code == 1
@@ -167,6 +174,14 @@ class TestSieve:
         doc = json.loads(text)
         for key in ("count", "total_primes", "ratio", "li_x", "c_truncated"):
             assert key in doc
+
+    def test_li_zero_at_bound_two(self):
+        # Li(2) = 0: the text format prints a placeholder, JSON a null
+        code, text = run(["sieve", "--bound", "2"])
+        assert code == 0
+        assert text.splitlines()[1] == "  ratio = 1.000000, Li(x) = 0.000000, count/Li = n/a"
+        code, text = run(["sieve", "--bound", "2", "--format", "json"])
+        assert code == 0 and json.loads(text)["count_over_li"] is None
 
     def test_csv_rows(self):
         code, text = run(["sieve", "--bound", "50", "--format", "csv"])
@@ -365,6 +380,24 @@ class TestErrors:
         assert (code, text) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("classes", 1, "powers", "x"), "1a", "power map key"),
+        (("characters", 0, "values", "2a"), {"n": 1, "coeffs": {"x": "1"}},
+         "cyclotomic exponent"),
+        (("characters", 0, "values", "2a"), "1 @ x", "cyclotomic level"),
+    ], ids=["power-map-key", "cyclotomic-exponent", "cyclotomic-level"])
+    def test_non_integer_field_is_named(self, tmp_path, capsys, path, value, field):
+        doc = fixtures.load_json("s5")
+        *parents, key = path
+        target = functools.reduce(lambda node, k: node[k], parents, doc)
+        target[key] = value
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        code, text = run(["help-check", "--table", str(table), "--order", "2"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"input error: {field} must be an integer, got 'x'\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["help-check", "--table", "thompson", "--order", "2"], "no class of order 2"),

@@ -113,54 +113,25 @@ def direct_multiplicity(slice_, chi, n, l, entries, powers):
     return total / n
 
 
-def full_sum(form, env):
-    """const + sum over every coefficient of c * env[v], 0 where env lacks v."""
-    return form.const + sum((c * Fraction(env.get(v, 0)) for v, c in form.coeffs.items()),
-                            Fraction(0))
-
-
-class TestLinearForm:
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_evaluate_matches_the_full_coefficient_sum(self, data):
-        names = st.sampled_from("abcdef")
-        value = st.one_of(st.integers(-9, 9),
-                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
-        form = H.LinearForm(Fraction(data.draw(value)),
-                            {v: Fraction(c) for v, c in
-                             data.draw(st.dictionaries(names, value)).items()})
-        env = data.draw(st.dictionaries(names, value))  # keys missing on either side
-        got = form.evaluate(env)
-        assert got == full_sum(form, env) and type(got) is Fraction
-
-
 class TestLupaMultiplicity:
     def test_identity_unit_gives_degree(self, s5):
         # order-1 units collapse the sum to a single term chi(1)
         for chi in s5.characters:
-            form = H.multiplicity_form(s5, chi, 1, 0, {})
-            assert form.evaluate({}) == chi.degree
+            k, coeffs = H.multiplicity_form(s5, chi, 1, 0, {})
+            assert (k, coeffs) == (chi.degree, {}) and type(k) is int
 
     def test_thompson_symbolic_forms(self, thompson):
         chi = thompson.character("chi248")
         powers = {5: H.trivial_pa(thompson, "7a"), 7: H.trivial_pa(thompson, "5a")}
-        sub = H.LinearForm(Fraction(1), {"5a": Fraction(-1)})  # e_7a = 1 - e_5a
-        f0 = H.multiplicity_form(thompson, chi, 35, 0, powers).substitute("7a", sub)
-        assert f0.const == Fraction(330, 35) and f0.coeffs["5a"] == Fraction(-120, 35)
-        f5 = H.multiplicity_form(thompson, chi, 35, 7, powers).substitute("7a", sub)
-        assert f5.const == Fraction(250, 35) and f5.coeffs["5a"] == Fraction(30, 35)
-        assert f0.evaluate({"5a": -6}) == 30
-        assert f5.evaluate({"5a": -6}) == 2
-
-    def test_result_forms_are_built_on_first_access(self, s5, monkeypatch):
-        calls = []
-        real = H.multiplicity_form
-        monkeypatch.setattr(H, "multiplicity_form", lambda *a: calls.append(a) or real(*a))
-        res = H.feasible_partial_augmentations(s5, 10)
-        assert calls == []
-        forms = res.forms
-        assert len(calls) == len(forms) > 0
-        assert res.forms is forms and len(calls) == len(forms)
+        # 35 mu = k + T_5a e_5a + T_7a e_7a, and e_7a = 1 - e_5a
+        forms = []
+        for l in (0, 7):
+            k, coeffs = H.multiplicity_form(thompson, chi, 35, l, powers)
+            forms.append((k + coeffs["7a"], coeffs["5a"] - coeffs["7a"]))
+        assert forms == [(330, -120), (250, 30)]
+        pa = H.PartialAugmentationVector(35, {"5a": -6, "7a": 7}, powers)
+        assert H.lupa_multiplicity(thompson, "chi248", pa, 0) == 30
+        assert H.lupa_multiplicity(thompson, "chi248", pa, 7) == 2
 
     def test_genuine_elements_have_integer_multiplicities(self, s5, c21):
         for slice_ in (s5, c21):
@@ -231,10 +202,13 @@ class TestLupaMultiplicity:
         rest = data.draw(st.lists(st.integers(-4, 4), min_size=len(names) - 1,
                                   max_size=len(names) - 1), label="entries")
         entries = dict(zip(names, [1 - sum(rest), *rest]))
+        pa = H.PartialAugmentationVector(n, entries, powers)
         for l in range(n):
-            form = H.multiplicity_form(slice_, chi, n, l, powers)
-            want = direct_multiplicity(slice_, chi, n, l, entries, powers)
-            assert form.evaluate(entries) == want
+            k, coeffs = H.multiplicity_form(slice_, chi, n, l, powers)
+            assert type(k) is int and all(type(t) is int and t for t in coeffs.values())
+            got = H.lupa_multiplicity(slice_, chi.name, pa, l)
+            assert got == direct_multiplicity(slice_, chi, n, l, entries, powers)
+            assert type(got) is Fraction
 
 
 class TestCongruences:
@@ -302,39 +276,41 @@ class TestFeasibility:
                               "augmentation hyperplane (candidate cap 10)")
 
 
-def primitive_row(form, variables):
-    """(coefficients..., constant) of a form as a primitive integer vector."""
-    vals = [Fraction(form.coeffs.get(v, 0)) for v in variables] + [Fraction(form.const)]
+def primitive_row(values):
+    """A row of rationals (coefficients..., constant) as a primitive integer
+    vector: the same half-space, scaled to coprime integers."""
+    vals = [Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in vals))
     ints = [int(x * den) for x in vals]
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
 
-def farkas_holds(pairs, variables):
-    """y >= 0 and, summed over the (y, form) pairs in integers, y^T A = 0 and
-    y^T k < 0: the forms cannot all be >= 0 at one rational point."""
-    total = [0] * (len(variables) + 1)
-    for y, form in pairs:
+def farkas_holds(pairs, nvars):
+    """y >= 0 and, summed over the (y, row) pairs in integers, y^T A = 0 and
+    y^T k < 0: the rows cannot all be >= 0 at one rational point."""
+    total = [0] * (nvars + 1)
+    for y, row in pairs:
         assert y >= 0
-        total = [t + y * x for t, x in zip(total, primitive_row(form, variables))]
+        total = [t + y * x for t, x in zip(total, primitive_row(row))]
     return not any(total[:-1]) and total[-1] < 0
 
 
 def branch_certificate_holds(slice_, n, variables, branch):
-    """Rebuild the constraint rows of one infeasible branch from the
-    multiplicity forms and check its Farkas multipliers on them."""
+    """Rebuild the constraint rows of one infeasible branch from the integer
+    multiplicity forms (k, T), n mu = k + T.e, and check its Farkas
+    multipliers on them."""
     pairs = []
     for (chi_name, l), (lower, upper) in branch.multipliers.items():
         chi = slice_.character(chi_name)
-        mu = H.multiplicity_form(slice_, chi, n, l, branch.powers)
-        pairs.append((lower, mu))
-        pairs.append((upper, H.LinearForm(chi.degree - mu.const,
-                                          {v: -c for v, c in mu.coeffs.items()})))
-    excess = H.LinearForm(Fraction(-1), {v: Fraction(1) for v in variables})  # sum e - 1
-    pairs.append((branch.augmentation[0], excess))
-    pairs.append((branch.augmentation[1], excess.scaled(-1)))
-    return farkas_holds(pairs, variables)
+        k, coeffs = H.multiplicity_form(slice_, chi, n, l, branch.powers)
+        row = [coeffs.get(v, 0) for v in variables]
+        pairs.append((lower, (*row, k)))  # n mu >= 0
+        pairs.append((upper, (*(-x for x in row), n * chi.degree - k)))  # n mu <= n chi(1)
+    ones = [1] * len(variables)
+    pairs.append((branch.augmentation[0], (*ones, -1)))  # sum e - 1 >= 0
+    pairs.append((branch.augmentation[1], (*(-x for x in ones), 1)))  # sum e - 1 <= 0
+    return farkas_holds(pairs, len(variables))
 
 
 class TestFarkasCertificates:
@@ -399,9 +375,10 @@ class TestOnan:
 
 
 def by_name(engine):
-    """A bounds engine on the primitive rows of forms, keyed by variable name."""
+    """A bounds engine on the primitive rows (coefficients..., constant) of
+    rows >= 0, keyed by variable name."""
     def bounds(ineqs, variables):
-        ends = engine([primitive_row(f, variables) for f in ineqs], len(variables))
+        ends = engine([primitive_row(r) for r in ineqs], len(variables))
         return None if ends is None else dict(zip(variables, ends))
     return bounds
 
@@ -412,19 +389,14 @@ BOUNDS_ENGINES = (by_name(H.fm_bounds), by_name(lambda *a: H.lp_bounds(*a)[0]))
 
 class TestFourierMotzkin:
     def test_simple_box(self):
-        x = H.LinearForm(Fraction(2), {"x": Fraction(1)})  # x >= -2
-        y = H.LinearForm(Fraction(5), {"x": Fraction(-1)})  # x <= 5
+        x = (1, 2)  # x >= -2
+        y = (-1, 5)  # x <= 5
         for bounds in BOUNDS_ENGINES:
             assert bounds([x, y], ["x"]) == {"x": (Fraction(-2), Fraction(5))}
 
     def test_chained_elimination(self):
         # x + y = 1, 0 <= 3x + y <= 7  =>  x in [-1/2, 3], y = 1 - x
-        rows = [
-            H.LinearForm(Fraction(-1), {"x": Fraction(1), "y": Fraction(1)}),
-            H.LinearForm(Fraction(1), {"x": Fraction(-1), "y": Fraction(-1)}),
-            H.LinearForm(Fraction(0), {"x": Fraction(3), "y": Fraction(1)}),
-            H.LinearForm(Fraction(7), {"x": Fraction(-3), "y": Fraction(-1)}),
-        ]
+        rows = [(1, 1, -1), (-1, -1, 1), (3, 1, 0), (-3, -1, 7)]
         for bounds in BOUNDS_ENGINES:
             found = bounds(rows, ["x", "y"])
             assert found["x"] == (Fraction(-1, 2), Fraction(3))
@@ -432,14 +404,14 @@ class TestFourierMotzkin:
 
     def test_infeasible_detected(self):
         rows = [
-            H.LinearForm(Fraction(-2), {"x": Fraction(1)}),  # x >= 2
-            H.LinearForm(Fraction(1), {"x": Fraction(-1)}),  # x <= 1
+            (1, -2),  # x >= 2
+            (-1, 1),  # x <= 1
         ]
         for bounds in BOUNDS_ENGINES:
             assert bounds(rows, ["x"]) is None
 
     def test_unbounded_direction(self):
-        rows = [H.LinearForm(Fraction(0), {"x": Fraction(1)})]
+        rows = [(1, 0)]
         for bounds in BOUNDS_ENGINES:
             assert bounds(rows, ["x"])["x"] == (Fraction(0), None)
 
@@ -510,20 +482,18 @@ def assert_lp_matches_fm(system):
     """lp_bounds and fm_bounds agree on (nvars, rows, equalities), and every
     infeasible answer carries a valid Farkas certificate."""
     nvars, rows, equalities = system
-    variables = ["x", "y", "z", "w", "v"][:nvars]
 
-    def form(coeffs, const, den):
-        return H.LinearForm(Fraction(const, den),
-                            {v: Fraction(c, den) for v, c in zip(variables, coeffs) if c})
+    def row(coeffs, const, den):
+        return [Fraction(x, den) for x in (*coeffs, const)]
 
-    forms = [form(*r) for r in rows]
+    ineqs = [row(*r) for r in rows]
     for r in equalities:
-        forms += [form(*r), form(*r).scaled(-1)]
-    rows = [primitive_row(f, variables) for f in forms]
+        ineqs += [row(*r), [-x for x in row(*r)]]
+    rows = [primitive_row(r) for r in ineqs]
     bounds, farkas = H.lp_bounds(rows, nvars)
     assert bounds == H.fm_bounds(rows, nvars)
     if bounds is None:
-        assert farkas_holds(zip(farkas, forms), variables)
+        assert farkas_holds(zip(farkas, ineqs), nvars)
     else:
         assert farkas is None
 
