@@ -19,6 +19,7 @@ from .cyclotomic import factorint  # noqa: F401  (the benchmark's tracer checks 
 from .helpmethod import (
     CharacterTableSlice,
     PartialAugmentationVector,
+    divisors,
     lupa_multiplicity,
 )
 from .numtheory import factorize, is_prime
@@ -369,16 +370,6 @@ def gamma_bounds(
 # -- prime-pair verdicts -----------------------------------------------------------
 
 
-def _closed_under_divisors(spectrum) -> frozenset[int]:
-    out = set()
-    for n in spectrum:
-        divs = [1]
-        for p, e in factorize(n).items():
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        out.update(divs)
-    return frozenset(out)
-
-
 @dataclass
 class GroupArithmeticProfile:
     """Group order, set of element orders (closed under divisors on load) and
@@ -400,7 +391,7 @@ class GroupArithmeticProfile:
         return cls(
             name=want(doc["name"], str, "profile name"),
             order=order,
-            spectrum=_closed_under_divisors(spectrum),
+            spectrum=frozenset(d for n in spectrum for d in divisors(n)),
             lie_family=None if lie_family is None else want(lie_family, str, "lie_family"),
         )
 

@@ -1,10 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-An element is a finite rational combination sum_a c_a * zeta_n^a, stored
-sparsely as a map exponent -> Fraction together with its level n (the field
-Q(zeta_n) the element is considered to live in; always written after '@' in
-the textual form).  Mixed-level arithmetic lifts both operands to the lcm of
-their levels; levels are never reduced.
+An element is a finite rational combination sum_a c_a * zeta_n^a at a level
+n (the field Q(zeta_n) the element is considered to live in; always written
+after '@' in the textual form), stored sparsely as integer numerators over
+one denominator: a map exponent -> int and den >= 1 with gcd(den, *coeffs)
+= 1, so zero is {} over 1.  Fractions appear only where coefficients come in
+and where rational values go out.  Mixed-level arithmetic lifts both
+operands to the lcm of their levels; levels are never reduced.
 
 Canonical form: write n = prod_p P with P = p^v the p-part.  Under the
 tensor decomposition Q(zeta_n) = tensor_p Q(zeta_P) the exponent a has
@@ -73,11 +75,10 @@ def _root_traces(n: int) -> tuple[int, ...]:
                  for a in range(n))
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _ratio(c) -> tuple[int, int]:
+    """An int or Fraction coefficient as (numerator, denominator)."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
 
 
@@ -93,24 +94,14 @@ def _reduction_data(n: int):
     return data
 
 
-def _canonicalize(n: int, coeffs: dict[int, Fraction | int]) -> dict[int, Fraction]:
+def _canonicalize(n: int, coeffs: dict[int, int]) -> dict[int, int]:
     """The nonzero coefficients of sum c_a zeta_n^a in the basis of the
-    module docstring (Zumbroich's basis, as in Breuer, AAECC 8, 1997), as
-    Fractions.
-
-    The rewrite runs on integer numerators over the lcm of the denominators
-    and divides once at the end; the exponents come out in the same order
-    as a rewrite in Fractions would give them.
-    """
-    den = 1
-    for c in coeffs.values():
-        if den % c.denominator:
-            den = lcm(den, c.denominator)
+    module docstring (Zumbroich's basis, as in Breuer, AAECC 8, 1997)."""
     cur: dict[int, int] = {}
     for a, c in coeffs.items():
         if c:
             a %= n
-            cur[a] = cur.get(a, 0) + c.numerator * (den // c.denominator)
+            cur[a] = cur.get(a, 0) + c
     for p, P, phiP, step, m, inv in _reduction_data(n):
         nxt: dict[int, int] = {}
         for a, c in cur.items():
@@ -125,41 +116,43 @@ def _canonicalize(n: int, coeffs: dict[int, Fraction | int]) -> dict[int, Fracti
                     a2 = (a + (r + j * step - e) * m) % n
                     nxt[a2] = nxt.get(a2, 0) - c
         cur = nxt
-    return {a: Fraction(c, den) for a, c in cur.items() if c}
+    return {a: c for a, c in cur.items() if c}
 
 
 class CyclotomicElement:
-    """An exact element of Q(zeta_n), kept in canonical form."""
+    """An exact element sum coeffs[a] * zeta_n^a / den of Q(zeta_n), kept in
+    canonical form."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "den")
     __hash__ = None  # equality crosses levels; values are meant for dicts' values, not keys
 
-    def __init__(self, n: int, coeffs: dict[int, Fraction], _canonical: bool = False):
+    def __init__(self, n: int, coeffs: dict[int, int], den: int = 1, _canonical: bool = False):
         if n < 1:
             raise ValueError(f"level must be a positive integer, got {n}")
-        self.n = n
-        self.coeffs = coeffs if _canonical else _canonicalize(n, coeffs)
+        if not _canonical:
+            coeffs = _canonicalize(n, coeffs)
+        g = gcd(den, *coeffs.values())
+        if g != 1:
+            coeffs = {a: c // g for a, c in coeffs.items()}
+            den //= g
+        self.n, self.coeffs, self.den = n, coeffs, den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def make(cls, n: int, terms) -> "CyclotomicElement":
         """Build sum c * zeta_n^a from (exponent, coefficient) pairs."""
-        if n < 1:
-            raise ValueError(f"level must be a positive integer, got {n}")
-        coeffs: dict[int, Fraction] = {}
-        for a, c in terms:
-            a = a % n
-            coeffs[a] = coeffs.get(a, Fraction(0)) + _as_fraction(c)
-        return cls(n, coeffs)
+        terms = [(a, *_ratio(c)) for a, c in terms]
+        den = lcm(*(d for _, _, d in terms))
+        coeffs: dict[int, int] = {}
+        for a, num, d in terms:
+            coeffs[a] = coeffs.get(a, 0) + num * (den // d)
+        return cls(n, coeffs, den)
 
     @classmethod
     def rational(cls, c, n: int = 1) -> "CyclotomicElement":
-        return cls(n, {0: _as_fraction(c)})
-
-    @classmethod
-    def zeta(cls, n: int, k: int = 1) -> "CyclotomicElement":
-        return cls(n, {k % n: Fraction(1)})
+        num, den = _ratio(c)
+        return cls(n, {0: num}, den)
 
     # -- level handling ------------------------------------------------
 
@@ -170,7 +163,7 @@ class CyclotomicElement:
         if m % self.n:
             raise ValueError(f"cannot lift level {self.n} to non-multiple {m}")
         s = m // self.n
-        return CyclotomicElement(m, {a * s: c for a, c in self.coeffs.items()})
+        return CyclotomicElement(m, {a * s: c for a, c in self.coeffs.items()}, self.den)
 
     @staticmethod
     def _common(x: "CyclotomicElement", y: "CyclotomicElement"):
@@ -182,16 +175,19 @@ class CyclotomicElement:
     def __add__(self, other):
         other = self._coerce(other)
         a, b = self._common(self, other)
-        coeffs = dict(a.coeffs)
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        coeffs = {k: c * sa for k, c in a.coeffs.items()}
         for k, c in b.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
-        return CyclotomicElement(a.n, coeffs)
+            coeffs[k] = coeffs.get(k, 0) + c * sb
+        return CyclotomicElement(a.n, coeffs, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return CyclotomicElement(self.n, {a: -c for a, c in self.coeffs.items()}, _canonical=True)
+        return CyclotomicElement(self.n, {a: -c for a, c in self.coeffs.items()}, self.den,
+                                 _canonical=True)
 
     def __sub__(self, other):
         return self.__add__(self._coerce(other).__neg__())
@@ -201,17 +197,17 @@ class CyclotomicElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = _as_fraction(other)
+            num, den = other.numerator, other.denominator
             return CyclotomicElement(
-                self.n, {a: c * c0 for a, c in self.coeffs.items()} if c0 else {}
-            )
+                self.n, {a: c * num for a, c in self.coeffs.items()} if num else {},
+                self.den * den, _canonical=True)
         a, b = self._common(self, self._coerce(other))
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         for i, ci in a.coeffs.items():
             for j, cj in b.coeffs.items():
                 k = (i + j) % a.n
-                coeffs[k] = coeffs.get(k, Fraction(0)) + ci * cj
-        return CyclotomicElement(a.n, coeffs)
+                coeffs[k] = coeffs.get(k, 0) + ci * cj
+        return CyclotomicElement(a.n, coeffs, a.den * b.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -230,7 +226,7 @@ class CyclotomicElement:
         except TypeError:
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.coeffs == b.coeffs
 
     def __repr__(self):
         return f"CyclotomicElement({self.to_string()!r})"
@@ -244,10 +240,8 @@ class CyclotomicElement:
         return all(a == 0 for a in self.coeffs)
 
     def to_rational(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
         if self.is_rational():
-            return self.coeffs[0]
+            return Fraction(self.coeffs.get(0, 0), self.den)
         raise ValueError(f"{self.to_string()} is not rational")
 
     # -- Galois action and traces ---------------------------------------
@@ -256,7 +250,8 @@ class CyclotomicElement:
         """Apply zeta_n -> zeta_n^k; k must be invertible mod the level."""
         if gcd(k, self.n) != 1:
             raise ValueError(f"galois exponent {k} is not coprime to level {self.n}")
-        return CyclotomicElement(self.n, {(a * k) % self.n: c for a, c in self.coeffs.items()})
+        return CyclotomicElement(self.n, {(a * k) % self.n: c for a, c in self.coeffs.items()},
+                                 self.den)
 
     def trace_to_Q(self) -> Fraction:
         """Trace from Q(zeta_n) down to Q via the closed single-root formula.
@@ -265,7 +260,7 @@ class CyclotomicElement:
         full Galois-sum computation is kept alongside as an oracle.
         """
         traces = _root_traces(self.n)
-        return sum((c * traces[a] for a, c in self.coeffs.items()), Fraction(0))
+        return Fraction(sum(c * traces[a] for a, c in self.coeffs.items()), self.den)
 
     def trace_via_galois_sum(self) -> Fraction:
         """Independent trace path: literally sum the Galois conjugates."""
@@ -282,8 +277,7 @@ class CyclotomicElement:
         level L overshoots by the relative degree [Q(zeta_L):Q(zeta_m)].
         """
         L = lcm(self.n, m)
-        t = self.lift(L).trace_to_Q()
-        return t * euler_phi(m) / euler_phi(L)
+        return self.lift(L).trace_to_Q() * euler_phi(m) / euler_phi(L)
 
     def trace_row(self, r: int) -> list[int | Fraction]:
         """[Tr_{Q(zeta_r)/Q}(self * zeta_r^-l) for l in range(r)], each value
@@ -297,10 +291,8 @@ class CyclotomicElement:
         L = lcm(self.n, r)
         traces = _root_traces(L)
         lift, step = L // self.n, L // r
-        common = lcm(*(c.denominator for c in self.coeffs.values()))
-        terms = [(a * lift, c.numerator * (common // c.denominator))
-                 for a, c in self.coeffs.items()]
-        scale, den = euler_phi(r), common * euler_phi(L)
+        terms = [(a * lift, c) for a, c in self.coeffs.items()]
+        scale, den = euler_phi(r), self.den * euler_phi(L)
         row = []
         for shift in range(0, L, step):
             total = scale * sum(c * traces[(a - shift) % L] for a, c in terms)
@@ -319,9 +311,9 @@ class CyclotomicElement:
 
     def complex_value(self) -> complex:
         return sum(
-            (float(c) * cmath.exp(2j * cmath.pi * a / self.n) for a, c in self.coeffs.items()),
+            (c * cmath.exp(2j * cmath.pi * a / self.n) for a, c in self.coeffs.items()),
             complex(0),
-        )
+        ) / self.den
 
     # -- serialization -----------------------------------------------------
 
@@ -331,12 +323,13 @@ class CyclotomicElement:
             return f"0 @ {self.n}"
         parts = []
         for a in sorted(self.coeffs):
-            c = self.coeffs[a]
+            c = Fraction(self.coeffs[a], self.den)
             parts.append(str(c) if a == 0 else f"{c}*z^{a}")
         return " + ".join(parts) + f" @ {self.n}"
 
     def to_json_map(self) -> dict:
-        return {"n": self.n, "coeffs": {str(a): str(c) for a, c in sorted(self.coeffs.items())}}
+        return {"n": self.n, "coeffs": {str(a): str(Fraction(c, self.den))
+                                        for a, c in sorted(self.coeffs.items())}}
 
 
 _TERM_RE = re.compile(r"^(?P<c>[+-]?\d+(?:/\d+)?)(?:\*z\^(?P<a>\d+))?$")
@@ -391,4 +384,4 @@ def parse_cyclotomic(text) -> CyclotomicElement:
 
 def zeta(n: int, k: int = 1) -> CyclotomicElement:
     """zeta_n^k at level n."""
-    return CyclotomicElement.zeta(n, k)
+    return CyclotomicElement(n, {k % n: 1})

@@ -42,15 +42,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicElement, factorint, parse_cyclotomic
+from .cyclotomic import CyclotomicElement, parse_cyclotomic
 from .numtheory import factorize, is_prime
 from .schema import want, want_int, want_list, want_positive
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: unit orders and spectra are user input
 def divisors(n: int) -> tuple[int, ...]:
     divs = [1]
-    for p, e in factorint(n):
+    for p, e in factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return tuple(sorted(divs))
 
@@ -125,7 +125,7 @@ class CharacterTableSlice:
             for c in self.classes:
                 if c.name not in chi.values:
                     continue
-                if any(x.denominator != 1 for x in chi.values[c.name].coeffs.values()):
+                if chi.values[c.name].den != 1:
                     raise ValueError(
                         f"character {chi.name} value on {c.name} is not an algebraic integer "
                         f"(its canonical coefficients must be integers)"
@@ -158,7 +158,7 @@ class CharacterTableSlice:
         if k == 0:
             return self.identity.name
         cur = name
-        for p, e in factorint(k):
+        for p, e in sorted(factorize(k).items()):
             for _ in range(e):
                 cc = self.cls(cur)
                 if p in cc.power_map:
@@ -394,7 +394,7 @@ def congruence_constraints(slice_: CharacterTableSlice, n: int) -> list[Congruen
     to differ from p)."""
     out = []
     scope = slice_.variable_classes(n)
-    for p, _ in factorint(slice_.group_order):
+    for p in sorted(factorize(slice_.group_order)):
         if p == n:
             continue
         at_p = tuple(c.name for c in scope if c.order == p)

@@ -394,13 +394,27 @@ def li(x: float) -> float:
 
 
 def li_series(x: float) -> float:
-    """Independent oracle: the offset logarithmic integral via mpmath's
-    series evaluation."""
-    import mpmath
+    """Independent oracle: Li(x) from the power series of li with gamma
+    cancelled, summed in 50-digit decimal arithmetic,
 
-    if x < 2:
-        raise ValueError("Li is defined for x >= 2")
-    return float(mpmath.li(x, offset=True))
+        Li(x) = log log x - log log 2 + sum_{k>=1} ((log x)^k - (log 2)^k) / (k k!)."""
+    from decimal import Decimal, localcontext
+
+    if not 2 <= x < inf:
+        raise ValueError("Li is defined for finite x >= 2")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        L, L2 = Decimal(x).ln(), Decimal(2).ln()
+        total = L.ln() - L2.ln()
+        a = b = Decimal(1)  # (log x)^k / k! and (log 2)^k / k!
+        k = 0
+        while True:
+            k += 1
+            a, b = a * L / k, b * L2 / k
+            term = (a - b) / k
+            total += term
+            if k > L and term <= total * Decimal("1e-45"):
+                return float(total)
 
 
 # -- the census N(x) -------------------------------------------------------------

@@ -113,6 +113,19 @@ class TestHelpCheck:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "66d602f64b5f5a5d550e59404f50b8ad5fdde7b300f7147b63fbf7f55e526a83")
 
+    def test_unit_order_with_two_large_prime_factors_answers(self):
+        # 2 * (2^61 - 1): the divisors of the order need a complete factorizer
+        code, text = run(["help-check", "--table", "s5", "--order", str(2 * (2**61 - 1))])
+        assert code == 0 and text.startswith("INFEASIBLE")
+
+    def test_group_order_with_two_large_prime_factors_answers(self, tmp_path):
+        # the congruences factor the group order; the large primes add none that bind
+        path = tmp_path / "c21.json"
+        order = 21 * (2**61 - 1) * (2**31 - 1)
+        path.write_text(json.dumps(dict(fixtures.load_json("c21.json"), order=str(order))))
+        argv = ["help-check", "--order", "3", "--table"]
+        assert run([*argv, str(path)]) == run([*argv, "c21"])
+
 
 class TestVerdict:
     def test_monster_open_pairs_exit_1(self):
@@ -329,6 +342,15 @@ class TestSelftest:
         code, text = run(["selftest"])
         assert code == 0
         assert text.endswith("selftest: all checks passed\n")
+
+    def test_battery_runs_without_mpmath(self):
+        # mpmath is a test dependency only: the Li oracle sums in decimal
+        script = ("import io, sys; from pgq import cli; "
+                  "code = cli.main(['selftest'], out=io.StringIO()); "
+                  "print(code, 'mpmath' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True)
+        assert proc.stdout == "0 False\n", proc.stderr
 
 
 def _child_env():

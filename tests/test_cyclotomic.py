@@ -80,11 +80,40 @@ class TestCanonicalize:
     @example((30, {1: Fraction(1, 2), 31: Fraction(1, 2), -29: Fraction(-1, 3), 7: 0}))
     @example((12, {5: Fraction(2, 3), 7: Fraction(4, 6), 1: 2}))
     def test_integer_rewrite_matches_fractions(self, case):
+        # the rewrite on integer numerators over one denominator is the
+        # rewrite in Fractions, term by term
         n, coeffs = case
-        got = _canonicalize(n, coeffs)
+        den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+        got = _canonicalize(n, {a: int(c * den) for a, c in coeffs.items()})
+        assert all(type(c) is int for c in got.values())
         want = fraction_canonicalize(n, {a: Fraction(c) for a, c in coeffs.items()})
+        got = {a: Fraction(c, den) for a, c in got.items()}
         assert got == want and list(got) == list(want)  # same exponents, same order
-        assert all(type(c) is Fraction for c in got.values())
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "Fraction"])
+    def test_times_zero_is_zero(self, zero):
+        x = CyclotomicElement.make(12, [(1, Fraction(2, 3)), (5, -7)])
+        for y in (x * zero, zero * x):
+            assert y.is_zero() and y == 0
+            assert (y.coeffs, y.den, y.n) == ({}, 1, 12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 105).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+        st.integers(-2 * n, 2 * n),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))), max_size=6))))
+    @example((6, [(1, Fraction(1, 2)), (1, Fraction(-1, 2))]))  # cancels to zero
+    @example((10, [(0, Fraction(3, 4)), (5, Fraction(3, 4))]))  # zeta_10^5 = -1
+    def test_numerators_over_one_denominator(self, case):
+        n, terms = case
+        x = CyclotomicElement.make(n, terms)
+        assert x.den >= 1 and gcd(x.den, *x.coeffs.values()) == 1
+        assert all(type(c) is int for c in x.coeffs.values())
+        if x.is_zero():
+            assert (x.coeffs, x.den) == ({}, 1)
+        assert parse_cyclotomic(x.to_string()) == x
+        assert parse_cyclotomic(x.to_json_map()) == x
 
 
 class TestArithmetic:
