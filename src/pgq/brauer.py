@@ -16,13 +16,8 @@ from fractions import Fraction
 
 from .cyclotomic import CyclotomicElement
 from .cyclotomic import factorint  # noqa: F401  (the benchmark's tracer checks probe it)
-from .helpmethod import (
-    CharacterTableSlice,
-    PartialAugmentationVector,
-    divisors,
-    lupa_multiplicity,
-)
-from .numtheory import factorize, is_prime
+from .helpmethod import CharacterTableSlice, PartialAugmentationVector, lupa_multiplicity
+from .numtheory import divisors, factorize, is_prime
 from .schema import want, want_list, want_positive
 
 

@@ -15,6 +15,12 @@ monomials zeta_P^i with 0 <= i < phi(P) form a Q-basis.  Any term whose
 p-coordinate lands outside that range is rewritten once per prime via
 sum_{j=0..p-1} zeta_P^{i + j*P/p} = 0, which leaves all other coordinates
 untouched.  Equality and zero-testing read off the reduced support.
+
+For d | n the basis of Q(zeta_d) lifts, by a -> a * n/d, onto the basis
+exponents of Q(zeta_n) that are multiples of n/d (Breuer, "Integral bases
+for subfields of cyclotomic fields", AAECC 8, 1997): each p-coordinate is
+only scaled by P/p^w, with p^w the p-part of d.  So a lifted canonical
+element is canonical, and an element lies in Q(zeta_d) iff its support does.
 """
 
 from __future__ import annotations
@@ -25,30 +31,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .numtheory import divisors, factorize
 from .schema import want, want_int, want_positive
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded, as every cache keyed by a level: levels are user input
 def factorint(n: int) -> tuple[tuple[int, int], ...]:
-    """Factor a small positive integer (levels stay tiny) by trial division."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    """A level's prime factorization in ascending primes, by numtheory's factorizer."""
+    return tuple(sorted(factorize(n).items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorint(n):
@@ -56,7 +49,7 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def moebius(n: int) -> int:
     mu = 1
     for _, e in factorint(n):
@@ -66,13 +59,12 @@ def moebius(n: int) -> int:
     return mu
 
 
-@lru_cache(maxsize=None)
-def _root_traces(n: int) -> tuple[int, ...]:
-    """Tr_{Q(zeta_n)/Q}(zeta_n^a) for a in range(n), the Ramanujan sums
-    mu(n/g) * phi(n) / phi(n/g) with g = gcd(a, n)."""
+@lru_cache(maxsize=1024)
+def _root_traces(n: int) -> dict[int, int]:
+    """Tr_{Q(zeta_n)/Q}(zeta_n^a) keyed by g = gcd(a, n), one entry per
+    divisor g of n: the Ramanujan sums mu(n/g) * phi(n) / phi(n/g)."""
     phi_n = euler_phi(n)
-    return tuple(moebius(n // gcd(a, n)) * (phi_n // euler_phi(n // gcd(a, n)))
-                 for a in range(n))
+    return {g: moebius(n // g) * (phi_n // euler_phi(n // g)) for g in divisors(n)}
 
 
 def _ratio(c) -> tuple[int, int]:
@@ -82,7 +74,7 @@ def _ratio(c) -> tuple[int, int]:
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _reduction_data(n: int):
     """Per-prime rewrite data for level n: (p, P, phiP, step, modulus_shift)."""
     data = []
@@ -163,7 +155,8 @@ class CyclotomicElement:
         if m % self.n:
             raise ValueError(f"cannot lift level {self.n} to non-multiple {m}")
         s = m // self.n
-        return CyclotomicElement(m, {a * s: c for a, c in self.coeffs.items()}, self.den)
+        return CyclotomicElement(m, {a * s: c for a, c in self.coeffs.items()}, self.den,
+                                 _canonical=True)
 
     @staticmethod
     def _common(x: "CyclotomicElement", y: "CyclotomicElement"):
@@ -253,15 +246,6 @@ class CyclotomicElement:
         return CyclotomicElement(self.n, {(a * k) % self.n: c for a, c in self.coeffs.items()},
                                  self.den)
 
-    def trace_to_Q(self) -> Fraction:
-        """Trace from Q(zeta_n) down to Q via the closed single-root formula.
-
-        Tr(zeta_n^a) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(a, n); the
-        full Galois-sum computation is kept alongside as an oracle.
-        """
-        traces = _root_traces(self.n)
-        return Fraction(sum(c * traces[a] for a, c in self.coeffs.items()), self.den)
-
     def trace_via_galois_sum(self) -> Fraction:
         """Independent trace path: literally sum the Galois conjugates."""
         acc = CyclotomicElement(self.n, {})
@@ -270,23 +254,16 @@ class CyclotomicElement:
                 acc = acc + self.galois(k)
         return acc.to_rational()
 
-    def trace_over(self, m: int) -> Fraction:
-        """Trace over Q(zeta_m)/Q of a value that lies in Q(zeta_m).
-
-        The element may be represented at any level; the trace at the joint
-        level L overshoots by the relative degree [Q(zeta_L):Q(zeta_m)].
-        """
-        L = lcm(self.n, m)
-        return self.lift(L).trace_to_Q() * euler_phi(m) / euler_phi(L)
-
     def trace_row(self, r: int) -> list[int | Fraction]:
         """[Tr_{Q(zeta_r)/Q}(self * zeta_r^-l) for l in range(r)], each value
-        an int where it is integral.
+        an int where it is integral; entry 0 of row r is the trace over
+        Q(zeta_r) of a value that lies there, and of row self.n the trace to Q.
 
-        As in `trace_over`, the trace is taken at the joint level L and
-        rescaled by phi(r)/phi(L); each term c_a * zeta_L^k of the product
-        traces by the closed form of `trace_to_Q`, so nothing is multiplied
-        or canonicalized.
+        The trace is taken at the joint level L and rescaled by phi(r)/phi(L);
+        each term c_a * zeta_L^k of the product traces by the closed form
+        Tr(zeta_L^k) = mu(L/g) * phi(L) / phi(L/g) with g = gcd(k, L), so
+        nothing is multiplied or canonicalized.  The independent Galois-sum
+        path is `trace_via_galois_sum`.
         """
         L = lcm(self.n, r)
         traces = _root_traces(L)
@@ -295,17 +272,17 @@ class CyclotomicElement:
         scale, den = euler_phi(r), self.den * euler_phi(L)
         row = []
         for shift in range(0, L, step):
-            total = scale * sum(c * traces[(a - shift) % L] for a, c in terms)
+            total = scale * sum(c * traces[gcd(a - shift, L)] for a, c in terms)
             q, rem = divmod(total, den)
             row.append(Fraction(total, den) if rem else q)
         return row
 
     def fixed_by(self, m: int) -> bool:
-        """True iff the value lies in Q(zeta_m), tested by Galois stability:
-        at L = lcm(n, m), under every zeta_L -> zeta_L^k with k = 1 (mod m)."""
-        L = lcm(self.n, m)
-        x = self.lift(L)
-        return all(x.galois(k) == x for k in range(1 + m, L, m) if gcd(k, L) == 1)
+        """True iff the value lies in Q(zeta_m), that is in Q(zeta_g) with
+        g = gcd(n, m): iff its support is lifted from level g (module
+        docstring), so every exponent is a multiple of n/g."""
+        s = self.n // gcd(self.n, m)
+        return all(a % s == 0 for a in self.coeffs)
 
     # -- float shadow ----------------------------------------------------
 

@@ -40,19 +40,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .cyclotomic import CyclotomicElement, parse_cyclotomic
-from .numtheory import factorize, is_prime
+from .numtheory import divisors, factorize, is_prime
 from .schema import want, want_int, want_list, want_positive
-
-
-@lru_cache(maxsize=1024)  # bounded: unit orders and spectra are user input
-def divisors(n: int) -> tuple[int, ...]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return tuple(sorted(divs))
 
 
 # -- character table slices ---------------------------------------------------

@@ -139,6 +139,15 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=1024)  # bounded: unit orders, levels and spectra are user input
+def divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n >= 1 in ascending order."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return tuple(sorted(divs))
+
+
 @dataclass(frozen=True)
 class FactoredInteger:
     """A non-negative integer with its complete prime factorization."""
@@ -161,9 +170,6 @@ class FactoredInteger:
 
     def is_squarefree(self) -> bool:
         return all(e < 2 for _, e in self.factors)
-
-    def is_squarefree_above3(self) -> bool:
-        return all(e < 2 for p, e in self.factors if p > 3)
 
 
 def alpha(n: int) -> int:
@@ -196,11 +202,6 @@ def cyclotomic_value(k: int, q: int) -> int:
     if q < 2:
         raise ValueError("q must be at least 2")
     return _horner(_PHI_COEFFS[k], q)
-
-
-def F_value(q: int) -> int:
-    """F(q) = (q^2+1)(q^6-1), the product of the five cyclotomic values."""
-    return (q * q + 1) * (q**6 - 1)
 
 
 # -- square witnesses of many values at once ----------------------------------
@@ -356,11 +357,6 @@ def constant_c(truncation: int) -> tuple[Fraction, float]:
     return exact, float(exact)
 
 
-def constant_c_tail_bound(truncation: int) -> Fraction:
-    """All later factors change the product by less than sum_{q>Q} 16/q^2 < 16/Q."""
-    return Fraction(16, truncation)
-
-
 # -- the logarithmic integral ---------------------------------------------------
 
 
@@ -459,7 +455,7 @@ class SieveResult:
     def ratio(self) -> float:
         return self.count / self.total_primes if self.total_primes else 0.0
 
-    def summary(self, c_truncation: int = 10_000) -> dict:
+    def summary(self) -> dict:
         li_x = li(self.x) if self.x >= 2 else 0.0
         return {
             "x": self.x,
@@ -470,7 +466,7 @@ class SieveResult:
             "ratio": self.ratio,
             "li_x": li_x,
             "count_over_li": self.count / li_x if li_x else None,
-            "c_truncated": float(constant_c(c_truncation)[0]),
+            "c_truncated": float(constant_c(10_000)[0]),
         }
 
 

@@ -160,21 +160,6 @@ class SkewTableau:
         return cls.from_rows(tuple(doc["outer"]), tuple(doc["inner"]), doc["rows"])
 
 
-def is_semistandard(t: SkewTableau) -> bool:
-    """Rows weakly increase left to right; columns strictly increase downwards."""
-    for row in t.rows:
-        if any(row[k] > row[k + 1] for k in range(len(row) - 1)):
-            return False
-    shape = t.shape
-    for i in range(len(t.rows) - 1):
-        lo = max(shape.inner_at(i), shape.inner_at(i + 1))
-        hi = min(shape.outer[i], shape.outer[i + 1])
-        for j in range(lo, hi):
-            if t.entry(i, j) >= t.entry(i + 1, j):
-                return False
-    return True
-
-
 def reading_word(t: SkewTableau) -> list[int]:
     """Rows top to bottom, each row read right to left."""
     word = []

@@ -126,6 +126,21 @@ class TestHelpCheck:
         argv = ["help-check", "--order", "3", "--table"]
         assert run([*argv, str(path)]) == run([*argv, "c21"])
 
+    @pytest.mark.parametrize("character, cls, value", [
+        ("triv", "1a", "1 @ 1000000007"),
+        ("std", "2a", "2 @ 1000000006"),
+        ("triv", "1a", f"1 @ {2**61 - 1}"),
+    ])
+    def test_value_at_a_huge_level_answers(self, tmp_path, character, cls, value):
+        # subfield membership and the trace rows cost what the support costs
+        doc = fixtures.load_json("s5.json")
+        chi = next(ch for ch in doc["characters"] if ch["name"] == character)
+        chi["values"][cls] = value
+        path = tmp_path / "s5.json"
+        path.write_text(json.dumps(doc))
+        argv = ["help-check", "--order", "2", "--table"]
+        assert run([*argv, str(path)]) == run([*argv, "s5"])
+
 
 class TestVerdict:
     def test_monster_open_pairs_exit_1(self):

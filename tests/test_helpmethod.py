@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pgq import fixtures
 from pgq import helpmethod as H
+from pgq import numtheory as NT
 from pgq.cyclotomic import CyclotomicElement, zeta
 
 
@@ -99,17 +100,17 @@ def unit_orders(slice_):
     that may carry a partial augmentation."""
     orders = {c.order for c in slice_.classes}
     return [n for n in range(2, 50)
-            if slice_.variable_classes(n) and set(H.divisors(n)[1:-1]) <= orders]
+            if slice_.variable_classes(n) and set(NT.divisors(n)[1:-1]) <= orders]
 
 
 def direct_multiplicity(slice_, chi, n, l, entries, powers):
     """(1/n) sum_{d | n} Tr_{Q(zeta_{n/d})/Q}(chi(u^d) zeta_n^{-dl}), with
     chi(u^d) summed as a cyclotomic number and multiplied by the root."""
     total = Fraction(0)
-    for d in H.divisors(n):
+    for d in NT.divisors(n):
         dist = entries if d == 1 else powers[d].entries if d < n else {slice_.identity.name: 1}
         value = sum((chi.value(c) * e for c, e in dist.items()), CyclotomicElement.rational(0))
-        total += (value * zeta(n, -d * l)).trace_over(n // d)
+        total += (value * zeta(n, -d * l)).trace_row(n // d)[0]
     return total / n
 
 
@@ -195,7 +196,7 @@ class TestLupaMultiplicity:
         n = data.draw(st.sampled_from(unit_orders(slice_)), label="n")
         chi = data.draw(st.sampled_from(slice_.characters), label="chi")
         powers = {}
-        for d in H.divisors(n)[1:-1]:
+        for d in NT.divisors(n)[1:-1]:
             at = [c.name for c in slice_.classes if c.order == n // d]
             powers[d] = H.trivial_pa(slice_, data.draw(st.sampled_from(at), label=f"u^{d}"))
         names = [c.name for c in slice_.variable_classes(n)]
@@ -296,10 +297,9 @@ def farkas_holds(pairs, nvars):
     return not any(total[:-1]) and total[-1] < 0
 
 
-def branch_certificate_holds(slice_, n, variables, branch):
-    """Rebuild the constraint rows of one infeasible branch from the integer
-    multiplicity forms (k, T), n mu = k + T.e, and check its Farkas
-    multipliers on them."""
+def branch_rows(slice_, n, variables, branch):
+    """The (multiplier, row) pairs of one infeasible branch, its constraint
+    rows rebuilt from the integer multiplicity forms (k, T), n mu = k + T.e."""
     pairs = []
     for (chi_name, l), (lower, upper) in branch.multipliers.items():
         chi = slice_.character(chi_name)
@@ -310,7 +310,12 @@ def branch_certificate_holds(slice_, n, variables, branch):
     ones = [1] * len(variables)
     pairs.append((branch.augmentation[0], (*ones, -1)))  # sum e - 1 >= 0
     pairs.append((branch.augmentation[1], (*(-x for x in ones), 1)))  # sum e - 1 <= 0
-    return farkas_holds(pairs, len(variables))
+    return pairs
+
+
+def branch_certificate_holds(slice_, n, variables, branch):
+    """Check the Farkas multipliers of one infeasible branch on its rebuilt rows."""
+    return farkas_holds(branch_rows(slice_, n, variables, branch), len(variables))
 
 
 class TestFarkasCertificates:
@@ -339,6 +344,24 @@ class TestFarkasCertificates:
         multipliers = {**branch.multipliers, key: (lower + 1, upper)}
         weakened = H.InfeasibleBranch(branch.powers, multipliers, branch.augmentation)
         assert not branch_certificate_holds(s5, 10, res.variables, weakened)
+
+    def test_an_upper_row_carries_weight(self):
+        # chi(1) = 1 and chi = 3 on the involutions: 2 mu = 1 + 3 e_2a <= 2
+        # and e_2a = 1 contradict each other, and only the upper row
+        # mu <= chi(1) says so, so its constant n chi(1) - k is checked
+        slice_ = H.CharacterTableSlice.from_json({
+            "group": "fake", "order": 2,
+            "classes": [{"name": "1a", "order": 1},
+                        {"name": "2a", "order": 2, "powers": {"2": "1a"}}],
+            "characters": [{"name": "chi", "degree": 1, "values": {"1a": "1", "2a": "3"}}],
+        })
+        res = H.feasible_partial_augmentations(slice_, 2)
+        assert res.status == "infeasible" and len(res.certificates) == 1
+        branch = res.certificates[0]
+        assert branch.multipliers == {("chi", 0): (0, 1)} and branch.augmentation == (3, 0)
+        pairs = branch_rows(slice_, 2, res.variables, branch)
+        assert sum(y * row[-1] for y, row in pairs) == -2  # y^T k
+        assert branch_certificate_holds(slice_, 2, res.variables, branch)
 
 
 class TestOnan:

@@ -10,6 +10,27 @@ from pgq import numtheory as NT
 from pgq.numtheory import FactoredInteger, LieSeriesSpec
 
 
+def F_value(q):
+    """F(q) = (q^2+1)(q^6-1), the product of the five cyclotomic values."""
+    return (q * q + 1) * (q**6 - 1)
+
+
+def is_squarefree_above3(fi):
+    """No prime q > 3 divides the factored integer twice."""
+    return all(e < 2 for p, e in fi.factors if p > 3)
+
+
+def constant_c_tail_bound(truncation):
+    """A bound on c_Q - c, the change of constant_c(Q) from all later factors.
+
+    Each factor is 1 - rho(q)/phi(q^2) with rho(q) <= 8 and phi(q^2) = q(q-1)
+    >= q^2/2, so it is at least 1 - 16/q^2.  The product of the factors past
+    Q is then at least 1 - sum_{q>Q} 16/q^2 > 1 - 16/Q, because
+    sum_{k>Q} 1/k^2 < sum_{k>Q} 1/(k(k-1)) = 1/Q.  With 0 < c_Q <= 1 this
+    gives c_Q - c < 16/Q."""
+    return Fraction(16, truncation)
+
+
 class TestFactoring:
     def test_primes_up_to(self):
         assert NT.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -66,14 +87,14 @@ WITNESS_VALUES = st.one_of(
 class TestSquarefree:
     def test_basic_examples(self):
         twelve = FactoredInteger.from_value(12)
-        assert not twelve.is_squarefree() and twelve.is_squarefree_above3()
+        assert not twelve.is_squarefree() and is_squarefree_above3(twelve)
         thirty = FactoredInteger.from_value(30)
-        assert thirty.is_squarefree() and thirty.is_squarefree_above3()
+        assert thirty.is_squarefree() and is_squarefree_above3(thirty)
 
     def test_F_of_3(self):
-        assert NT.F_value(3) == 7280
-        fi = FactoredInteger.from_value(NT.F_value(3))
-        assert fi.is_squarefree_above3() and not fi.is_squarefree()
+        assert F_value(3) == 7280
+        fi = FactoredInteger.from_value(F_value(3))
+        assert is_squarefree_above3(fi) and not fi.is_squarefree()
 
     def test_witness_large_square(self):
         assert witness(4099**2 * 5) == 4099
@@ -136,7 +157,7 @@ class TestCyclotomicValues:
             prod = 1
             for k in (1, 2, 3, 4, 6):
                 prod *= NT.cyclotomic_value(k, q)
-            assert prod == NT.F_value(q)
+            assert prod == F_value(q)
 
     def test_unsupported_index(self):
         with pytest.raises(ValueError):
@@ -154,7 +175,7 @@ class TestRho:
     def test_counted_residues_are_coprime(self):
         for d in (2, 3, 5, 7, 13):
             m = d * d
-            roots = [a for a in range(m) if NT.F_value(a) % m == 0] if d > 1 else []
+            roots = [a for a in range(m) if F_value(a) % m == 0] if d > 1 else []
             assert len(roots) == NT.rho(d)
             for a in roots:
                 assert gcd(a, d) == 1
@@ -206,7 +227,7 @@ class TestRho:
             m = q * q
             for k in (1, 2, 3, 4, 6):
                 for a in NT.phi_roots_mod_q2(k, q):
-                    assert NT.F_value(a) % m == 0
+                    assert F_value(a) % m == 0
                     assert gcd(a, q) == 1
                     hits = [
                         kk for kk, cs in phi_poly.items() if NT._horner(cs, a) % m == 0
@@ -248,7 +269,7 @@ class TestConstant:
     def test_tail_bound(self):
         c3, _ = NT.constant_c(1000)
         c4, _ = NT.constant_c(10000)
-        assert 0 < c3 - c4 < NT.constant_c_tail_bound(1000)
+        assert 0 < c3 - c4 < constant_c_tail_bound(1000)
 
     def test_lower_bound_by_sixteen_over_q_squared(self):
         # every factor is at least (1 - 16/q^2), so the truncation dominates
@@ -290,7 +311,7 @@ class TestCensus:
         for p, ok, w in res.rows:
             if not ok:
                 assert w is not None and w > 3
-                assert NT.F_value(p) % (w * w) == 0
+                assert F_value(p) % (w * w) == 0
 
     def test_phi_factor_matches_root_sieve_at_2e5(self):
         for condition in NT.CONDITIONS:
