@@ -9,7 +9,26 @@ Submodules:
                 Lie-type order formulas
     fixtures    bundled validated data files
     cli         the `pgq` command-line front end
+
+pgq never calls BLAS, so it loads numpy with one OpenBLAS thread unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set; a host
+program that wants threaded BLAS sets one of them or imports numpy first.
 """
+
+import os
+import sys
+
+# Every pgq array is an integer array: no matrix product, no linalg.  OpenBLAS
+# reads these variables once, when numpy loads it, and otherwise starts one
+# worker per core, which costs a cold process tens of ms of CPU for nothing.
+# The variable is set only for that load, so os.environ ends as it was found.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .cyclotomic import CyclotomicElement, parse_cyclotomic, zeta
 from .tableaux import (

@@ -86,6 +86,11 @@ def _reduction_data(n: int):
     return data
 
 
+#: the most terms one rewrite may make: a term whose coordinate at a prime p
+#: leaves the basis becomes p - 1 terms, so a larger p is refused as input
+MAX_REWRITE_TERMS = 1 << 16
+
+
 def _canonicalize(n: int, coeffs: dict[int, int]) -> dict[int, int]:
     """The nonzero coefficients of sum c_a zeta_n^a in the basis of the
     module docstring (Zumbroich's basis, as in Breuer, AAECC 8, 1997)."""
@@ -103,6 +108,9 @@ def _canonicalize(n: int, coeffs: dict[int, int]) -> dict[int, int]:
             if e < phiP:
                 nxt[a] = nxt.get(a, 0) + c
             else:
+                if p - 1 > MAX_REWRITE_TERMS:
+                    raise ValueError(f"level {n}: zeta_{n}^{a} rewrites to {p - 1} terms at "
+                                     f"the prime {p}, over the limit of {MAX_REWRITE_TERMS}")
                 r = e - phiP
                 for j in range(p - 1):
                     a2 = (a + (r + j * step - e) * m) % n

@@ -133,13 +133,28 @@ class TestHelpCheck:
     ])
     def test_value_at_a_huge_level_answers(self, tmp_path, character, cls, value):
         # subfield membership and the trace rows cost what the support costs
-        doc = fixtures.load_json("s5.json")
-        chi = next(ch for ch in doc["characters"] if ch["name"] == character)
-        chi["values"][cls] = value
-        path = tmp_path / "s5.json"
-        path.write_text(json.dumps(doc))
+        path = _s5_with_value(tmp_path, character, cls, value)
         argv = ["help-check", "--order", "2", "--table"]
         assert run([*argv, str(path)]) == run([*argv, "s5"])
+
+    def test_value_rewriting_to_too_many_terms_is_an_input_error(self, tmp_path, capsys):
+        # at a prime level p the last power of zeta_p rewrites to p - 1 terms
+        p = 2**61 - 1
+        path = _s5_with_value(tmp_path, "std", "2a", f"1*z^{p - 1} @ {p}")
+        code, text = run(["help-check", "--order", "2", "--table", str(path)])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("input error: level ") and err.count("\n") == 1, err
+
+
+def _s5_with_value(tmp_path, character, cls, value):
+    """The bundled s5 table written to tmp_path with one value replaced."""
+    doc = fixtures.load_json("s5.json")
+    chi = next(ch for ch in doc["characters"] if ch["name"] == character)
+    chi["values"][cls] = value
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestVerdict:
@@ -368,10 +383,12 @@ class TestSelftest:
         assert proc.stdout == "0 False\n", proc.stderr
 
 
-def _child_env():
-    """The environment of a child `python` that imports this pgq."""
+def _child_env(unset=()):
+    """The environment of a child `python` that imports this pgq, without the
+    variables named in `unset`."""
     src = os.path.dirname(os.path.dirname(pgq.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    return dict(env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
@@ -381,6 +398,42 @@ def test_python_dash_m_pgq_matches_main():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == run(argv)[1]
+
+
+class TestBlasThreads:
+    """pgq never calls BLAS, so it loads numpy with one OpenBLAS thread
+    unless the user chose a thread count or numpy is already loaded."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def child(self, script, **env):
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(_child_env(unset=self.VARS), **env),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_one_thread_and_the_environment_as_found(self):
+        script = ("import os, pgq\n"
+                  "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)")
+        assert self.child(script) == "1 False\n"
+
+    @pytest.mark.parametrize("var", VARS)
+    def test_a_user_thread_count_is_honoured(self, var):
+        script = ("import os, pgq\n"
+                  f"print([(v, os.environ[v]) for v in {self.VARS!r} if v in os.environ])")
+        assert self.child(script, **{var: "2"}) == f"[({var!r}, '2')]\n"
+
+    def test_numpy_already_loaded_leaves_the_environment_alone(self):
+        script = ("import os, numpy\n"
+                  "class Spy(dict):\n"
+                  "    def __setitem__(self, k, v): print('set', k)\n"
+                  "    def __delitem__(self, k): print('del', k)\n"
+                  "os.environ = Spy(os.environ)\n"
+                  "import pgq\n"
+                  "print('imported')")
+        assert self.child(script) == "imported\n"
 
 
 class TestErrors:
