@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import brauer, fixtures, helpmethod, numtheory, selftest, tableaux
 
 EXIT_OK = 0
@@ -138,8 +136,7 @@ def cmd_sieve(args, out) -> int:
     if args.dual:
         other = "root-sieve" if args.method != "root-sieve" else "phi-factor"
         check = numtheory.count_N(args.bound, condition=args.condition, method=other)
-        if not (np.array_equal(check.primes, result.primes)
-                and np.array_equal(check.witness, result.witness)):
+        if not check.agrees_with(result):
             print(f"dual-path disagreement: {args.method} vs {other} at bound {args.bound}",
                   file=sys.stderr)
             return EXIT_FINDING

@@ -20,18 +20,19 @@ from closed-form traces of roots of unity with no cyclotomic product
 cyclotomic arithmetic and against Fourier inversion of character values.
 The feasibility engine turns these conditions, the vanishing and congruence
 constraints on partial augmentations, and augmentation one into an exact
-integer search in Python ints.  The coefficients of each constraint row are
-the same in every branch (distribution of the proper powers); only the
-constant changes.  `lp_bounds(rows, nvars)` is the one bounds entry point,
-for these rows and for published inequality rows alike: an exact simplex
-over the rational relaxation of integer rows (A | k) (each dictionary row
-in lowest terms over its own denominator, pivots that skip the rows they
-leave unchanged, Bland's rule), which also certifies each branch it
-excludes with a Farkas vector; Fourier-Motzkin elimination (`fm_bounds`, on
-the same rows) stays only as the tests' oracle for it.  The integer stage
-walks the augmentation hyperplane inside those bounds, and the engine refuses
-(rather than truncating) when the relaxation leaves a variable unbounded or
-the walk would pass `CANDIDATE_CAP`.
+integer search in Python ints, one branch per distribution of the proper
+powers (read off the towers of u^p, p prime; each order is searched once per
+query).  Each row's coefficients are a `variable_traces` row, the same in
+every branch; only the constant changes.  `lp_bounds(rows, nvars)` is the one
+bounds entry point, for these rows and for published inequality rows alike:
+an exact simplex over the rational relaxation of integer rows (A | k) (each
+dictionary row in lowest terms over its own denominator, pivots that skip
+the rows they leave unchanged, Bland's rule), which also certifies each
+branch it excludes with a Farkas vector; Fourier-Motzkin elimination
+(`fm_bounds`, on the same rows) stays only as the tests' oracle for it.  The
+integer stage walks the augmentation hyperplane inside those bounds, and the
+engine refuses (rather than truncating) when the relaxation leaves a
+variable unbounded or the walk would pass `CANDIDATE_CAP`.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class CharacterTableSlice:
         self._chars = {c.name: c for c in self.characters}
         self._galois_powers: dict[tuple[str, int], str] = {}
         self._traces: dict[tuple[str, str, int], tuple[int, ...]] = {}
+        self._rows: dict[tuple[str, int, int], tuple[tuple[int, ...], int]] = {}
         self.validate()
 
     def validate(self):
@@ -203,6 +205,15 @@ class CharacterTableSlice:
             assert all(type(x) is int for x in row), "trace of an algebraic integer"
         return row[l % r]
 
+    def variable_traces(self, chi: Character, n: int, l: int) -> tuple[tuple[int, ...], int]:
+        """(T, gcd of T), T = `trace`(chi, C, n, l) for C in `variable_classes(n)`:
+        the coefficients of n * mu(zeta_n^l, u, chi), computed once per slice."""
+        key = (chi.name, n, l % n)
+        if key not in self._rows:
+            row = tuple(self.trace(chi, c.name, n, l) for c in self.variable_classes(n))
+            self._rows[key] = row, math.gcd(*row)
+        return self._rows[key]
+
     def variable_classes(self, n: int) -> list[ConjugacyClassInfo]:
         """Classes that may carry a nonzero partial augmentation for a unit of
         order n > 1: order divides n and is not 1 (Berman-Higman)."""
@@ -254,18 +265,6 @@ class PartialAugmentationVector:
             == {k: v for k, v in other.entries.items() if v}
             and self.powers == other.powers
         )
-
-    def power(self, d: int) -> "PartialAugmentationVector":
-        if self.order % d:
-            raise ValueError(f"{d} does not divide the unit order {self.order}")
-        if d == 1:
-            return self
-        if d == self.order:
-            raise ValueError("u^n is the identity; its distribution is not stored")
-        try:
-            return self.powers[d]
-        except KeyError:
-            raise KeyError(f"missing class distribution for the {d}-th power") from None
 
     def validate(self, slice_: CharacterTableSlice):
         if self.order < 2:
@@ -336,12 +335,9 @@ def multiplicity_form(
 ) -> tuple[int, dict[str, int]]:
     """(k, T) with n * mu(zeta_n^zeta_exponent, u, chi) = k + sum_C T[C] e_C
     over the order-n partial augmentations, the proper-power distributions
-    fixed: k from `_power_constant`, T the nonzero table traces, all ints."""
-    coeffs = {}
-    for c in slice_.variable_classes(n):
-        t = slice_.trace(chi, c.name, n, zeta_exponent)
-        if t:
-            coeffs[c.name] = t
+    fixed: k from `_power_constant`, T the nonzero `variable_traces`, all ints."""
+    row, _ = slice_.variable_traces(chi, n, zeta_exponent)
+    coeffs = {c.name: t for c, t in zip(slice_.variable_classes(n), row) if t}
     return _power_constant(slice_, chi, n, zeta_exponent, powers), coeffs
 
 
@@ -678,33 +674,36 @@ class FeasibilityResult:
     reason: str | None = None  # which limit an inconclusive search hit, and where
 
 
-def _coherent_power_assignments(n: int, pools: dict[int, list[PartialAugmentationVector]]):
-    proper = sorted(pools)
-    for choice in itertools.product(*(pools[d] for d in proper)):
-        assign = dict(zip(proper, choice))
-        ok = True
-        for d, pa in assign.items():
-            for e, sub in pa.powers.items():
-                if assign.get(d * e) != sub:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield assign
+def _coherent_power_assignments(pools: dict[int, list[PartialAugmentationVector]]):
+    """{d: u^d} over the proper divisors d, per choice of u^p from each prime's
+    pool (lexicographic, p ascending): u^(p e) is read off u^p's tower, and
+    every two primes must agree on each power that both reach."""
+    primes = sorted(pools)
+    for choice in itertools.product(*(pools[p] for p in primes)):
+        assign = dict(zip(primes, choice))
+        if all(assign.setdefault(p * e, sub) == sub
+               for p, pa in zip(primes, choice) for e, sub in pa.powers.items()):
+            yield dict(sorted(assign.items()))
 
 
 def _search(
-    slice_: CharacterTableSlice, n: int, chars: list[Character], exponents
+    slice_: CharacterTableSlice, n: int, chars: list[Character], exponents,
+    results: dict[int, FeasibilityResult],
 ) -> FeasibilityResult:
     """Feasible pa trees for a unit of order n, with the bounds of the last
     rationally feasible branch and a Farkas certificate per rationally
     infeasible branch.
 
+    A branch is a distribution of the proper powers.  Only the orders n/p, p
+    a prime below n, are searched: u^d = (u^p)^(d/p) for a prime p | d, and an
+    empty sub-order ends the search, so a feasible n/p has feasible sub-orders.
+    `results` holds each order searched in this query (with `chars` and every
+    exponent), so each is searched once.
+
     Everything is in integers: n * mu(zeta^l, u, chi) = k + sum_C T_C e_C, the
     form of `multiplicity_form`, with T_C = Tr(chi(C) zeta_n^{-l}).  T does not
-    depend on the branch, so the rows are built here once per (chi, l), not per
-    branch through `multiplicity_form`; only k (`_power_constant`) is per branch.
+    depend on the branch: it is the slice's cached `variable_traces` row, and
+    only k (`_power_constant`) is per branch.
     """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
@@ -712,21 +711,20 @@ def _search(
     if not var_names:
         return res
 
-    proper = [d for d in divisors(n) if 1 < d < n]
-    pools = {}
-    for d in proper:
-        sub = _search(slice_, n // d, chars, None).feasible
-        if not sub:
+    pools = {}  # prime p -> the feasible distributions of u^p
+    for p in sorted(p for p in factorize(n) if p < n):
+        if n // p not in results:
+            results[n // p] = _search(slice_, n // p, chars, None, results)
+        pools[p] = results[n // p].feasible
+        if not pools[p]:
             return res
-        pools[d] = sub
 
     exps = list(range(n)) if exponents is None else [e % n for e in exponents]
     keys = list(dict.fromkeys((chi.name, l) for chi in chars for l in exps))
     coeffs = []  # per key: (character, exponent, T, gcd of T), branch-invariant
     for name, l in keys:
         chi = slice_.character(name)
-        row = [slice_.trace(chi, v, n, l) for v in var_names]
-        coeffs.append((chi, l, row, math.gcd(*row)))
+        coeffs.append((chi, l, *slice_.variable_traces(chi, n, l)))
     nvars = len(var_names)
     augmentation = [(1,) * nvars + (-1,), (-1,) * nvars + (1,)]  # sum e - 1 >= 0, <= 0
 
@@ -734,7 +732,7 @@ def _search(
         g = math.gcd(g, k)
         return (*(x // g for x in row), k // g) if g > 1 else (*row, k)
 
-    for assign in _coherent_power_assignments(n, pools):
+    for assign in _coherent_power_assignments(pools):
         rows = []  # mu >= 0 and mu <= chi(1) per key, as primitive integer rows
         checks = []  # (k, T, n * chi(1)): the walk wants 0 <= k + T.e <= n chi(1), n | k + T.e
         for chi, l, row, g in coeffs:
@@ -747,7 +745,7 @@ def _search(
         if ends is None:  # this branch is already rationally infeasible
             pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
             res.certificates.append(InfeasibleBranch(
-                dict(assign), {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
+                assign, {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
             continue
         rel = dict(zip(var_names, ends))
         if any(lo is None or hi is None for lo, hi in ends):
@@ -782,7 +780,7 @@ def _search(
                     break
             if ok:
                 res.feasible.append(
-                    PartialAugmentationVector(n, {k: v for k, v in env.items() if v}, dict(assign))
+                    PartialAugmentationVector(n, {k: v for k, v in env.items() if v}, assign)
                 )
     res.status = "feasible" if res.feasible else "infeasible"
     return res
@@ -796,10 +794,10 @@ def feasible_partial_augmentations(
 ) -> FeasibilityResult:
     """Exact feasible set of order-n partial augmentation vectors.
 
-    characters/exponents restrict which multiplicity constraints are imposed
-    at the top order (proper powers always use every exponent); fewer
-    constraints can only enlarge the feasible set, so an empty answer from a
-    subset is already a sound exclusion.
+    characters restricts the multiplicity constraints at every order searched,
+    the proper powers' included; exponents restricts them at order n only (the
+    proper powers use every exponent).  Fewer constraints can only enlarge the
+    feasible set, so an empty answer from a subset is a sound exclusion.
     """
     if n < 2:
         raise ValueError("unit order must be at least 2")
@@ -819,7 +817,7 @@ def feasible_partial_augmentations(
     if not chars:
         raise ValueError("at least one character is required")
     try:
-        return _search(slice_, n, chars, exponents)
+        return _search(slice_, n, chars, exponents, {})
     except (UnboundedSearchError, SearchComplexityError) as e:
         status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
         return FeasibilityResult(n, [c.name for c in slice_.variable_classes(n)], status, [],

@@ -427,7 +427,7 @@ CONDITIONS = {
 CENSUS_MAX_BOUND = 3_037_000_499
 
 
-@dataclass
+@dataclass(eq=False)
 class SieveResult:
     """A census: the primes p <= x in ascending order and, for each, the
     smallest witness q (q^2 divides a value of the condition's polynomials),
@@ -440,6 +440,11 @@ class SieveResult:
     total_primes: int
     primes: np.ndarray
     witness: np.ndarray
+
+    def agrees_with(self, other: "SieveResult") -> bool:
+        """Whether both censuses list the same primes with the same witnesses."""
+        return bool(np.array_equal(self.primes, other.primes)
+                    and np.array_equal(self.witness, other.witness))
 
     def blocks(self):
         """(primes, witnesses) as lists of Python ints, _BLOCK primes at a time."""

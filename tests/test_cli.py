@@ -42,7 +42,13 @@ class TestHelpCheck:
         ("c21", 3, 1, "1ceb8c2485a65003955f48854f286b8caff12362e3d2d03256a608cc54f39038"),
         ("c21", 7, 1, "0ddb22f00244fad3dbc925d7d5ec0ab24f32884f1f21538d42d82f1752cfcaaf"),
         ("c21", 21, 1, "905041f289ead552c4c07c1be833da3cef19dabe9d3c7790c5aa23e847ebb075"),
-    ], ids=["onan-21", "thompson-35", "s5-4", "s5-10", "s5-15", "c21-3", "c21-7", "c21-21"])
+        ("s5", 12, 0, "232f19f9f1438d347939e0f9a145ced6cf677877690084c168cec8998fd9fe20"),
+        ("s5", 20, 0, "d8696bc4dbb16bb62dc1fa6391a27397a78faedded0ba62080600a267d0fd9df"),
+        ("s5", 60, 0, "9abc3046c454a36ceb1484a5d9bfe86c29eca6f1a92d1c84ff933a691b209224"),
+        ("c21", 63, 0, "6affe61df397d2ac238067ca7e6241b781242e92c94b6c3d7064e62f728c7e5b"),
+        ("c21", 147, 0, "2882d5a7329bb5a2c50685a1caae6ec643c697c745afd4d920142c8ce8fba7bb"),
+    ], ids=["onan-21", "thompson-35", "s5-4", "s5-10", "s5-15", "c21-3", "c21-7", "c21-21",
+            "s5-12", "s5-20", "s5-60", "c21-63", "c21-147"])
     def test_json_bytes_pinned(self, table, order, code, digest):
         exit_code, text = run(["help-check", "--table", table, "--order", str(order),
                                "--format", "json"])

@@ -277,6 +277,49 @@ class TestFeasibility:
                               "augmentation hyperplane (candidate cap 10)")
 
 
+def cyclic_slice(m):
+    """The cyclic group C_m = <g> as a slice: class c_k = {g^k}, power maps at
+    the primes dividing m, and the linear characters X_j(g^k) = zeta_m^(jk)."""
+    primes = sorted(NT.factorize(m))
+    classes = [{"name": f"c{k}", "order": m // gcd(k, m),
+                "powers": {str(p): f"c{k * p % m}" for p in primes}} for k in range(m)]
+    chars = [{"name": f"X{j}", "degree": 1,
+              "values": {f"c{k}": f"1*z^{j * k % m} @ {m}" for k in range(m)}}
+             for j in range(m)]
+    return H.CharacterTableSlice.from_json(
+        {"group": f"C{m}", "order": m, "classes": classes, "characters": chars})
+
+
+class TestCompositeTowers:
+    """Orders whose proper powers include composite indices: u^4 of a unit of
+    order 8 or 12 is read off the tower of u^2."""
+
+    @pytest.mark.parametrize("load, n, searches", [
+        (lambda: fixtures.load_slice("s5"), 12, 5),
+        (lambda: fixtures.load_slice("c21"), 63, 5),
+        (lambda: cyclic_slice(24), 24, 7),
+    ], ids=["s5-12", "c21-63", "C24-24"])
+    def test_each_order_is_searched_once(self, load, n, searches, monkeypatch):
+        slice_, orders = load(), []
+        search = H._search
+        monkeypatch.setattr(H, "_search",
+                            lambda s, m, *rest: orders.append(m) or search(s, m, *rest))
+        H.feasible_partial_augmentations(slice_, n)
+        assert len(orders) == searches == len(set(orders))
+
+    @pytest.mark.parametrize("m, listed", [
+        (8, ["c7", "c3", "c5", "c1"]),
+        (12, ["c11", "c5", "c7", "c1"]),
+    ])
+    def test_cyclic_group_admits_only_its_elements(self, m, listed):
+        # Higman: every normalized torsion unit of ZC_m is an element of C_m,
+        # so the order-m vectors are the generators' own distributions
+        slice_ = cyclic_slice(m)
+        res = H.feasible_partial_augmentations(slice_, m)
+        assert res.status == "feasible"
+        assert res.feasible == [H.trivial_pa(slice_, c) for c in listed]
+
+
 def primitive_row(values):
     """A row of rationals (coefficients..., constant) as a primitive integer
     vector: the same half-space, scaled to coprime integers."""
@@ -320,7 +363,7 @@ def branch_certificate_holds(slice_, n, variables, branch):
 
 class TestFarkasCertificates:
     @pytest.mark.parametrize("table, n, branches", [
-        ("s5", 10, 1), ("s5", 15, 0), ("thompson", 35, 0),
+        ("s5", 10, 1), ("s5", 12, 4), ("s5", 15, 0), ("thompson", 35, 0),
     ])
     def test_every_infeasible_branch_is_certified(self, table, n, branches):
         slice_ = fixtures.load_slice(table)
@@ -329,6 +372,9 @@ class TestFarkasCertificates:
         assert len(res.certificates) == branches
         for branch in res.certificates:
             assert branch_certificate_holds(slice_, n, res.variables, branch)
+            # a coherent tower: s5/12 reaches u^6 from both u^2 and u^3
+            assert all(branch.powers[d * e] == sub
+                       for d, pa in branch.powers.items() for e, sub in pa.powers.items())
 
     def test_s5_order_10_certificate_pinned(self, s5):
         branch = H.feasible_partial_augmentations(s5, 10).certificates[0]

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd, inf, isqrt, prod
 
@@ -338,6 +339,17 @@ class TestCensus:
             for p, ok, w in NT.count_N(3000, condition, method).rows:
                 assert type(p) is int and type(ok) is bool
                 assert w is None if ok else type(w) is int
+
+    def test_censuses_compare_without_raising(self):
+        a, b = NT.count_N(1000), NT.count_N(1000)
+        assert a == a and isinstance(a == b, bool)  # no elementwise array truth value
+        assert a.agrees_with(b)
+        phi, root = (NT.count_N(10**4, "thm51", m) for m in ("phi-factor", "root-sieve"))
+        assert phi.agrees_with(root) and root.agrees_with(phi)
+        assert not a.agrees_with(NT.count_N(2000))
+        witness = a.witness.copy()
+        witness[0] = 0 if witness[0] else 5
+        assert not a.agrees_with(dataclasses.replace(a, witness=witness))
 
     def test_bound_past_int64_rejected(self):
         with pytest.raises(ValueError, match="64-bit"):
