@@ -18,7 +18,7 @@ from .cyclotomic import CyclotomicElement
 from .cyclotomic import factorint  # noqa: F401  (the benchmark's tracer checks probe it)
 from .helpmethod import CharacterTableSlice, PartialAugmentationVector, lupa_multiplicity
 from .numtheory import divisors, factorize, is_prime
-from .schema import want, want_list, want_positive
+from .schema import required, want, want_list, want_positive
 
 
 @dataclass(frozen=True)
@@ -94,27 +94,28 @@ class BrauerTreeSpec:
         """Accepts the exceptional marker either as a top-level
         {"exceptional": {"vertex": ..., "t": ...}} or inline on a vertex as
         {"exceptional": true, "t": ...}."""
-        vertex_docs = want_list(doc["vertices"], dict, "tree vertices")
+        vertex_docs = want_list(required(doc, "vertices"), dict, "tree vertices")
         vertices = [
-            TreeVertex(want(v["name"], str, "vertex name"), want(v["sign"], int, "vertex sign"),
+            TreeVertex(want(required(v, "name"), str, "vertex name"),
+                       want(required(v, "sign"), int, "vertex sign"),
                        tuple(want_list(v.get("characters", []), str, "vertex characters")))
             for v in vertex_docs
         ]
         edges = [tuple(want_list(e, str, "each tree edge", 3))
-                 for e in want_list(doc["edges"], list, "tree edges")]
+                 for e in want_list(required(doc, "edges"), list, "tree edges")]
         exc = doc.get("exceptional")
         exceptional = None
         if exc is not None:
             want(exc, dict, "exceptional")
-            exceptional = (want(exc["vertex"], str, "exceptional vertex"),
-                           want(exc["t"], int, "exceptional t"))
+            exceptional = (want(required(exc, "vertex"), str, "exceptional vertex"),
+                           want(required(exc, "t"), int, "exceptional t"))
         for v in vertex_docs:
             if v.get("exceptional") is True:
                 if exceptional is not None and exceptional[0] != v["name"]:
                     raise ValueError("conflicting exceptional vertex markers")
                 t = v.get("t", len(v.get("characters", ())) or 1)
                 exceptional = (v["name"], want(t, int, "exceptional t"))
-        return cls(want(doc["prime"], int, "tree prime"), vertices, edges, exceptional)
+        return cls(want(required(doc, "prime"), int, "tree prime"), vertices, edges, exceptional)
 
 
 def validate_tree(tree: BrauerTreeSpec) -> list[str]:
@@ -377,14 +378,14 @@ class GroupArithmeticProfile:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroupArithmeticProfile":
-        order = want_positive(doc["order"], "profile order")
-        spectrum = want_list(doc["spectrum"], int, "profile spectrum")
+        order = want_positive(required(doc, "order"), "profile order")
+        spectrum = want_list(required(doc, "spectrum"), int, "profile spectrum")
         if any(n < 1 or order % n for n in spectrum):
             raise ValueError(f"profile spectrum entries must be positive divisors of the "
                              f"order (Lagrange), got {spectrum!r}")
         lie_family = doc.get("lie_family")
         return cls(
-            name=want(doc["name"], str, "profile name"),
+            name=want(required(doc, "name"), str, "profile name"),
             order=order,
             spectrum=frozenset(d for n in spectrum for d in divisors(n)),
             lie_family=None if lie_family is None else want(lie_family, str, "lie_family"),

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .numtheory import divisors, factorize
-from .schema import want, want_int, want_positive
+from .schema import required, want, want_int, want_positive
 
 
 @lru_cache(maxsize=1024)  # bounded, as every cache keyed by a level: levels are user input
@@ -335,10 +335,10 @@ def parse_cyclotomic(text) -> CyclotomicElement:
     A bare rational like '-2' or '1/3' is the constant at level 1.
     """
     if isinstance(text, dict):
-        n = want_positive(text["n"], "cyclotomic level n")
+        n = want_positive(required(text, "n"), "cyclotomic level n")
         terms = [(want_int(a, "cyclotomic exponent"),
                   _coefficient(want(c, str, "cyclotomic coefficient"), text))
-                 for a, c in want(text["coeffs"], dict, "cyclotomic coeffs").items()]
+                 for a, c in want(required(text, "coeffs"), dict, "cyclotomic coeffs").items()]
         return CyclotomicElement.make(n, terms)
     if isinstance(text, int):
         return CyclotomicElement.rational(text)

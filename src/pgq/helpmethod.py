@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .cyclotomic import CyclotomicElement, parse_cyclotomic
 from .numtheory import divisors, factorize, is_prime
-from .schema import want, want_int, want_list, want_positive
+from .schema import required, want, want_int, want_list, want_positive
 
 
 # -- character table slices ---------------------------------------------------
@@ -222,26 +222,26 @@ class CharacterTableSlice:
     @classmethod
     def from_json(cls, doc: dict) -> "CharacterTableSlice":
         classes = []
-        for c in want_list(doc["classes"], dict, "classes"):
+        for c in want_list(required(doc, "classes"), dict, "classes"):
             size = c.get("size")
             classes.append(ConjugacyClassInfo(
-                name=want(c["name"], str, "class name"),
-                order=want_positive(c["order"], "class order"),
+                name=want(required(c, "name"), str, "class name"),
+                order=want_positive(required(c, "order"), "class order"),
                 power_map={want_int(p, "power map key"): want(t, str, "power map target")
                            for p, t in want(c.get("powers", {}), dict, "class powers").items()},
                 size=None if size is None else want_positive(size, "class size"),
             ))
         chars = [
             Character(
-                name=want(ch["name"], str, "character name"),
-                degree=want(ch["degree"], int, "character degree"),
-                values={k: parse_cyclotomic(v)
-                        for k, v in want(ch["values"], dict, "character values").items()},
+                name=want(required(ch, "name"), str, "character name"),
+                degree=want(required(ch, "degree"), int, "character degree"),
+                values={k: parse_cyclotomic(v) for k, v in
+                        want(required(ch, "values"), dict, "character values").items()},
             )
-            for ch in want_list(doc["characters"], dict, "characters")
+            for ch in want_list(required(doc, "characters"), dict, "characters")
         ]
-        return cls(want(doc["group"], str, "group"), want_positive(doc["order"], "group order"),
-                   classes, chars)
+        return cls(want(required(doc, "group"), str, "group"),
+                   want_positive(required(doc, "order"), "group order"), classes, chars)
 
 
 # -- partial augmentation vectors ---------------------------------------------
@@ -847,16 +847,16 @@ class InequalityRowsFixture:
         if any(m < 1 for m, _ in congruences):
             raise ValueError(f"congruence moduli must be positive, got {congruences!r}")
         rows = tuple(tuple(want_list(r, int, "each row", 2))
-                     for r in want_list(doc["rows"], list, "rows"))
+                     for r in want_list(required(doc, "rows"), list, "rows"))
         if not (any(b > 0 for _, b in rows) and any(b < 0 for _, b in rows)):
             raise ValueError("rows must bound the variable on both sides: "
                              "they need a positive and a negative coefficient")
         return cls(
-            group=want(doc["group"], str, "group"),
-            unit_order=want_positive(doc["unit_order"], "unit_order"),
-            variable=want(doc["variable"], str, "variable"),
-            partner=want(doc["partner"], str, "partner"),
-            modulus=want_positive(doc["modulus"], "modulus"),
+            group=want(required(doc, "group"), str, "group"),
+            unit_order=want_positive(required(doc, "unit_order"), "unit_order"),
+            variable=want(required(doc, "variable"), str, "variable"),
+            partner=want(required(doc, "partner"), str, "partner"),
+            modulus=want_positive(required(doc, "modulus"), "modulus"),
             rows=rows,
             congruences=congruences,
         )

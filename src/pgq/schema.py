@@ -1,18 +1,39 @@
 """Type checks for the JSON input documents.
 
-Each document's `from_json` loader runs these on the values it reads, so a
-value of the wrong JSON type is an input error (a ValueError naming the
-field) at load time, never a TypeError inside a computation.
+Each document's `from_json` loader reads its required fields with `required`
+and runs these checks on them, so a missing field or a value of the wrong
+JSON type is an input error (a ValueError naming the field) at load time,
+not a bare KeyError or a TypeError inside a computation.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+class _Missing(NamedTuple):
+    """What `required` reads for an absent key; every check below rejects it."""
+
+    key: str
+
+
+def required(doc: dict, key: str):
+    """The value of a required field, or `_Missing(key)` for the check that
+    reads it, so that an absent field is reported under the check's name."""
+    return doc.get(key, _Missing(key))
+
+
+def _present(value, what: str) -> None:
+    if isinstance(value, _Missing):
+        raise ValueError(f"missing field {value.key!r} ({what})")
 
 
 def want(value, kind: type, what: str):
     """`value` if it has the JSON type `kind` (true and false are not
     integers), else a ValueError naming `what`."""
+    _present(value, what)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r}")
     return value
@@ -38,6 +59,7 @@ def want_int(text: str, what: str) -> int:
 def want_positive(value, what: str) -> int:
     """A positive integer; a decimal string is accepted too, since group
     orders exceed 64 bits."""
+    _present(value, what)
     if isinstance(value, str) and value.isdecimal():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:

@@ -330,6 +330,12 @@ class TestLie:
         code, _ = run(["lie", "--family", "G2", "--q", "6"])
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["6", "1", "0", "-4"])
+    def test_q_below_two_gets_the_same_message(self, capsys, q):
+        code, text = run(["lie", "--family", "PSL4", "--q", q])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"input error: q = {q} is not a prime power\n"
+
     def test_json(self):
         code, text = run(["lie", "--family", "PSL4", "--q", "2", "--format", "json"])
         doc = json.loads(text)
@@ -442,6 +448,45 @@ class TestBlasThreads:
         assert self.child(script) == "imported\n"
 
 
+class TestHeapFreeze:
+    """`main` moves the heap the imports left into the permanent generation
+    once per process, so interpreter teardown does not traverse it; importing
+    pgq freezes nothing, and a heap the host froze is left as it is."""
+
+    MAIN = ("import gc, io, pgq.cli\n"
+            "def main():\n"
+            "    pgq.cli.main(['lie', '--family', 'G2', '--q', '5'], io.StringIO())\n")
+
+    def child(self, script):
+        proc = subprocess.run([sys.executable, "-c", self.MAIN + script], env=_child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_importing_freezes_nothing(self):
+        assert self.child("import pgq\nprint(gc.get_freeze_count())") == "0\n"
+
+    def test_main_freezes_and_keeps_the_collector(self):
+        out = self.child("main()\nprint(gc.get_freeze_count() > 0, gc.isenabled())")
+        assert out == "True True\n"
+
+    def test_a_second_command_does_not_freeze_again(self):
+        script = ("main()\n"
+                  "first = gc.get_freeze_count()\n"
+                  "kept = [[] for _ in range(1000)]\n"
+                  "main()\n"
+                  "print(gc.get_freeze_count() - first)")
+        assert self.child(script) == "0\n"
+
+    def test_a_host_frozen_heap_is_left_as_it_is(self):
+        script = ("gc.freeze()\n"
+                  "frozen = gc.get_freeze_count()\n"
+                  "kept = [[] for _ in range(1000)]\n"
+                  "main()\n"
+                  "print(gc.get_freeze_count() - frozen)")
+        assert self.child(script) == "0\n"
+
+
 class TestErrors:
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -527,7 +572,12 @@ REPLACEMENTS = st.one_of(st.none(), st.text(max_size=6), st.lists(JSON_SCALARS, 
 def run_with_field(directory, name, field, value, order=2):
     """Run a cheap subcommand on the bundled document `name` with one
     top-level field replaced; returns (exit code, stdout, stderr)."""
-    doc = dict(BUNDLED[name], **{field: value})
+    return run_document(directory, name, dict(BUNDLED[name], **{field: value}), order)
+
+
+def run_document(directory, name, doc, order=2):
+    """Run a cheap subcommand on `doc` in place of the bundled document
+    `name`; returns (exit code, stdout, stderr)."""
     path = str(directory / f"{name}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -593,6 +643,37 @@ class TestMalformedDocuments:
         code, text, err = run_with_field(tmp_path, name, field, value)
         assert code == 2
         assert_contract(code, text, err)
+
+    @pytest.mark.parametrize("name, path, what", [
+        ("s5", ("characters",), "characters"),
+        ("s5", ("classes", 1, "name"), "class name"),
+        ("s5", ("characters", 2, "values"), "character values"),
+        ("onan", ("modulus",), "modulus"),
+        ("onan", ("unit_order",), "unit_order"),
+        ("tree_s5_p3", ("vertices",), "tree vertices"),
+        ("tree_s5_p3", ("vertices", 0, "sign"), "vertex sign"),
+        ("tree_c21_p7", ("exceptional", "t"), "exceptional t"),
+        ("profile_m11", ("spectrum",), "profile spectrum"),
+        ("profile_m11", ("name",), "profile name"),
+    ])
+    def test_missing_field_is_named(self, tmp_path, name, path, what):
+        doc = json.loads(json.dumps(BUNDLED[name]))
+        *parents, key = path
+        del functools.reduce(lambda node, k: node[k], parents, doc)[key]
+        code, text, err = run_document(tmp_path, name, doc)
+        assert (code, text) == (2, "")
+        assert err == f"input error: missing field {key!r} ({what})\n"
+
+    @pytest.mark.parametrize("value, key, what", [
+        ({"coeffs": {"0": "1"}}, "n", "cyclotomic level n"),
+        ({"n": 2}, "coeffs", "cyclotomic coeffs"),
+    ])
+    def test_missing_cyclotomic_field_is_named(self, tmp_path, value, key, what):
+        doc = json.loads(json.dumps(BUNDLED["s5"]))
+        doc["characters"][0]["values"]["2a"] = value
+        code, text, err = run_document(tmp_path, "s5", doc)
+        assert (code, text) == (2, "")
+        assert err == f"input error: missing field {key!r} ({what})\n"
 
     @pytest.mark.parametrize("name", sorted(BUNDLED))
     @settings(max_examples=25, deadline=None, derandomize=True)
