@@ -23,13 +23,16 @@ constraints on partial augmentations, and augmentation one into an exact
 integer search in Python ints, one branch per distribution of the proper
 powers (read off the towers of u^p, p prime; each order is searched once per
 query).  Each row's coefficients are a `variable_traces` row, the same in
-every branch; only the constant changes.  `lp_bounds(rows, nvars)` is the one
-bounds entry point, for these rows and for published inequality rows alike:
-an exact simplex over the rational relaxation of integer rows (A | k) (each
-dictionary row in lowest terms over its own denominator, pivots that skip
-the rows they leave unchanged, Bland's rule), which also certifies each
-branch it excludes with a Farkas vector; Fourier-Motzkin elimination
-(`fm_bounds`, on the same rows) stays only as the tests' oracle for it.  The
+every branch; only the constant changes.  So one simplex dictionary per
+order bounds every branch (`_shared_bounds`): a branch switch swaps the
+constants and the dual simplex re-optimizes.  `lp_bounds(rows, nvars)`
+re-solves cold each branch that it finds empty, and certifies it with a
+Farkas vector over that branch's own rows; it also bounds published
+inequality rows.  Both are an exact simplex over the rational relaxation of
+integer rows (A | k) on one `_Dictionary` (each row in lowest terms over
+its own denominator, pivots that skip the rows they leave unchanged,
+Bland's rule); Fourier-Motzkin elimination (`fm_bounds`, on the same rows)
+stays only as the tests' oracle for them.  The
 integer stage walks the augmentation hyperplane inside those bounds, and the
 engine refuses (rather than truncating) when the relaxation leaves a
 variable unbounded or the walk would pass `CANDIDATE_CAP`.
@@ -499,6 +502,7 @@ class _Dictionary:
 
     def __init__(self, rows: list[tuple[int, ...]], nvars: int):
         self.m = m = len(rows)
+        self.nvars = nvars
         self.t = [[r[nvars], *r[:nvars]] for r in rows]
         self.rden = [1] * m
         self.basis = list(range(m))
@@ -562,6 +566,102 @@ class _Dictionary:
             self.pivot(best, c)
         return True
 
+    def enter_free(self) -> None:
+        """Pivot each free variable into the basis, on the slack row with the
+        least |t[i][c] / rden[i]| (the first on ties); it never leaves.  One
+        that cannot enter has a zero column in every slack row, and pivots
+        among the slacks keep it so: nothing bounds it."""
+        m, t, rden, basis = self.m, self.t, self.rden, self.basis
+        for v in range(m, m + self.nvars):
+            c = self.cols.index(v)
+            best = None
+            for i in range(m):
+                if basis[i] < m and t[i][c] and (
+                        best is None or abs(t[i][c]) * rden[best] < abs(t[best][c]) * rden[i]):
+                    best = i
+            if best is not None:
+                self.pivot(best, c)
+
+    def phase_one(self) -> list[int] | None:
+        """Make every basic slack non-negative and return None, or return
+        Farkas' y over the rows (y >= 0, y^T A = 0, y^T k < 0) when they have
+        no common point; the dictionary is then spent."""
+        m, t = self.m, self.t
+        short = {i for i in range(m) if self.basis[i] < m and t[i][0] < 0}
+        if not short:
+            return None
+        # a single artificial variable lifts every violated row, enters on
+        # the most violated one, and -artificial is maximized
+        for i, row in enumerate(t):
+            row.append(self.rden[i] if i in short else 0)
+        self.cols.append(_ARTIFICIAL)
+        r = min(short, key=lambda i: self.value(i, 0))
+        self.pivot(r, len(self.cols) - 1)
+        self.maximize(r, -1)
+        # the artificial variable has the lowest index, so Bland's rule makes
+        # it leave on every tie: it stays basic only while positive
+        if self.basis[r] == _ARTIFICIAL:
+            # artificial = t[r] . (1, nonbasic slacks) / rden identically; its
+            # coefficients are >= 0 and cancel in x, which is Farkas' y
+            y = [0] * m
+            for c in range(1, len(self.cols)):
+                if 0 <= self.cols[c] < m:
+                    y[self.cols[c]] = t[r][c]
+            return y
+        # at zero it is nonbasic, and its column can go
+        c = self.cols.index(_ARTIFICIAL)
+        for row in t:
+            del row[c]
+        del self.cols[c]
+        return None
+
+    def shift(self, delta: list[int]) -> None:
+        """Add delta[j] to the constant of row j of the system.  A basic
+        slack's row gains delta * rden; a nonbasic slack at column c takes
+        t[i][c] * delta from the constant of every row i."""
+        m, basis, rden = self.m, self.basis, self.rden
+        moved = [(c, delta[s]) for c, s in enumerate(self.cols) if c and 0 <= s < m and delta[s]]
+        for i, row in enumerate(self.t):
+            s = basis[i]
+            k = row[0] - sum(row[c] * x for c, x in moved)
+            row[0] = k + delta[s] * rden[i] if 0 <= s < m else k
+
+    def reoptimize(self, i: int, sign: int) -> bool:
+        """Dual simplex: with sign * basis[i] maximal on the last constants
+        (so every sign * t[i][c] <= 0), pivot by Bland's rule until every
+        basic slack is >= 0 again; False when a negative slack row has no
+        positive entry, so the rows have no common point.  The leaving row is
+        the negative one of the lowest slack, and the entering column the
+        least ratio -sign * t[i][c] / t[r][c], ties to the lowest variable."""
+        m, t, basis, cols = self.m, self.t, self.basis, self.cols
+        obj = t[i]
+        while True:
+            short = [j for j in range(m) if basis[j] < m and t[j][0] < 0]
+            if not short:
+                return True
+            r = min(short, key=basis.__getitem__)
+            row, best = t[r], None
+            for c in range(1, len(cols)):
+                if row[c] > 0 and cols[c] < m:
+                    if best is not None:
+                        lhs, rhs = -sign * obj[c] * row[best], -sign * obj[best] * row[c]
+                        if lhs > rhs or (lhs == rhs and cols[c] > cols[best]):
+                            continue
+                    best = c
+            if best is None:
+                return False
+            self.pivot(r, best)
+
+
+def _pinned(rows, lows: list[Fraction], nvars: int) -> bool:
+    """Whether the minima pin the only point of P = {x : A x + k >= 0}: some
+    row a.x + k >= 0 has every a_v > 0, its negation is a row too, and
+    a.lows = -k.  Then a.x + k = 0 and x >= lows hold on P, and a point of P
+    off lows would give a.x > a.lows = -k.  `rows` is a set or dict of the
+    integer rows (A | k)."""
+    return any(all(x > 0 for x in row[:nvars]) and tuple(-x for x in row) in rows
+               and sum(x * lo for x, lo in zip(row, lows)) == -row[nvars] for row in rows)
+
 
 def lp_bounds(
     rows: list[tuple[int, ...]], nvars: int
@@ -570,12 +670,15 @@ def lp_bounds(
     rows (A | k), by the simplex method on the distinct rows, with the same
     answers as `fm_bounds`.
 
-    Phase one finds a feasible basis (or the certificate below); then each
-    minimum is walked to, and each maximum, warm-started from the last basis.
-    The maximum walks are skipped when the minima pin the only point: some
-    row a.x + k >= 0 has every a_v > 0, its negation is a row too, and
-    a.min = -k.  The augmentation pair sum(e) = 1 is such a row, so a branch
-    whose minima meet it answers with every maximum equal to its minimum.
+    The free variables enter (`_Dictionary.enter_free`) and phase one finds
+    a feasible basis or the certificate below (`_Dictionary.phase_one`), as
+    in `_shared_bounds`; then each minimum is walked to, and each maximum,
+    warm-started from the last basis.  The maximum walks are skipped when
+    the minima pin the only point (`_pinned`).  The augmentation pair
+    sum(e) = 1 is such a row, so a branch whose minima meet it answers with
+    every maximum equal to its minimum.  The search calls it only for the
+    branches that `_shared_bounds` finds empty or unbounded, on their own
+    rows, so that their certificates index those rows.
 
     Returns (bounds, None) when the system is rationally feasible; a None
     endpoint marks an unbounded direction.  Returns (None, y) when it is
@@ -588,54 +691,21 @@ def lp_bounds(
             first.setdefault(row, i)
         elif row[nvars] < 0:
             return None, [int(j == i) for j in range(len(rows))]
-    origin = list(first.values())
     d = _Dictionary(list(first), nvars)
-    m, t, rden = d.m, d.t, d.rden
-    # each free variable enters the basis once and never leaves; one that
-    # cannot has a zero column in every slack row, so nothing bounds it
-    for v in range(nvars):
-        c = d.cols.index(m + v)
-        best = None  # least |t[i][c] / rden[i]| over the slack rows, first on ties
-        for i in range(m):
-            if d.basis[i] < m and t[i][c] and (
-                    best is None or abs(t[i][c]) * rden[best] < abs(t[best][c]) * rden[i]):
-                best = i
-        if best is not None:
-            d.pivot(best, c)
-    short = {i for i in range(m) if d.basis[i] < m and t[i][0] < 0}
-    if short:
-        # phase one: a single artificial variable lifts every violated row,
-        # enters on the most violated one, and -artificial is maximized
-        for i, row in enumerate(t):
-            row.append(d.rden[i] if i in short else 0)
-        d.cols.append(_ARTIFICIAL)
-        r = min(short, key=lambda i: d.value(i, 0))
-        d.pivot(r, len(d.cols) - 1)
-        d.maximize(r, -1)
-        # the artificial variable has the lowest index, so Bland's rule makes
-        # it leave on every tie: it stays basic only while positive
-        if d.basis[r] == _ARTIFICIAL:
-            # artificial = t[r] . (1, nonbasic slacks) / rden identically; its
-            # coefficients are >= 0 and cancel in x, which is Farkas' y
-            y = [0] * len(rows)
-            for c in range(1, len(d.cols)):
-                if 0 <= d.cols[c] < m:
-                    y[origin[d.cols[c]]] = t[r][c]
-            g = math.gcd(*y)
-            return None, [x // g for x in y]
-        # at zero it is nonbasic, and its column can go
-        c = d.cols.index(_ARTIFICIAL)
-        for row in t:
-            del row[c]
-        del d.cols[c]
+    d.enter_free()
+    y = d.phase_one()
+    if y is not None:
+        farkas = [0] * len(rows)
+        for i, x in zip(first.values(), y):
+            farkas[i] = x
+        g = math.gcd(*farkas)
+        return None, [x // g for x in farkas]
+    m, t = d.m, d.t
     stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
     ends = [[None, None] for _ in range(nvars)]
     for sign in (-1, 1):  # every minimum, then every maximum; each warm-starts the next
-        if sign > 0 and None not in (lows := [lo for lo, _ in ends]) and any(
-                all(x > 0 for x in row[:nvars]) and tuple(-x for x in row) in first
-                and sum(x * lo for x, lo in zip(row, lows)) == -row[nvars] for row in first):
-            # a.x + k = 0 with a > 0 holds on P, and so does x >= lows; a point
-            # of P off lows would give a.x > a.lows = -k, so P is one point
+        lows = [lo for lo, _ in ends]
+        if sign > 0 and None not in lows and _pinned(first, lows, nvars):
             return [(lo, lo) for lo in lows], None
         for v in range(nvars):
             if m + v in d.basis:
@@ -643,6 +713,69 @@ def lp_bounds(
                 if not any(t[i][c] for c in stuck) and d.maximize(i, sign):
                     ends[v][sign > 0] = d.value(i, 0)
     return [tuple(e) for e in ends], None
+
+
+def _shared_bounds(
+    rows: list[tuple[int, ...]], consts: list[list[int]], nvars: int
+) -> list[list[tuple[Fraction, Fraction]] | None]:
+    """The `lp_bounds` answer of every branch b of one system {x : A x + k_b
+    >= 0} whose branches share the coefficient rows A (`rows`, distinct) and
+    differ in the constants k_b (`consts[b]`, one per row), from one
+    dictionary.
+
+    The first branch that phase one finds feasible starts it.  The outer
+    loop runs over the objectives, every minimum and then every maximum (none
+    for the branches whose minima are `_pinned`), and the inner one over the
+    branches, in serpentine order, so that each objective starts where the
+    last one ended.  Each objective is walked to once, by `maximize`; a
+    branch switch only shifts the constants, which keeps the basis optimal
+    for the dual, and `reoptimize` (the dual simplex) restores the primal or
+    proves the branch empty.
+
+    Returns per branch its (min, max) list, or None where `lp_bounds` must
+    decide it: the branch is empty, or a variable is unbounded, and then it
+    is so in every branch that is not empty, because the recession cone
+    {x : A x >= 0} does not depend on the constants.
+    """
+    out = [None] * len(consts)
+    for start, k in enumerate(consts):
+        d = _Dictionary([(*a, c) for a, c in zip(rows, k)], nvars)
+        d.enter_free()
+        if any(c >= d.m for c in d.cols[1:]):
+            return out  # a free variable is stuck, so nothing bounds it
+        if d.phase_one() is None:
+            break
+    else:
+        return out
+    m = d.m
+    ends = [[[None, None] for _ in range(nvars)] for _ in consts]
+    order, empty, pinned = list(range(start, len(consts))), set(), set()
+    loaded, obj = start, None
+    for sign in (-1, 1):
+        if sign > 0:
+            pinned = {b for b in order if b not in empty and _pinned(
+                {(*a, c) for a, c in zip(rows, consts[b])}, [lo for lo, _ in ends[b]], nvars)}
+        for v in range(nvars):
+            i, walked = d.basis.index(m + v), False
+            for b in order:
+                if b in empty or b in pinned:
+                    continue
+                if b != loaded:
+                    d.shift([x - y for x, y in zip(consts[b], consts[loaded])])
+                    loaded = b
+                    if not d.reoptimize(*obj):
+                        empty.add(b)
+                        continue
+                if not walked:
+                    if not d.maximize(i, sign):
+                        return out  # unbounded in every branch that is not empty
+                    obj, walked = (i, sign), True
+                ends[b][v][sign > 0] = d.value(i, 0)
+            order.reverse()
+    for b in order:
+        if b not in empty:
+            out[b] = [(lo, lo if b in pinned else hi) for lo, hi in ends[b]]
+    return out
 
 
 # -- the feasibility engine --------------------------------------------------------
@@ -700,10 +833,23 @@ def _search(
     `results` holds each order searched in this query (with `chars` and every
     exponent), so each is searched once.
 
+    The sub-orders are searched smallest first, and an empty one returns at
+    once; an inconclusive one (unbounded or too large) speaks only when no
+    sub-order is empty, and then the one at the least prime does.
+
     Everything is in integers: n * mu(zeta^l, u, chi) = k + sum_C T_C e_C, the
     form of `multiplicity_form`, with T_C = Tr(chi(C) zeta_n^{-l}).  T does not
     depend on the branch: it is the slice's cached `variable_traces` row, and
-    only k (`_power_constant`) is per branch.
+    only k (`_power_constant`) is per branch, kept as one int per key.  So one
+    dictionary bounds every branch (`_shared_bounds`): its rows are the
+    distinct T, their negations and the augmentation pair, and a branch
+    gives each row the least constant of the keys that give that row, which
+    is the same polytope.  A branch switch swaps the constants and the dual
+    simplex re-optimizes.  A branch that it finds empty, or that has an
+    unbounded variable, is re-solved cold by `lp_bounds` on its own
+    primitive rows, so its Farkas vector, and the unbounded report, are
+    those of that branch's rows.  The integer walk tests each distinct
+    (k, T, n chi(1)) check once.
     """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
@@ -711,13 +857,19 @@ def _search(
     if not var_names:
         return res
 
-    pools = {}  # prime p -> the feasible distributions of u^p
-    for p in sorted(p for p in factorize(n) if p < n):
+    pools, open_sub = {}, None  # prime p -> the feasible distributions of u^p
+    for p in sorted((p for p in factorize(n) if p < n), reverse=True):  # n/p ascending
         if n // p not in results:
             results[n // p] = _search(slice_, n // p, chars, None, results)
-        pools[p] = results[n // p].feasible
-        if not pools[p]:
+        sub = results[n // p]
+        if sub.reason is not None:
+            open_sub = sub  # inconclusive; the least such prime speaks
+        elif not sub.feasible:
             return res
+        pools[p] = sub.feasible
+    if open_sub is not None:
+        res.status, res.reason = open_sub.status, open_sub.reason
+        return res
 
     exps = list(range(n)) if exponents is None else [e % n for e in exponents]
     keys = list(dict.fromkeys((chi.name, l) for chi in chars for l in exps))
@@ -726,62 +878,80 @@ def _search(
         chi = slice_.character(name)
         coeffs.append((chi, l, *slice_.variable_traces(chi, n, l)))
     nvars = len(var_names)
-    augmentation = [(1,) * nvars + (-1,), (-1,) * nvars + (1,)]  # sum e - 1 >= 0, <= 0
+    # every branch's rows, as (A, gcd of A): n mu >= 0 and n mu <= n chi(1) per
+    # key, then the augmentation pair sum e - 1 >= 0, <= 0; `constants` gives
+    # a branch's k of these rows from the k of its keys
+    shape = [(r, g) for _, _, row, g in coeffs for r in (row, tuple(-x for x in row))]
+    shape += [((1,) * nvars, 1), ((-1,) * nvars, 1)]
+
+    def constants(kb):
+        return [c for k, (chi, *_) in zip(kb, coeffs) for c in (k, n * chi.degree - k)] + [-1, 1]
 
     def primitive(row, k, g):
         g = math.gcd(g, k)
         return (*(x // g for x in row), k // g) if g > 1 else (*row, k)
 
-    for assign in _coherent_power_assignments(pools):
-        rows = []  # mu >= 0 and mu <= chi(1) per key, as primitive integer rows
-        checks = []  # (k, T, n * chi(1)): the walk wants 0 <= k + T.e <= n chi(1), n | k + T.e
-        for chi, l, row, g in coeffs:
-            k = _power_constant(slice_, chi, n, l, assign)
-            top = n * chi.degree
-            rows.append(primitive(row, k, g))
-            rows.append(primitive([-x for x in row], top - k, g))
-            checks.append((k, row, top))
-        ends, farkas = lp_bounds(rows + augmentation, nvars)
-        if ends is None:  # this branch is already rationally infeasible
-            pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
-            res.certificates.append(InfeasibleBranch(
-                assign, {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
-            continue
-        rel = dict(zip(var_names, ends))
-        if any(lo is None or hi is None for lo, hi in ends):
-            raise UnboundedSearchError(
-                f"order {n}: no supplied character bounds "
-                + ", ".join(v for v, (lo, hi) in rel.items() if lo is None or hi is None)
-            )
-        res.bounds = {v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()}
-        # walk the augmentation hyperplane: the last variable is 1 - the others
-        *ranges, last = (range(lo, hi + 1) for lo, hi in res.bounds.values())
-        total = 1
-        for r in ranges:
-            total *= len(r)
-            if total > CANDIDATE_CAP:
-                raise SearchComplexityError(
-                    f"order {n}: more than {CANDIDATE_CAP} integer candidates to walk on "
-                    f"the augmentation hyperplane (candidate cap {CANDIDATE_CAP})"
+    branches = list(_coherent_power_assignments(pools))
+    ks = [[_power_constant(slice_, chi, n, l, assign) for chi, l, _, _ in coeffs]
+          for assign in branches]  # per branch, the k of every key
+    # the shared rows are the distinct A; a branch gives each the least k of
+    # the rows that have it
+    sources: dict[tuple[int, ...], list[int]] = {}
+    for i, (row, _) in enumerate(shape):
+        sources.setdefault(row, []).append(i)
+    consts = [[min(c[i] for i in src) for src in sources.values()] for c in map(constants, ks)]
+
+    try:
+        for assign, kb, ends in zip(branches, ks, _shared_bounds(list(sources), consts, nvars)):
+            if ends is None:  # empty or unbounded: solved cold on its own primitive rows
+                rows = [primitive(row, c, g) for (row, g), c in zip(shape, constants(kb))]
+                ends, farkas = lp_bounds(rows, nvars)
+                if ends is None:  # this branch is rationally infeasible
+                    pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
+                    res.certificates.append(InfeasibleBranch(
+                        assign, {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
+                    continue
+            rel = dict(zip(var_names, ends))
+            if any(lo is None or hi is None for lo, hi in ends):
+                raise UnboundedSearchError(
+                    f"order {n}: no supplied character bounds "
+                    + ", ".join(v for v, (lo, hi) in rel.items() if lo is None or hi is None)
                 )
-        for head in itertools.product(*ranges):
-            tail = 1 - sum(head)
-            if tail not in last:
-                continue
-            point = (*head, tail)
-            env = dict(zip(var_names, point))
-            if not all(c.satisfied(env) for c in congs):
-                continue
-            ok = True
-            for k, row, top in checks:
-                val = k + sum(c * x for c, x in zip(row, point))
-                if val < 0 or val > top or val % n:
-                    ok = False
-                    break
-            if ok:
-                res.feasible.append(
-                    PartialAugmentationVector(n, {k: v for k, v in env.items() if v}, assign)
-                )
+            res.bounds = {v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()}
+            # walk the augmentation hyperplane: the last variable is 1 - the others;
+            # the walk wants 0 <= k + T.e <= n chi(1) and n | k + T.e per distinct check
+            checks = dict.fromkeys((k, row, n * chi.degree)
+                                   for k, (chi, _, row, _) in zip(kb, coeffs))
+            *ranges, last = (range(lo, hi + 1) for lo, hi in res.bounds.values())
+            total = 1
+            for r in ranges:
+                total *= len(r)
+                if total > CANDIDATE_CAP:
+                    raise SearchComplexityError(
+                        f"order {n}: more than {CANDIDATE_CAP} integer candidates to walk on "
+                        f"the augmentation hyperplane (candidate cap {CANDIDATE_CAP})"
+                    )
+            for head in itertools.product(*ranges):
+                tail = 1 - sum(head)
+                if tail not in last:
+                    continue
+                point = (*head, tail)
+                env = dict(zip(var_names, point))
+                if not all(c.satisfied(env) for c in congs):
+                    continue
+                ok = True
+                for k, row, top in checks:
+                    val = k + sum(c * x for c, x in zip(row, point))
+                    if val < 0 or val > top or val % n:
+                        ok = False
+                        break
+                if ok:
+                    res.feasible.append(
+                        PartialAugmentationVector(n, {k: v for k, v in env.items() if v}, assign)
+                    )
+    except (UnboundedSearchError, SearchComplexityError) as e:
+        status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
+        return FeasibilityResult(n, var_names, status, [], None, congs, reason=str(e))
     res.status = "feasible" if res.feasible else "infeasible"
     return res
 
@@ -816,12 +986,7 @@ def feasible_partial_augmentations(
     chars = [slice_.character(c) for c in characters] if characters else slice_.characters
     if not chars:
         raise ValueError("at least one character is required")
-    try:
-        return _search(slice_, n, chars, exponents, {})
-    except (UnboundedSearchError, SearchComplexityError) as e:
-        status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
-        return FeasibilityResult(n, [c.name for c in slice_.variable_classes(n)], status, [],
-                                 None, congruence_constraints(slice_, n), reason=str(e))
+    return _search(slice_, n, chars, exponents, {})
 
 
 # -- published inequality rows ---------------------------------------------------

@@ -296,7 +296,7 @@ class TestCompositeTowers:
 
     @pytest.mark.parametrize("load, n, searches", [
         (lambda: fixtures.load_slice("s5"), 12, 5),
-        (lambda: fixtures.load_slice("c21"), 63, 5),
+        (lambda: fixtures.load_slice("c21"), 63, 3),
         (lambda: cyclic_slice(24), 24, 7),
     ], ids=["s5-12", "c21-63", "C24-24"])
     def test_each_order_is_searched_once(self, load, n, searches, monkeypatch):
@@ -306,6 +306,26 @@ class TestCompositeTowers:
                             lambda s, m, *rest: orders.append(m) or search(s, m, *rest))
         H.feasible_partial_augmentations(slice_, n)
         assert len(orders) == searches == len(set(orders))
+
+    def test_smallest_sub_order_first(self, c21, monkeypatch):
+        # c21/63: the empty order 9 (p = 7) ends the search before order 21
+        orders = []
+        search = H._search
+        monkeypatch.setattr(H, "_search",
+                            lambda s, m, *rest: orders.append(m) or search(s, m, *rest))
+        assert H.feasible_partial_augmentations(c21, 63).status == "infeasible"
+        assert orders == [63, 9, 3] and 21 not in orders
+
+    @pytest.mark.parametrize("table, n, chars, status, reason", [
+        ("s5", 30, ["std"], "infeasible", None),  # order 15 is empty, order 6 unbounded
+        ("c21", 63, ["X1"], "infeasible", None),  # order 9 is empty, order 21 unbounded
+        # orders 4 and 6 are unbounded: the least prime's, p = 2, speaks
+        ("s5", 12, ["sgn"], "unbounded", "order 6: no supplied character bounds 2a, 2b, 3a, 6a"),
+    ])
+    def test_an_empty_sub_order_outweighs_an_inconclusive_one(self, table, n, chars, status,
+                                                               reason):
+        res = H.feasible_partial_augmentations(fixtures.load_slice(table), n, chars)
+        assert (res.status, res.reason, res.feasible, res.bounds) == (status, reason, [], None)
 
     @pytest.mark.parametrize("m, listed", [
         (8, ["c7", "c3", "c5", "c1"]),
@@ -604,6 +624,90 @@ class TestSimplex:
         assert 1 in walks
 
 
+def shared_systems():
+    """1-4 variables and 1-5 branches that share distinct coefficient rows and
+    differ in their constants: drawn rows, half the time the box around each
+    branch's point (else directions may be unbounded), a pair a.x = b with
+    every a_v > 0, and half the time a zero row.  Each branch's constants
+    hold at a drawn point x0 with a drawn slack per row.  Forced empty
+    branches (none, the first, the last or all) get a.x >= b + 1 on the
+    pair; a drawn branch gets a negative constant on the zero row; and a
+    drawn branch, where the box is, gets no slack on the box's lower rows and
+    on the pair, so x0 is its only point."""
+    @st.composite
+    def build(draw):
+        nvars = draw(st.integers(1, 4))
+        coeff = st.tuples(*[st.integers(-3, 3)] * nvars)
+        rows = draw(st.lists(coeff.filter(any), max_size=5))
+        unit = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+        boxed = draw(st.booleans())
+        if boxed:
+            rows += unit + [tuple(-x for x in u) for u in unit]
+        a = draw(st.tuples(*[st.integers(1, 3)] * nvars))
+        zero = (0,) * nvars
+        rows = list(dict.fromkeys(rows + [a, tuple(-x for x in a)] + [zero] * draw(st.booleans())))
+        nb = draw(st.integers(1, 5))
+        empty = draw(st.sampled_from([(), (0,), (nb - 1,), tuple(range(nb))]))
+        negative, pin = draw(st.integers(0, nb - 1)), draw(st.integers(0, nb - 1))
+        ia, ineg = rows.index(a), rows.index(tuple(-x for x in a))
+        consts = []
+        for b in range(nb):
+            x0 = draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
+            slack = draw(st.lists(st.integers(0, 4), min_size=len(rows), max_size=len(rows)))
+            if b == pin and boxed:
+                for j in [ia, ineg, *map(rows.index, unit)]:
+                    slack[j] = 0
+            k = [s - sum(c * x for c, x in zip(row, x0)) for row, s in zip(rows, slack)]
+            if b in empty:  # a.x >= b + 1 and a.x <= b
+                k[ineg] = -k[ia] - 1
+            if zero in rows and b == negative:
+                k[rows.index(zero)] = -1 - k[rows.index(zero)]
+            consts.append(k)
+        return nvars, rows, consts
+
+    return build()
+
+
+class TestSharedDictionary:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shared_systems())
+    @example((1, [(1,), (-1,)], [[0, 0], [-2, 1], [0, 3]]))  # x = 0; empty; 0 <= x <= 3
+    @example((2, [(1, 0), (1, 1), (-1, -1)], [[0, -1, 1], [0, -2, 2]]))  # y unbounded below
+    @example((1, [(1,), (-1,), (0,)], [[0, 2, 0], [0, 2, -1], [1, 0, 0]]))  # 0 >= 1 in one branch
+    def test_each_branch_matches_lp_bounds_and_fourier_motzkin(self, system):
+        nvars, rows, consts = system
+        shared = H._shared_bounds(rows, consts, nvars)
+        assert len(shared) == len(consts)
+        for ends, k in zip(shared, consts):
+            full = [primitive_row((*a, c)) for a, c in zip(rows, k)]  # the same polytope
+            bounds, farkas = H.lp_bounds(full, nvars)
+            assert bounds == H.fm_bounds(full, nvars)
+            if bounds is None:  # empty: re-solved cold for its certificate
+                assert ends is None and farkas_holds(zip(farkas, full), nvars)
+            elif None in (x for e in bounds for x in e):  # unbounded in every nonempty branch
+                assert ends is None
+            else:
+                assert ends == bounds
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shared_systems())
+    def test_one_walk_per_objective(self, system):
+        nvars, rows, consts = system
+        walks, maximize = [], H._Dictionary.maximize
+
+        def walk(d, i, sign):
+            walks.append((d.basis[i], sign))
+            return maximize(d, i, sign)
+
+        H._Dictionary.maximize = walk
+        try:
+            H._shared_bounds(rows, consts, nvars)
+        finally:
+            H._Dictionary.maximize = maximize
+        objectives = [w for w in walks if w[0] >= len(rows)]  # not phase one's
+        assert len(objectives) == len(set(objectives)) <= 2 * nvars
+
+
 def fraction_pivot(f, r, c):
     """The dictionary f (rows of Fractions, entry 0 the constant) after the
     exchange of basis[r] and cols[c], solved by hand in rationals."""
@@ -647,4 +751,16 @@ class TestDictionary:
         monkeypatch.setattr(H._Dictionary, "pivot",
                             lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
         assert H.feasible_partial_augmentations(c21, 21).status == "feasible"
-        assert len(pivots) == 1192
+        assert len(pivots) == 522
+
+    def test_c21_order_21_walks_each_objective_once(self, c21, monkeypatch):
+        # one dictionary for the 12 branches: each of the 20 minima is walked
+        # to once (the parent walked to each once per branch, 240 times), and
+        # the minima pin every branch's only point, so no maximum is walked
+        walks = []
+        maximize = H._Dictionary.maximize
+        monkeypatch.setattr(H._Dictionary, "maximize", lambda d, i, sign: walks.append(
+            (d.nvars, d.basis[i] - d.m, sign)) or maximize(d, i, sign))
+        assert H.feasible_partial_augmentations(c21, 21).status == "feasible"
+        at_21 = [w for w in walks if w[0] == 20 and w[1] >= 0]
+        assert sorted(at_21) == [(20, v, -1) for v in range(20)]
