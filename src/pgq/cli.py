@@ -9,9 +9,9 @@ The first `main` call of a process moves every object then on the garbage
 collector's heap (the modules, classes and constants that importing pgq,
 numpy and argparse left behind) into the permanent generation with
 `gc.freeze()`. The collector stays enabled for what the command allocates.
-A process that has frozen its heap already is left as it is, and importing
-`pgq` or `pgq.cli` freezes nothing, so a host program's collection is only
-changed if it calls `main`.
+A process whose heap is frozen already at that first call is left as it is,
+later calls do not look again, and importing `pgq` or `pgq.cli` freezes
+nothing, so a host program's collection is only changed if it calls `main`.
 """
 
 from __future__ import annotations
@@ -273,13 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: whether `main` has decided on the heap freeze in this process
+_heap_settled = False
+
+
 def main(argv=None, out=None) -> int:
     # The imports leave about 22,000 objects that the collector tracks.
     # Frozen, they are no longer traversed by the collections a command
     # triggers nor by the interpreter's teardown, which took 21-33 ms of
     # the 30-40 ms a small cold query spends after its imports (2 vCPUs).
-    if not gc.get_freeze_count():
-        gc.freeze()
+    # gc.get_freeze_count() walks the whole permanent generation, so it is
+    # asked on the first call only.
+    global _heap_settled
+    if not _heap_settled:
+        _heap_settled = True
+        if not gc.get_freeze_count():
+            gc.freeze()
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:

@@ -14,11 +14,15 @@ The module also carries the exhaustive verifiers for four combinatorial
 inequalities about semistandard lattice skew tableaux, and a brute-force
 linear-algebra oracle over GF(p) that recomputes which (submodule, quotient)
 partition pairs a nilpotent Jordan module admits, independently of the
-Littlewood-Richardson route.  The verifiers read per-shape tables built
-once per skew shape (row starts, column span, rectangles, columns-between-
-lines pairs) and, per tableau, only its row tuples and the kernel's letter
-counts; a SkewTableau is built only for a violation.  split_at_column,
-content and gamma are their references in the tests.  The oracle tests the
+Littlewood-Richardson route.  The corpus builds one layout per skew shape it
+generates, straight from its two partitions (row starts, the rows' place in
+the kernel's grid, column span; the rectangles and columns-between-lines
+pairs when a check first asks), and the kernel fills that same layout.  A
+check reads per tableau only its row tuples and the kernel's letter counts;
+the validated SkewShape and a SkewTableau are built only for a violation.
+Divided-tableau reads each cut's right part once and tests its gamma
+inequalities on the sorted letter counts.  split_at_column, content and
+gamma are the checks' references in the tests.  The oracle tests the
 invariance of a whole block of RREF bases, one numpy array per pivot set,
 at once.
 """
@@ -26,6 +30,7 @@ at once.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -39,9 +44,10 @@ Partition = tuple[int, ...]
 
 def is_partition(parts) -> bool:
     parts = tuple(parts)
-    return (all(isinstance(x, int) for x in parts)
-            and tuple(sorted(parts, reverse=True)) == parts
-            and (not parts or parts[-1] >= 1))
+    for x in parts:  # every part an int before any is compared
+        if not isinstance(x, int):
+            return False
+    return all(map(operator.ge, parts, parts[1:])) and (not parts or parts[-1] >= 1)
 
 
 def check_partition(parts) -> Partition:
@@ -58,9 +64,8 @@ def weight(parts) -> int:
 def is_subpartition(mu, lam) -> bool:
     """mu_i <= lam_i for all i, with mu padded by zeros."""
     mu, lam = tuple(mu), tuple(lam)
-    if len(mu) > len(lam):
-        return all(x == 0 for x in mu[len(lam):]) and is_subpartition(mu[: len(lam)], lam)
-    return all(m <= l for m, l in zip(mu, lam))
+    return ((len(mu) <= len(lam) or all(map(operator.eq, mu[len(lam):], itertools.repeat(0))))
+            and all(map(operator.le, mu, lam)))
 
 
 @lru_cache(maxsize=None)
@@ -202,10 +207,71 @@ def gamma(s: int, obj) -> int:
 # -- the filling kernel and Littlewood-Richardson counts ---------------------
 
 
-def _fillings(outer, inner, target=None):
-    """Every semistandard lattice filling of outer/inner (at least one cell),
-    by backtracking over an explicit cell stack (Knuth, TAOCP 4A, 7.2.2,
-    Algorithm B).
+def _rows_in_grid(outer: Partition, inner: Partition) -> tuple[list[int], list[int]]:
+    """The first column of each row of outer/inner, and where each row ends
+    in the filling kernel's grid, which holds the rows left to right, one
+    after another."""
+    starts = [*inner, *[0] * (len(outer) - len(inner))]
+    return starts, list(itertools.accumulate(map(operator.sub, outer, starts)))
+
+
+class _ShapeTables:
+    """The layout of one skew shape outer/inner, built once for all its
+    fillings straight from the two partitions it was generated from, which
+    are trusted (inner inside outer, at least one cell): the row starts and
+    ends of _rows_in_grid, the slice of the grid that holds each row and the
+    occupied columns left..left+ell-1.  On first use: the validated
+    SkewShape, the rectangles and the columns-between-lines pairs."""
+
+    def __init__(self, outer: Partition, inner: Partition):
+        starts, ends = _rows_in_grid(outer, inner)
+        self.outer, self.inner, self.starts, self.ends = outer, inner, starts, ends
+        self.row_slices = [slice(e - o + s, e) for e, o, s in zip(ends, outer, starts)]
+        self.occupied = [i for i, (o, s) in enumerate(zip(outer, starts)) if o > s]
+        # starts and outer both weakly decrease down the rows
+        self.left = starts[self.occupied[-1]]
+        self.ell = outer[self.occupied[0]] - self.left
+
+    @cached_property
+    def shape(self) -> SkewShape:
+        return SkewShape(self.outer, self.inner)
+
+    @cached_property
+    def rectangles(self) -> list[tuple[int, int]]:
+        """(h, k) for every fully contained h x k rectangle that is maximal
+        downwards from its top row."""
+        outer, starts = self.outer, self.starts
+        found = []
+        for r0 in range(len(outer)):
+            lo, hi = starts[r0], outer[r0]
+            for i in range(r0, len(outer)):
+                lo, hi = max(lo, starts[i]), min(hi, outer[i])
+                if hi <= lo:
+                    break
+                found.append((i - r0 + 1, hi - lo))
+        return found
+
+    @cached_property
+    def between(self) -> list[tuple[int, int]]:
+        """(k, h) for 0 <= k <= ell: the first ell-k columns lie within h
+        consecutive rows, h the least such (1 when they hold no cell, since
+        the hypothesis then holds for every h >= 1)."""
+        found = []
+        for k in range(self.ell + 1):
+            # a row has a cell left of the cut exactly when its first cell is
+            cut = self.left + self.ell - k
+            touched = [i for i in self.occupied if self.starts[i] < cut]
+            found.append((k, touched[-1] - touched[0] + 1 if touched else 1))
+        return found
+
+    def tableau_json(self, rows) -> dict:
+        return SkewTableau(self.shape, rows).to_json()
+
+
+def _fillings(outer, starts, ends, target=None):
+    """Every semistandard lattice filling of a skew shape with at least one
+    cell, its rows laid out by _rows_in_grid, by backtracking over an
+    explicit cell stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B).
 
     The grid holds the rows left to right, one after another, then the
     sentinel 0 and one cap per row.  Cells are visited in reading order,
@@ -224,8 +290,6 @@ def _fillings(outer, inner, target=None):
     the reading word.
     """
     top = len(outer) if target is None else len(target)
-    starts = [inner[i] if i < len(inner) else 0 for i in range(len(outer))]
-    ends = list(itertools.accumulate(o - s for o, s in zip(outer, starts)))
     n = ends[-1]
     order, right, above = [], [], []  # per visit: grid index, cap, floor
     for i, (o, s) in enumerate(zip(outer, starts)):
@@ -276,60 +340,12 @@ def lr_coefficient(lam, mu, nu) -> int:
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if not (is_partition(lam) and is_partition(mu) and is_partition(nu)):
         return 0
-    if (weight(mu) + weight(nu) != weight(lam) or not is_subpartition(mu, lam)
+    if (sum(mu) + sum(nu) != sum(lam) or not is_subpartition(mu, lam)
             or not is_subpartition(nu, lam)):
         return 0
-    if weight(lam) == weight(mu):
-        return 1 if not nu else 0
-    return sum(1 for _ in _fillings(lam, mu, nu))
-
-
-class _ShapeTables:
-    """What the lemma checks read of one skew shape, built once for all its
-    tableaux: the row starts, the slice of the kernel's grid that holds each
-    row and the occupied columns left..left+ell-1; on first use, the
-    rectangles and the columns-between-lines pairs."""
-
-    def __init__(self, shape: SkewShape):
-        outer = shape.outer
-        starts = [shape.inner_at(i) for i in range(len(outer))]
-        ends = itertools.accumulate(o - s for o, s in zip(outer, starts))
-        self.shape, self.starts = shape, starts
-        self.row_slices = [slice(e - (o - s), e) for e, o, s in zip(ends, outer, starts)]
-        self.occupied = [i for i, (s, o) in enumerate(zip(starts, outer)) if o > s]
-        self.left = min(starts[i] for i in self.occupied)
-        self.ell = max(outer[i] for i in self.occupied) - self.left
-
-    @cached_property
-    def rectangles(self) -> list[tuple[int, int]]:
-        """(h, k) for every fully contained h x k rectangle that is maximal
-        downwards from its top row."""
-        outer, starts = self.shape.outer, self.starts
-        found = []
-        for r0 in range(len(outer)):
-            lo, hi = starts[r0], outer[r0]
-            for i in range(r0, len(outer)):
-                lo, hi = max(lo, starts[i]), min(hi, outer[i])
-                if hi <= lo:
-                    break
-                found.append((i - r0 + 1, hi - lo))
-        return found
-
-    @cached_property
-    def between(self) -> list[tuple[int, int]]:
-        """(k, h) for 0 <= k <= ell: the first ell-k columns lie within h
-        consecutive rows, h the least such (1 when they hold no cell, since
-        the hypothesis then holds for every h >= 1)."""
-        found = []
-        for k in range(self.ell + 1):
-            # a row has a cell left of the cut exactly when its first cell is
-            cut = self.left + self.ell - k
-            touched = [i for i in self.occupied if self.starts[i] < cut]
-            found.append((k, touched[-1] - touched[0] + 1 if touched else 1))
-        return found
-
-    def tableau_json(self, rows) -> dict:
-        return SkewTableau(self.shape, rows).to_json()
+    if not nu:
+        return 1
+    return sum(1 for _ in _fillings(lam, *_rows_in_grid(lam, mu), nu))
 
 
 def _corpus(max_boxes: int):
@@ -340,9 +356,9 @@ def _corpus(max_boxes: int):
             for mu in subpartitions(lam):
                 if weight(mu) == w or (mu and mu[0] == lam[0]):
                     continue  # no box, or first row empty: same diagram with the row dropped
-                tables = _ShapeTables(SkewShape(lam, mu))
+                tables = _ShapeTables(lam, mu)
                 slices = tables.row_slices
-                for grid, counts in _fillings(lam, mu):
+                for grid, counts in _fillings(lam, tables.starts, tables.ends):
                     yield tables, tuple(map(tuple, map(grid.__getitem__, slices))), counts
 
 
@@ -418,7 +434,7 @@ def _check_columns_between_lines(tables, rows, counts) -> list:
 def split_at_column(t: SkewTableau, k: int):
     """The part strictly right of the first k geometric columns, re-rooted
     (the empty tableau when the cut leaves nothing)."""
-    cut = _ShapeTables(t.shape).left + k
+    cut = k + min(j for _, j in t.shape.cells())
     outer, inner, rows = [], [], []
     for i, lam in enumerate(t.shape.outer):
         off = t.shape.inner_at(i)
@@ -434,33 +450,22 @@ def split_at_column(t: SkewTableau, k: int):
 
 def _semistandard_cut(rows, starts) -> int:
     """The least column c such that the cells in columns >= c form a
-    semistandard filling, row i starting at column starts[i]: a row descent
-    into column j survives every cut up to j - 1, a column clash in column j
-    every cut up to j."""
+    semistandard filling, row i starting at column starts[i] (the starts
+    weakly decrease, as in a skew shape): a row descent into column j
+    survives every cut up to j - 1, a column clash in column j every cut up
+    to j."""
     least = 0
-    for i, (row, s) in enumerate(zip(rows, starts)):
-        for q in range(1, len(row)):
-            if row[q - 1] > row[q]:
-                least = max(least, s + q)
-        if i + 1 < len(rows):
-            below, sb = rows[i + 1], starts[i + 1]
-            for j in range(max(s, sb), min(s + len(row), sb + len(below))):
-                if row[j - s] >= below[j - sb]:
-                    least = max(least, j + 1)
-    return least
-
-
-def _lattice_counts(rows, starts, cut: int, top: int) -> list[int] | None:
-    """Letter counts (index 0 unused) of the cells in columns >= cut, row i
-    starting at column starts[i]; None unless they read, rows top to bottom
-    and each right to left, as a lattice word."""
-    counts = [0] * (top + 1)
+    above = ()
     for row, s in zip(rows, starts):
-        for e in reversed(row[cut - s:] if cut > s else row):
-            counts[e] += 1
-            if e > 1 and counts[e] > counts[e - 1]:
-                return None
-    return counts
+        if len(row) > 1 and any(map(operator.gt, row, row[1:])):
+            least = max(least, s + max(q for q in range(1, len(row)) if row[q - 1] > row[q]))
+        # the row above starts at sa >= s: below its columns sa, sa + 1, ...
+        # lie row[sa - s], row[sa - s + 1], ...
+        if above and any(map(operator.ge, above, row[sa - s:])):
+            least = max(least, 1 + sa + max(q for q, (a, b) in enumerate(zip(above, row[sa - s:]))
+                                            if a >= b))
+        above, sa = row, s
+    return least
 
 
 def _check_divided_tableau(tables, rows, counts) -> list:
@@ -469,29 +474,48 @@ def _check_divided_tableau(tables, rows, counts) -> list:
 
     T' is read straight from the rows of T: split_at_column keeps the rows
     that reach past the cut, in order, so adjacency, the reading word and the
-    content of T' are those of the cells of T right of the cut.  Only
-    n <= most - k is tested, most the largest letter count, since
-    gamma_{n+k}(T) is 0 past it."""
+    content of T' are those of the cells of T right of the cut.  Each cut
+    reads those cells once, in reading order, and stops at the first letter
+    that breaks the lattice property.  The content r of a lattice T' is a
+    partition, and containment of partitions is preserved by conjugation
+    (Macdonald, ch. I, 1), so with t the letter counts of T in decreasing
+    order the inequalities hold for every n exactly when t_j - r_j <= k for
+    every j.  Only a cut that fails this is compared n by n, for
+    n <= most - k, most the largest letter count, since gamma_{n+k}(T) is 0
+    past it."""
     bad = []
-    starts = tables.starts
-    most = max(counts[1:])
-    lhs = _gamma_table(counts, most + 1)
-    semistandard_from = _semistandard_cut(rows, starts)
+    t = sorted(counts[1:], reverse=True)
+    most = t[0]
+    nothing = [most + 1] + [0] * len(t)  # index 0 exceeds every count
+    reading = [row[::-1] for row in rows]
+    semistandard_from = _semistandard_cut(rows, tables.starts)
     for k in range(tables.ell + 1):
         cut = tables.left + k
-        right = None if cut < semistandard_from else _lattice_counts(
-            rows, starts, cut, len(counts) - 1)
-        if right is None:
+        if cut < semistandard_from:
             bad.append({"tableau": tables.tableau_json(rows), "k": k,
                         "reason": "right part not SSLT"})
             continue
-        if k >= most:
-            continue
-        rhs = _gamma_table(right, most - k + 1)
-        for n in range(1, most - k + 1):
-            if lhs[n + k] > rhs[n]:
-                bad.append({"tableau": tables.tableau_json(rows), "k": k, "n": n,
-                            "lhs": lhs[n + k], "rhs": rhs[n]})
+        right = nothing.copy()
+        for word, o in zip(reading, tables.outer):
+            if o <= cut:
+                continue  # the row lies left of the cut
+            for e in word[:o - cut]:
+                c = right[e] + 1
+                if c > right[e - 1]:
+                    break
+                right[e] = c
+            else:
+                continue
+            bad.append({"tableau": tables.tableau_json(rows), "k": k,
+                        "reason": "right part not SSLT"})
+            break
+        else:
+            if max(map(operator.sub, t, right[1:])) > k:
+                lhs = _gamma_table(counts, most + 1)
+                rhs = _gamma_table(right, most - k + 1)
+                bad.extend({"tableau": tables.tableau_json(rows), "k": k, "n": n,
+                            "lhs": lhs[n + k], "rhs": rhs[n]}
+                           for n in range(1, most - k + 1) if lhs[n + k] > rhs[n])
     return bad
 
 
@@ -688,7 +712,8 @@ def _jordan_pairs(p: int, parts: Partition) -> frozenset:
         shifted[:, :, moved] = block[:, :, [src[j] for j in moved]]
         residue = shifted.copy()
         for j, c in enumerate(pivots):
-            residue -= shifted[:, :, c, None] * block[:, None, j, :]
+            if src[c] >= 0:  # column c of S is zero at the head of a block
+                residue -= shifted[:, :, c, None] * block[:, None, j, :]
         invariant = block[~(residue % p).any(axis=(1, 2))]
         if not powers:
             if len(invariant):

@@ -451,7 +451,8 @@ class TestBlasThreads:
 class TestHeapFreeze:
     """`main` moves the heap the imports left into the permanent generation
     once per process, so interpreter teardown does not traverse it; importing
-    pgq freezes nothing, and a heap the host froze is left as it is."""
+    pgq freezes nothing, a heap the host froze is left as it is, and only the
+    first command asks how much is frozen."""
 
     MAIN = ("import gc, io, pgq.cli\n"
             "def main():\n"
@@ -477,6 +478,17 @@ class TestHeapFreeze:
                   "main()\n"
                   "print(gc.get_freeze_count() - first)")
         assert self.child(script) == "0\n"
+
+    def test_only_the_first_command_asks_for_the_freeze_count(self):
+        # gc.get_freeze_count walks the whole permanent generation
+        script = ("asked = []\n"
+                  "count = gc.get_freeze_count\n"
+                  "gc.get_freeze_count = lambda: asked.append(1) or count()\n"
+                  "main()\n"
+                  "main()\n"
+                  "gc.get_freeze_count = count\n"
+                  "print(len(asked), gc.get_freeze_count() > 0)")
+        assert self.child(script) == "1 True\n"
 
     def test_a_host_frozen_heap_is_left_as_it_is(self):
         script = ("gc.freeze()\n"

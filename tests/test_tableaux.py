@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,12 +110,12 @@ def oracle_corpus(max_boxes):
 
 
 def run_check(check, t):
-    """A lemma check on one tableau, through the per-shape tables."""
+    """A lemma check on one tableau, through the layout of its shape."""
     counts = [0] * (max(max(row) for row in t.rows if row) + 1)
     for row in t.rows:
         for e in row:
             counts[e] += 1
-    return check(T._ShapeTables(t.shape), t.rows, counts)
+    return check(T._ShapeTables(t.shape.outer, t.shape.inner), t.rows, counts)
 
 
 class TestPredicates:
@@ -149,6 +150,68 @@ class TestPredicates:
         assert T.gamma(3, (5, 3, 3, 1)) == 3
         assert T.gamma(1, ()) == 0
         assert T.gamma(2, figure_T()) == 3
+
+
+def _gen(*parts):
+    return (x for x in parts)
+
+
+class TestPredicatePins:
+    """The answers of the partition predicates and of lr_coefficient on
+    inputs that are not tuples of positive ints, pinned literally: bools are
+    ints, a float never is, and an unhashable entry is compared, not hashed."""
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: [3, 1], True), (lambda: _gen(2, 2, 1), True), (lambda: (), True),
+        (lambda: (True, True), True), (lambda: (True, False), False), (lambda: (1.0,), False),
+        (lambda: (2, 1.0), False), (lambda: (2, 0), False), (lambda: (0,), False),
+        (lambda: (1, -1), False), (lambda: (1, 2), False), (lambda: ([1],), False),
+        (lambda: [[2], [1]], False), (lambda: "21", False),
+    ], ids=["list", "generator", "empty", "bools", "bool-false", "float", "float-part",
+            "zero", "only-zero", "negative", "unsorted", "unhashable", "unhashable-list",
+            "string"])
+    def test_is_partition(self, make, expected):
+        assert T.is_partition(make()) is expected
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: ([1], [2, 1]), True), (lambda: (_gen(1, 1), _gen(2, 1)), True),
+        (lambda: ((True,), (1,)), True), (lambda: ((1.0,), (1,)), True),
+        (lambda: ((2, 1, 0, 0), (2, 1)), True), (lambda: ((1, False), (1,)), True),
+        (lambda: ((1, 0, 1), (1,)), False), (lambda: ((-1,), ()), False),
+        (lambda: ((1, 2), (2, 2)), True), (lambda: ((3,), (2, 2)), False),
+        (lambda: ((1, [0]), (1,)), False), (lambda: ((1, None), (1,)), False),
+        (lambda: (("a", 1), ()), False),
+    ], ids=["lists", "generators", "bools", "float", "trailing-zeros", "trailing-false",
+            "trailing-nonzero", "negative", "unsorted", "longer-lam", "unhashable-tail",
+            "none-tail", "tail-before-prefix"])
+    def test_is_subpartition(self, make, expected):
+        assert T.is_subpartition(*make()) is expected
+
+    def test_is_subpartition_compares_an_unhashable_entry(self):
+        with pytest.raises(TypeError):
+            T.is_subpartition(([1],), (2,))
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: ([2, 1], [1], [1, 1]), 1), (lambda: (_gen(3, 2, 1), _gen(2, 1), _gen(2, 1)), 2),
+        (lambda: ((2, True), (True,), (True, True)), 1), (lambda: ((2, 1), (1.0,), (1, 1)), 0),
+        (lambda: ((2.0, 1), (1,), (1, 1)), 0), (lambda: ((2, 1), (1, 0), (1, 1)), 0),
+        (lambda: ((2, 1), (-1,), (2, 1, 1)), 0), (lambda: ((2, 2), (1,), (1, 2)), 0),
+        (lambda: ((2, 1), ([1],), (1, 1)), 0), (lambda: ((2, 1), (1, 1), (2,)), 0),
+        (lambda: ((2, 1), (3,), ()), 0), (lambda: ((2, 1), (2, 1), ()), 1),
+        (lambda: ((), (), ()), 1), (lambda: ((2, 1), (1,), (1,)), 0),
+    ], ids=["lists", "generators", "bools", "float", "float-lam", "zero-part", "negative",
+            "unsorted", "unhashable", "nu-outside", "mu-outside", "empty-nu", "all-empty",
+            "weight-mismatch"])
+    def test_lr_coefficient(self, make, expected):
+        assert T.lr_coefficient(*make()) == expected
+
+    def test_a_float_part_right_after_the_equal_int_tuple(self):
+        # (1.0, 1) == (1, 1) and both hash alike, yet only the second is a partition
+        assert T.is_partition((1, 1)) and not T.is_partition((1.0, 1))
+        assert T.lr_coefficient((1, 1), (1,), (1,)) == 1
+        assert T.lr_coefficient((1.0, 1), (1,), (1,)) == 0
+        assert T.lr_coefficient((2, 1), (1, 1), (1,)) == 1
+        assert T.lr_coefficient((2, 1), (1.0, 1), (1,)) == 0
 
 
 class TestLRCoefficients:
@@ -278,6 +341,105 @@ def assert_oracle_matches_lr(p, max_weight):
                         ), (lam, mu, nu)
 
 
+def conjugate(parts):
+    return tuple(sum(1 for x in parts if x > i) for i in range(parts[0] if parts else 0))
+
+
+def gaussian_binomial(n, k, q):
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def butler_count(lam, mu, q):
+    """Submodules of type mu in a nilpotent module of type lam over GF(q):
+    prod_i q^(mu'_{i+1} (lam'_i - mu'_i)) [lam'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_q
+    (Butler, Mem. AMS 539, 1994)."""
+    lc, mc = conjugate(lam), conjugate(mu)
+    lc += (0,)
+    mc += (0,) * (len(lc) - len(mc))
+    count = 1
+    for i in range(len(lc) - 1):
+        count *= q ** (mc[i + 1] * (lc[i] - mc[i]))
+        count *= gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], q)
+    return count
+
+
+def rank_mod(rows, p):
+    """Rank over GF(p) of a list of integer vectors, by plain elimination."""
+    rows = [[x % p for x in r] for r in rows]
+    rank, cols = 0, len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def submodule_type_counts(p, lam):
+    """{type of U: number of U} over the N-invariant subspaces U of the
+    Jordan module of type lam over GF(p), N moving each coordinate one place
+    along its block, by visiting every RREF basis: U is invariant when the
+    shifted basis S leaves no residue S - sum_j S[:, p_j] B_j, and the type
+    of U is read off the ranks of its images under N, N^2, ..."""
+    d = sum(lam)
+    heads = {sum(lam[:i]) for i in range(len(lam))}
+    moved = [j for j in range(d) if j not in heads]
+    counts = {}
+    for pivots, block in T._rref_blocks(p, d):
+        block = block.astype(np.int64)
+        shifted = np.zeros_like(block)
+        shifted[:, :, moved] = block[:, :, [j - 1 for j in moved]]
+        residue = shifted.copy()
+        for j, c in enumerate(pivots):
+            residue -= shifted[:, :, c, None] * block[:, None, j, :]
+        for basis in block[~(residue % p).any(axis=(1, 2))].tolist():
+            dims, image = [len(basis)], basis
+            while dims[-1]:
+                image = [[0 if j in heads else v[j - 1] for j in range(d)] for v in image]
+                dims.append(rank_mod(image, p))
+            mu = conjugate([a - b for a, b in zip(dims, dims[1:])])
+            counts[mu] = counts.get(mu, 0) + 1
+    return counts
+
+
+class TestSubmoduleCounts:
+    """The Jordan oracle's enumeration counts the submodules of each type as
+    Butler's formula does, with no Littlewood-Richardson coefficient asked."""
+
+    @pytest.mark.parametrize("p, max_weight", [(3, 5), (5, 4)])
+    def test_counts_match_butler(self, p, max_weight, monkeypatch):
+        def no_lr(*args):
+            raise AssertionError("the count oracle asked the LR route")
+        monkeypatch.setattr(T, "lr_coefficient", no_lr)
+        monkeypatch.setattr(T, "_fillings", no_lr)
+        cases = 0
+        for w in range(1, max_weight + 1):
+            for lam in T.partitions_of(w, max_part=p):
+                expected = {mu: butler_count(lam, mu, p) for mu in T.subpartitions(lam)}
+                assert submodule_type_counts(p, lam) == expected, lam
+                cases += len(expected)
+        assert cases == {3: 89, 5: 51}[p]
+
+    def test_formula_on_small_cases(self):
+        # a cyclic module has one submodule of each size; GF(q)^2 has q + 1 lines
+        assert [butler_count((4,), mu, 3) for mu in [(), (1,), (2,), (4,)]] == [1, 1, 1, 1]
+        assert butler_count((1, 1), (1,), 5) == 6
+        assert butler_count((2, 1), (1,), 3) == 4
+
+
 class TestJordanOracle:
     def test_pairs_match_lr_weight_up_to_5(self):
         assert_oracle_matches_lr(3, 5)
@@ -401,6 +563,14 @@ class TestVerifiers:
         assert is_semistandard(right) and T.has_lattice_property(right)
         full_cut = T.split_at_column(t, 3)
         assert full_cut.n_boxes == 0
+
+    def test_split_reads_only_the_shape(self, monkeypatch):
+        # the reference for divided-tableau shares no code with the check's layout
+        monkeypatch.setattr(T, "_ShapeTables", None)
+        t = SkewTableau.from_rows((4, 3, 1), (2, 2), [[1, 1], [2], [1]])
+        assert T.split_at_column(t, 0) == t
+        assert T.split_at_column(t, 1) == SkewTableau.from_rows((3, 2), (1, 1), [[1, 1], [2]])
+        assert T.split_at_column(t, 2) == SkewTableau.from_rows((2, 1), (), [[1, 1], [2]])
 
 
 def ref_small_branch(t):
