@@ -218,66 +218,142 @@ def _isqrt_array(v: np.ndarray) -> np.ndarray:
     return r.astype(np.int64)
 
 
-def _strip_primes(v, col, wit, primes, above: int):
-    """Divide each prime of `primes`, in ascending order, out of the
-    cofactors v (in place).  wit[col] takes the first prime > above that
-    divides an entry at least twice.  Returns the entries still open: their
-    column has no witness and their cofactor is at least the next prime
-    squared, so it may still hold a square."""
-    last = len(primes) - 1
-    for i, q in enumerate(primes):
-        quo = v // q
-        hit = np.flatnonzero(quo * q == v)
+#: cells (primes x open entries) of one divisibility table of the witness kernel
+_CELLS = 1 << 16
+
+
+def _inverse_table(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For an int64 array of odd primes q: the primes, q^-1 mod 2^64 and
+    floor((2^64-1)/q), the last two as uint64.  For a 64-bit v,
+    v*q^-1 mod 2^64 <= floor((2^64-1)/q) exactly when q divides v, and then
+    the product is v/q (Granlund and Montgomery, PLDI 1994; Warren,
+    Hacker's Delight 10-17)."""
+    q = primes.astype(np.uint64)
+    inv = q.copy()  # q*q = 1 mod 8, so q is its own inverse to 3 bits
+    for _ in range(5):  # each Newton step doubles the correct bits: 3 -> 96
+        inv *= np.uint64(2) - q * inv
+    return primes, inv, ~np.uint64(0) // q
+
+
+@lru_cache(maxsize=1)
+def _small_inverses() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse table of the odd primes <= 4096, built on first use."""
+    return _inverse_table(_prime_array(_TRIAL_LIMIT)[1:])
+
+
+def _cube_bound(top: int) -> int:
+    """The least b with b^3 > top: a cofactor <= top with no prime factor
+    <= b has at most two prime factors."""
+    b = round(top ** (1 / 3))
+    while b**3 <= top:
+        b += 1
+    return b
+
+
+def _late_inverses(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse table of the primes in (4096, b]."""
+    P = _prime_array(b)
+    return _inverse_table(P[P > _TRIAL_LIMIT])
+
+
+def _strip_primes(v, col, wit, table, above: int, cube: bool = False):
+    """Divide each odd prime q of the inverse table, in ascending order, out
+    of the positive int64 cofactors v.  wit[col] takes the first prime >
+    above that divides an entry at least twice.  Returns the entries that
+    may still hold a square: their column has no witness and their cofactor
+    is at least the next prime squared.  With `cube`, an entry also stops
+    early once its cofactor is below the next prime cubed (it then has at
+    most two prime factors left); it is returned with the others.
+
+    The test is exact division by an invariant integer (Granlund and
+    Montgomery, PLDI 1994; Warren, Hacker's Delight 10-17): q divides v
+    exactly when v*q^-1 mod 2^64 <= floor((2^64-1)/q), and the product is
+    then v/q.  A chunk of primes is tested at once, in one uint64 table of
+    about _CELLS cells (primes x open entries).  Each hit is stripped by
+    multiplying by the inverse of its full prime power, which is exact, so
+    no value is ever divided.  Row-major hits come in ascending prime order,
+    so a column's first squared hit is its least one in the chunk."""
+    q, inv, lim = table
+    lo = np.searchsorted(q, above, side="right")  # the primes from q[lo] on are > above
+    s, done_v, done_col = 0, [], []
+    while s < q.size and v.size:
+        n = v.size
+        e = min(q.size, s + max(1, _CELLS // n))
+        u = v.view(np.uint64)
+        hit = np.flatnonzero(u * inv[s:e, None] <= lim[s:e, None])
         if hit.size:
-            sub = quo[hit]
-            more = sub % q == 0
-            if q > above:
-                c = col[hit[more]]
-                wit[c[wit[c] == 0]] = q
-            while more.any():
-                sub[more] //= q
-                more = sub % q == 0
-            v[hit] = sub
-        if i % 8 == 7 or i == last:  # drop settled entries every few primes
-            nxt = primes[i + 1] if i < last else q + 1
-            open_ = (wit[col] == 0) & (v >= nxt * nxt)
-            v, col = v[open_], col[open_]
-    return v, col
+            i, j = np.divmod(hit, n)
+            i += s
+            pw = inv[i]  # q^-e for the full power q^e of each hit
+            quo = u[j] * pw  # v/q^e
+            sq = quo * pw <= lim[i]
+            more = np.flatnonzero(sq)
+            while more.size:
+                step = inv[i[more]]
+                pw[more] *= step
+                quo[more] *= step
+                more = more[quo[more] * step <= lim[i[more]]]
+            np.multiply.at(u, j, pw)
+            sq &= i >= lo
+            if sq.any():
+                c, first = np.unique(col[j[sq]], return_index=True)
+                w = q[i[sq][first]]
+                new = wit[c] == 0
+                wit[c[new]] = w[new]
+        nxt = int(q[e]) if e < q.size else int(q[-1]) + 1
+        open_ = (wit[col] == 0) & (v >= nxt * nxt)
+        if cube:
+            two = open_ & (v.view(np.uint64) < np.uint64(min(nxt**3, 2**64 - 1)))
+            done_v.append(v[two])
+            done_col.append(col[two])
+            open_ &= ~two
+        v, col = v[open_], col[open_]
+        s = e
+    return np.concatenate(done_v + [v]), np.concatenate(done_col + [col])
 
 
-def _square_witnesses(values: np.ndarray, above: int) -> np.ndarray:
+def _square_witnesses(values: np.ndarray, above: int, late) -> np.ndarray:
     """For each column of a 2-D array of positive int64 values, the smallest
     prime q > above whose square divides some entry of the column; 0 where
     there is none.
 
-    Trial division strips every prime <= 4096 from all entries at once, in
-    ascending order, so the first square found for a column is its witness.
-    Cofactors at or above 4096^3 are then trial-divided by the primes up to
-    their cube root.  Every cofactor left is 1, a prime, a prime square or a
-    product of two distinct primes, and an exact square root tells which.
+    The factor 2 goes by the lowest set bit.  Every odd prime <= 4096 is
+    then stripped from all entries, in ascending order, by the exact test
+    of `_strip_primes`: q divides v exactly when v*q^-1 mod 2^64 <=
+    floor((2^64-1)/q), one multiply and one compare per prime and entry.
+    The first square found for a column is its witness.  Cofactors at or
+    above 4096^3 are tested the same way against the primes up to their
+    cube root, taken from `late`: an inverse table of `_late_inverses` that
+    reaches the cube root of the largest value, or None when every value
+    is below 4096^3.  Every cofactor left is 1, a prime, a prime square or
+    a product of two distinct primes; an exact square root tells which.
+
+    This is a value-factoring path: every value meets every trial prime,
+    and no root of a polynomial is computed.  The root sieve finds the same
+    witnesses from roots mod q^2 and never divides a value, so the two stay
+    independent and `--dual` compares them.
     """
     n = values.shape[1]
     wit = np.zeros(n, dtype=np.int64)
-    v = values.reshape(-1).copy()
+    v = values.reshape(-1)
     col = np.tile(np.arange(n), values.shape[0])
-    v, col = _strip_primes(v, col, wit, _small_primes(), above)
+    if above < 2:
+        wit[col[v & 3 == 0]] = 2
+    v = v // (v & -v)
+    v, col = _strip_primes(v, col, wit, _small_inverses(), above)
     # witnesses above 4096 come from two sources that are not in ascending
     # order with each other, so they are collected apart and the least taken
-    late = np.zeros(n, dtype=np.int64)
+    late_wit = np.zeros(n, dtype=np.int64)
     big = v >= _TRIAL_LIMIT**3
     if big.any():
-        top = int(v[big].max())
-        bound = round(top ** (1 / 3))
-        while bound**3 <= top:
-            bound += 1
-        primes = _prime_array(bound)
-        vb, cb = _strip_primes(v[big], col[big], late, primes[primes > _TRIAL_LIMIT].tolist(),
-                               above)
+        k = int(np.searchsorted(late[0], _cube_bound(int(v[big].max())), side="right"))
+        vb, cb = _strip_primes(v[big], col[big], late_wit, tuple(a[:k] for a in late), above,
+                               cube=True)
         v, col = np.concatenate((v[~big], vb)), np.concatenate((col[~big], cb))
     r = _isqrt_array(v)
     square = r * r == v
     none = np.iinfo(np.int64).max
-    best = np.where(late > 0, late, none)
+    best = np.where(late_wit > 0, late_wit, none)
     np.minimum.at(best, col[square], r[square])
     found = best < none
     wit[found] = best[found]
@@ -477,25 +553,30 @@ class SieveResult:
 
 #: primes per array pass of the census; bounds the size of the temporaries
 _BLOCK = 1 << 13
+#: primes per block of phi-factor: the witness kernel's table, not the block,
+#: sets the number of numpy passes, so a smaller block only holds less at once
+_FACTOR_BLOCK = 1 << 12
 
 
 def _count_phi_factor(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     P = _prime_array(x)
     wit = np.zeros_like(P)
-    for s in range(0, P.size, _BLOCK):
-        block = P[s:s + _BLOCK]
+    top = max(_horner(_PHI_COEFFS[k], x) for k in ks)
+    late = _late_inverses(_cube_bound(top)) if top >= _TRIAL_LIMIT**3 else None
+    for s in range(0, P.size, _FACTOR_BLOCK):
+        block = P[s:s + _FACTOR_BLOCK]
         values = np.stack([_horner(_PHI_COEFFS[k], block) for k in ks])
-        wit[s:s + _BLOCK] = _square_witnesses(values, above)
+        wit[s:s + _FACTOR_BLOCK] = _square_witnesses(values, above, late)
     return P, wit
 
 
 def _powmod(g: int, e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """g^e mod m elementwise; m^2 must stay below 2^63."""
-    out = np.ones_like(m)
+    """g^e mod m elementwise for g >= 0, e >= 0 and m >= 1; m^2 must stay
+    below 2^63."""
+    out = 1 % m
     b = g % m
-    for bit in range(int(e.max()).bit_length()):
-        odd = (e >> bit) & 1 == 1
-        out[odd] = out[odd] * b[odd] % m[odd]
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        out = np.where((e >> bit) & 1 == 1, out * b % m, out)
         b = b * b % m
     return out
 
@@ -572,33 +653,44 @@ def phi_roots_mod_q2(k: int, q: int) -> list[int]:
     return sorted(_lifted_roots((k,), np.array([q], dtype=np.int64))[1].tolist())
 
 
-def _mark(P: np.ndarray, best: np.ndarray, q, hits: np.ndarray) -> None:
-    """best[j] = min(best[j], q) for every prime P[j] among the candidates."""
+def _mark(P: np.ndarray, best: np.ndarray, q: np.ndarray, hits: np.ndarray) -> None:
+    """best[j] = min(best[j], q[i]) for every prime P[j] = hits[i]."""
     j = np.searchsorted(P, hits)
     np.minimum(j, P.size - 1, out=j)
     prime = P[j] == hits
-    np.minimum.at(best, j[prime], q if np.isscalar(q) else q[prime])
+    np.minimum.at(best, j[prime], q[prime])
 
 
 def _count_root_sieve(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     P = _prime_array(x)
     none = np.iinfo(np.int64).max
     best = np.full(P.size, none)
-    pairs = [(q, r) for q in (2, 3) if q > above for k in ks for r in phi_roots_mod_q2(k, q)]
+    tiny = [(q, r) for q in (2, 3) if q > above for k in ks for r in phi_roots_mod_q2(k, q)]
+    qs = [np.array([q for q, _ in tiny], dtype=np.int64)]
+    rs = [np.array([r for _, r in tiny], dtype=np.int64)]
     # a witness q > 3 squares into one value, so q^2 <= p^2+p+1 <= x^2+x+1;
     # isqrt(x^2+x+1) == x, so every such q is in P
     Q = P[np.searchsorted(P, max(above, 3), side="right"):]
     for s in range(0, Q.size, _BLOCK):
         q, r = _lifted_roots(ks, Q[s:s + _BLOCK])
         small = q * q <= x
-        pairs += zip(q[small].tolist(), r[small].tolist())
+        qs.append(q[small])
+        rs.append(r[small])
         # for q^2 > x the class of a root r holds one candidate p = r at most
         large = ~small & (r <= x)
         _mark(P, best, q[large], r[large])
-    for q, r in pairs:
-        m = q * q
-        for start in range(r, x + 1, m * _BLOCK):
-            _mark(P, best, q, np.arange(start, min(x + 1, start + m * _BLOCK), m))
+    # the classes r + k q^2 <= x of all the small pairs, as one run of
+    # candidates cut into _BLOCK-sized calls; r < q^2, so no count is below 0
+    q, r = np.concatenate(qs), np.concatenate(rs)
+    m = q * q
+    counts = (x - r) // m + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if ends.size else 0
+    for s in range(0, total, _BLOCK):
+        k = np.arange(s, min(total, s + _BLOCK))
+        i = np.searchsorted(ends, k, side="right")
+        _mark(P, best, q[i], r[i] + m[i] * (k - starts[i]))
     best[best == none] = 0
     return P, best
 

@@ -308,8 +308,12 @@ class TestSieve:
             return kb / 1024
 
         base = peak_mb("-c", "import pgq.cli")
-        census = peak_mb("-m", "pgq", "sieve", "--bound", "1000000", "--method", "root-sieve")
-        assert census - base < 6, (base, census)
+        root_sieve = peak_mb("-m", "pgq", "sieve", "--bound", "1000000", "--method", "root-sieve")
+        assert root_sieve - base < 6, (base, root_sieve)
+        # the default phi-factor at the census workload's heaviest bound: the
+        # witness kernel's tables and cofactors must not set the peak
+        phi_factor = peak_mb("-m", "pgq", "sieve", "--bound", "520000")
+        assert phi_factor - base < 6, (base, phi_factor)
 
     def test_byte_stability_across_runs(self):
         _, a = run(["sieve", "--bound", "400", "--format", "csv"])

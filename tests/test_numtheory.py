@@ -69,8 +69,12 @@ def factorize_witness(value, above):
                default=inf)
 
 
+#: the stage-2 inverse table for every value below 2^63
+LATE = NT._late_inverses(NT._cube_bound(2**63 - 1))
+
+
 def witness(value, above=1):
-    return int(NT._square_witnesses(np.array([[value]], dtype=np.int64), above)[0])
+    return int(NT._square_witnesses(np.array([[value]], dtype=np.int64), above, LATE)[0])
 
 
 _SMALL = NT.primes_up_to(4096)
@@ -111,7 +115,7 @@ class TestSquarefree:
         # in the final square root; the column's witness is the smaller
         values = np.array([[4111**2 * 4127, 4099**2 * 4127], [4099**2, 4111**2]],
                           dtype=np.int64)
-        assert NT._square_witnesses(values, 1).tolist() == [4099, 4099]
+        assert NT._square_witnesses(values, 1, LATE).tolist() == [4099, 4099]
 
     def test_isqrt_array_is_exact_up_to_2_63(self):
         roots = [2, 4099, 10**6 + 3, 2**31 - 1, 3037000499]
@@ -119,13 +123,58 @@ class TestSquarefree:
         got = NT._isqrt_array(np.array(values, dtype=np.int64)).tolist()
         assert got == [isqrt(v) for v in values]
 
+    @pytest.mark.parametrize("above", [1, 3])
+    def test_witness_kernel_edge_values(self, above):
+        top = 2**63 - 1
+        near_top = [top - d for d in range(8)] + [top - 24, 3 * 2**61 + 3]
+        powers = [2**62, 3 * 2**60, 3**39, 2 * 3**38, 5**27]
+        # several primes of one chunk divide one entry, squared or not
+        shared = [5**2 * 7**3 * 4093**2, 3 * 5**2 * 7**2 * 11, 3**2 * 5 * 7**2 * 4091,
+                  3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47]
+        # cofactors of 4096^3 and more reach the stage-2 primes above 4096
+        late = [4099**2 * 4111 * 4127, 4099**3 * 5003, 4111**2 * 4099 * 4127 * 9,
+                4099**2 * 4111**2 * 4127, 4127**3, 4127**4 * 3, 65537**2 * 1000003,
+                1000003**3, 2097143**2 * 2097133]
+        for value in near_top + powers + shared + late:
+            assert value < 2**63
+            want = factorize_witness(value, above)
+            assert witness(value, above) == (0 if want == inf else want), value
+
+    def test_witness_kernel_on_many_entries_of_one_column(self):
+        # one column whose entries each carry a square: the least one wins,
+        # whichever stage or chunk finds it
+        column = [4127**3, 3**2 * 4099**2 * 4111, 2**4 * 101**2, 97**2 * 4093]
+        values = np.array([[v, 1] for v in column], dtype=np.int64)
+        assert NT._square_witnesses(values, 1, LATE).tolist() == [2, 0]
+        assert NT._square_witnesses(values, 3, LATE).tolist() == [97, 0]
+        assert NT._square_witnesses(values, 97, LATE).tolist() == [101, 0]
+        assert NT._square_witnesses(values[:2], 3, LATE).tolist() == [4099, 0]
+
+    def test_witness_kernel_reads_the_late_table_only_to_the_cube_root(self):
+        values = np.array([[4099**2 * 4111 * 4127, 7919**3 * 11, 10**12 + 39]], dtype=np.int64)
+        tight = NT._late_inverses(NT._cube_bound(int(values.max())))
+        assert tight[0][-1] < 10**5 < LATE[0][-1]
+        for above in (1, 3):
+            assert (NT._square_witnesses(values, above, tight).tolist()
+                    == NT._square_witnesses(values, above, LATE).tolist() == [4099, 7919, 0])
+        small = np.array([[4093**2 * 3]], dtype=np.int64)  # below 4096^3: no late table needed
+        assert NT._square_witnesses(small, 1, None).tolist() == [4093]
+
+    def test_inverse_table_divides_exactly(self):
+        q, inv, lim = NT._inverse_table(np.array(NT.primes_up_to(10**5)[1:], dtype=np.int64))
+        assert (q.astype(np.uint64) * inv == 1).all()
+        for v in (2**63 - 1, 3**39, 4099**2 * 4111, 99991 * 99989):
+            divides = np.uint64(v) * inv <= lim
+            assert divides.tolist() == [v % p == 0 for p in q.tolist()]
+            assert (np.uint64(v) * inv[divides]).tolist() == [v // p for p in q[divides].tolist()]
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.lists(st.lists(WITNESS_VALUES, min_size=3, max_size=3), min_size=1, max_size=32),
            st.sampled_from((1, 3)))
     def test_witness_kernel_matches_factorize(self, columns, above):
         values = np.array(columns, dtype=np.int64).T
         want = [min(factorize_witness(v, above) for v in column) for column in columns]
-        got = NT._square_witnesses(values, above).tolist()
+        got = NT._square_witnesses(values, above, LATE).tolist()
         assert got == [0 if w == inf else w for w in want]
 
 
@@ -211,6 +260,21 @@ class TestRho:
                     while g % 3 == 0:
                         g //= 3
                     assert g == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**40),
+           st.lists(st.tuples(st.integers(0, 2**62), st.integers(1, NT.CENSUS_MAX_BOUND)),
+                    min_size=1, max_size=16))
+    @example(0, [(0, 1)])
+    @example(2, [(0, 7), (0, NT.CENSUS_MAX_BOUND)])
+    @example(NT.CENSUS_MAX_BOUND - 1, [(2**62, NT.CENSUS_MAX_BOUND), (1, 1), (0, 2), (5, 2)])
+    def test_powmod_matches_pow(self, g, pairs):
+        # m^2 < 2^63 is the precondition, so every product stays in int64
+        e = np.array([e for e, _ in pairs], dtype=np.int64)
+        m = np.array([m for _, m in pairs], dtype=np.int64)
+        got = NT._powmod(g, e, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(g, e, m) for e, m in pairs]
 
     def test_hensel_lifts_are_roots(self):
         for q in (5, 7, 11, 13, 97, 101):
