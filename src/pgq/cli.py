@@ -41,6 +41,8 @@ def cmd_help_check(args, out) -> int:
             raise ValueError(
                 f"fixture carries rows for order {fixture.unit_order}, not {args.order}"
             )
+        if args.characters:
+            raise ValueError("--characters needs a character table; the fixture carries rows")
         try:
             points = fixture.feasible_points()
             status = "feasible" if points else "infeasible"

@@ -23,18 +23,15 @@ constraints on partial augmentations, and augmentation one into an exact
 integer search in Python ints, one branch per distribution of the proper
 powers (read off the towers of u^p, p prime; each order is searched once per
 query).  Each row's coefficients are a `variable_traces` row, the same in
-every branch; only the constant changes.  So one simplex dictionary per
-order bounds every branch (`_shared_bounds`): a branch switch swaps the
-constants and the dual simplex re-optimizes.  `lp_bounds(rows, nvars)`
-re-solves cold each branch that it finds empty, and certifies it with a
-Farkas vector over that branch's own rows; it also bounds published
-inequality rows.  Both are an exact simplex over the rational relaxation of
-integer rows (A | k) on one `_Dictionary` (each row in lowest terms over
-its own denominator, pivots that skip the rows they leave unchanged,
-Bland's rule); Fourier-Motzkin elimination (`fm_bounds`, on the same rows)
-stays only as the tests' oracle for them.  The
-integer stage walks the augmentation hyperplane inside those bounds, and the
-engine refuses (rather than truncating) when the relaxation leaves a
+every branch; only the constant changes.  So one walk on one exact simplex
+dictionary per order (`_Dictionary`, rows in lowest terms, Bland's rule)
+bounds every branch (`_shared_bounds`): a branch switch swaps the constants,
+and the dual simplex re-optimizes, finds the empty branches and follows an
+unbounded variable.  A branch it finds empty is solved cold by
+`lp_bounds(rows, nvars)`, whose phase one gives a Farkas certificate over
+that branch's own rows; `lp_bounds` also bounds published inequality rows.
+The integer stage walks the augmentation hyperplane inside those bounds, and
+the engine refuses (rather than truncating) when the relaxation leaves a
 variable unbounded or the walk would pass `CANDIDATE_CAP`.
 """
 
@@ -394,7 +391,7 @@ def congruence_constraints(slice_: CharacterTableSlice, n: int) -> list[Congruen
     return out
 
 
-# -- rational bounds: exact simplex, with Fourier-Motzkin as its test oracle ------
+# -- rational bounds: one exact simplex ---------------------------------------------
 
 
 class UnboundedSearchError(Exception):
@@ -403,83 +400,12 @@ class UnboundedSearchError(Exception):
 
 
 class SearchComplexityError(Exception):
-    """Elimination or enumeration grew past the configured cap; the engine
-    reports an inconclusive outcome instead of stalling."""
+    """Enumeration grew past the configured cap; the engine reports an
+    inconclusive outcome instead of stalling."""
 
 
-_FM_ROW_CAP = 50_000
 #: most integer candidates an exact search enumerates before it reports too-large
 CANDIDATE_CAP = 2_000_000
-
-
-class _Infeasible(Exception):
-    pass
-
-
-def _reduce_row(comb, nvars):
-    """Primitive form of an integer row; None for trivially true rows."""
-    if all(c == 0 for c in comb[:nvars]):
-        if comb[nvars] < 0:
-            raise _Infeasible
-        return None
-    g = math.gcd(*comb)
-    if g > 1:
-        comb = tuple(x // g for x in comb)
-    return comb
-
-
-def fm_bounds(
-    rows: list[tuple[int, ...]], nvars: int
-) -> list[tuple[Fraction | None, Fraction | None]] | None:
-    """The (min, max) of each variable over {x : A x + k >= 0} for integer
-    rows (A | k), by Fourier-Motzkin elimination on primitive rows.
-
-    Returns None when the system is rationally infeasible; a None endpoint
-    marks an unbounded direction.  The search uses `lp_bounds`; this
-    independent path is the tests' oracle for it.
-    """
-    try:
-        base = {_reduce_row(r, nvars) for r in rows} - {None}
-
-        def eliminate(rows, idx):
-            pos = [r for r in rows if r[idx] > 0]
-            neg = [r for r in rows if r[idx] < 0]
-            out = {r for r in rows if r[idx] == 0}
-            for rp in pos:
-                for rn in neg:
-                    comb = _reduce_row(
-                        tuple(rp[j] * (-rn[idx]) + rn[j] * rp[idx] for j in range(nvars + 1)),
-                        nvars,
-                    )
-                    if comb is not None:
-                        out.add(comb)
-                if len(out) > _FM_ROW_CAP:
-                    raise SearchComplexityError(
-                        f"elimination exceeded {_FM_ROW_CAP} rows at {nvars} variables"
-                    )
-            return out
-
-        bounds = []
-        for i in range(nvars):
-            rows = base
-            for j in range(nvars):
-                if j != i:
-                    rows = eliminate(rows, j)
-            lo, hi = None, None
-            for r in rows:
-                c, k = r[i], r[nvars]
-                if c > 0:
-                    cand = Fraction(-k, c)
-                    lo = cand if lo is None else max(lo, cand)
-                elif c < 0:
-                    cand = Fraction(-k, c)
-                    hi = cand if hi is None else min(hi, cand)
-            if lo is not None and hi is not None and lo > hi:
-                return None
-            bounds.append((lo, hi))
-        return bounds
-    except _Infeasible:
-        return None
 
 
 _ARTIFICIAL = -1
@@ -626,21 +552,23 @@ class _Dictionary:
             k = row[0] - sum(row[c] * x for c, x in moved)
             row[0] = k + delta[s] * rden[i] if 0 <= s < m else k
 
-    def reoptimize(self, i: int, sign: int) -> bool:
+    def reoptimize(self, objective: tuple[int, int] | None) -> bool:
         """Dual simplex: with sign * basis[i] maximal on the last constants
-        (so every sign * t[i][c] <= 0), pivot by Bland's rule until every
-        basic slack is >= 0 again; False when a negative slack row has no
-        positive entry, so the rows have no common point.  The leaving row is
-        the negative one of the lowest slack, and the entering column the
-        least ratio -sign * t[i][c] / t[r][c], ties to the lowest variable."""
+        (objective = (i, sign), so every sign * t[i][c] <= 0), pivot by
+        Bland's rule until every basic slack is >= 0 again; False when a
+        negative slack row has no positive entry, so the rows have no common
+        point.  The leaving row is the negative one of the lowest slack, and
+        the entering column the least ratio -sign * t[i][c] / t[r][c], ties
+        to the lowest variable; with no objective every ratio is 0, and any
+        basis finds a first feasible one."""
         m, t, basis, cols = self.m, self.t, self.basis, self.cols
-        obj = t[i]
+        i, sign = objective or (0, 0)
         while True:
             short = [j for j in range(m) if basis[j] < m and t[j][0] < 0]
             if not short:
                 return True
             r = min(short, key=basis.__getitem__)
-            row, best = t[r], None
+            row, obj, best = t[r], t[i], None
             for c in range(1, len(cols)):
                 if row[c] > 0 and cols[c] < m:
                     if best is not None:
@@ -653,32 +581,27 @@ class _Dictionary:
             self.pivot(r, best)
 
 
-def _pinned(rows, lows: list[Fraction], nvars: int) -> bool:
-    """Whether the minima pin the only point of P = {x : A x + k >= 0}: some
-    row a.x + k >= 0 has every a_v > 0, its negation is a row too, and
-    a.lows = -k.  Then a.x + k = 0 and x >= lows hold on P, and a point of P
-    off lows would give a.x > a.lows = -k.  `rows` is a set or dict of the
-    integer rows (A | k)."""
-    return any(all(x > 0 for x in row[:nvars]) and tuple(-x for x in row) in rows
-               and sum(x * lo for x, lo in zip(row, lows)) == -row[nvars] for row in rows)
+def _pinned(rows, lows: list[Fraction | None], nvars: int) -> bool:
+    """Whether the minima pin the only point of P = {x : A x + k >= 0}: every
+    minimum is finite, some row a.x + k >= 0 has every a_v > 0, its negation
+    is a row too, and a.lows = -k.  Then a.x + k = 0 and x >= lows hold on
+    P, and a point of P off lows would give a.x > a.lows = -k.  `rows` is a
+    set of the integer rows (A | k)."""
+    return None not in lows and any(
+        all(x > 0 for x in row[:nvars]) and tuple(-x for x in row) in rows
+        and sum(x * lo for x, lo in zip(row, lows)) == -row[nvars] for row in rows)
 
 
 def lp_bounds(
     rows: list[tuple[int, ...]], nvars: int
 ) -> tuple[list[tuple[Fraction | None, Fraction | None]] | None, list[int] | None]:
     """The (min, max) of each variable over {x : A x + k >= 0} for integer
-    rows (A | k), by the simplex method on the distinct rows, with the same
-    answers as `fm_bounds`.
-
-    The free variables enter (`_Dictionary.enter_free`) and phase one finds
-    a feasible basis or the certificate below (`_Dictionary.phase_one`), as
-    in `_shared_bounds`; then each minimum is walked to, and each maximum,
-    warm-started from the last basis.  The maximum walks are skipped when
-    the minima pin the only point (`_pinned`).  The augmentation pair
-    sum(e) = 1 is such a row, so a branch whose minima meet it answers with
-    every maximum equal to its minimum.  The search calls it only for the
-    branches that `_shared_bounds` finds empty or unbounded, on their own
-    rows, so that their certificates index those rows.
+    rows (A | k), by the simplex method on the distinct rows: the free
+    variables enter (`_Dictionary.enter_free`), phase one finds a feasible
+    basis or the certificate below (`_Dictionary.phase_one`), and
+    `_shared_bounds` walks the system as its only branch.  The search calls
+    it only for the branches that `_shared_bounds` finds empty, so that
+    their certificates index their own rows.
 
     Returns (bounds, None) when the system is rationally feasible; a None
     endpoint marks an unbounded direction.  Returns (None, y) when it is
@@ -700,82 +623,80 @@ def lp_bounds(
             farkas[i] = x
         g = math.gcd(*farkas)
         return None, [x // g for x in farkas]
-    m, t = d.m, d.t
-    stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
-    ends = [[None, None] for _ in range(nvars)]
-    for sign in (-1, 1):  # every minimum, then every maximum; each warm-starts the next
-        lows = [lo for lo, _ in ends]
-        if sign > 0 and None not in lows and _pinned(first, lows, nvars):
-            return [(lo, lo) for lo in lows], None
-        for v in range(nvars):
-            if m + v in d.basis:
-                i = d.basis.index(m + v)
-                if not any(t[i][c] for c in stuck) and d.maximize(i, sign):
-                    ends[v][sign > 0] = d.value(i, 0)
-    return [tuple(e) for e in ends], None
+    bounds, = _shared_bounds(d, [row[:nvars] for row in first], [[row[nvars] for row in first]])
+    return bounds, None
 
 
 def _shared_bounds(
-    rows: list[tuple[int, ...]], consts: list[list[int]], nvars: int
-) -> list[list[tuple[Fraction, Fraction]] | None]:
-    """The `lp_bounds` answer of every branch b of one system {x : A x + k_b
-    >= 0} whose branches share the coefficient rows A (`rows`, distinct) and
-    differ in the constants k_b (`consts[b]`, one per row), from one
-    dictionary.
+    d: _Dictionary, rows: list[tuple[int, ...]], consts: list[list[int]]
+) -> list[list[tuple[Fraction | None, Fraction | None]] | None]:
+    """The (min, max) of each variable in every branch b of {x : A x + k_b >= 0},
+    whose branches share the distinct coefficient rows A (`rows`) and differ
+    in the constants k_b (`consts[b]`), on one dictionary `d` of these rows
+    that holds branch 0's constants with its free variables entered.
 
-    The first branch that phase one finds feasible starts it.  The outer
-    loop runs over the objectives, every minimum and then every maximum (none
-    for the branches whose minima are `_pinned`), and the inner one over the
-    branches, in serpentine order, so that each objective starts where the
-    last one ended.  Each objective is walked to once, by `maximize`; a
-    branch switch only shifts the constants, which keeps the basis optimal
-    for the dual, and `reoptimize` (the dual simplex) restores the primal or
-    proves the branch empty.
+    The outer loop runs over the objectives, every minimum and then every
+    maximum (none for the branches whose minima are `_pinned`), the inner one
+    over the branches in serpentine order, so that each objective starts
+    where the last one ended and is walked to once, by `maximize`.  A branch
+    switch shifts the constants, which keeps the basis optimal for the dual,
+    and `reoptimize` (the dual simplex) restores the primal or proves the
+    branch empty; branch 0 is loaded with no objective, to find its first
+    feasible basis.
 
-    Returns per branch its (min, max) list, or None where `lp_bounds` must
-    decide it: the branch is empty, or a variable is unbounded, and then it
-    is so in every branch that is not empty, because the recession cone
-    {x : A x >= 0} does not depend on the constants.
+    The recession cone {x : A x >= 0} does not depend on the constants, so an
+    objective unbounded in one branch is so in every branch that is not
+    empty: its endpoint is None in all of them when the variable's row has a
+    free column that could not enter or `maximize` finds no end, and the walk
+    goes on with no objective.  Branches that no walk reached are loaded
+    last, to decide whether they are empty.
+
+    Returns per branch its (min, max) list, or None when it is empty.
     """
-    out = [None] * len(consts)
-    for start, k in enumerate(consts):
-        d = _Dictionary([(*a, c) for a, c in zip(rows, k)], nvars)
-        d.enter_free()
-        if any(c >= d.m for c in d.cols[1:]):
-            return out  # a free variable is stuck, so nothing bounds it
-        if d.phase_one() is None:
-            break
-    else:
-        return out
-    m = d.m
+    m, t, nvars = d.m, d.t, d.nvars
+    stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
     ends = [[[None, None] for _ in range(nvars)] for _ in consts]
-    order, empty, pinned = list(range(start, len(consts))), set(), set()
-    loaded, obj = start, None
+    order, empty, pinned, seen = list(range(len(consts))), set(), set(), {0}
+    loaded, obj = 0, None
+
+    def load(b: int) -> bool:
+        """Switch d to branch b; False when it is empty."""
+        nonlocal loaded
+        if b != loaded:
+            d.shift([x - y for x, y in zip(consts[b], consts[loaded])])
+            loaded = b
+            seen.add(b)
+            if not d.reoptimize(obj):
+                empty.add(b)
+        return b not in empty
+
+    if not d.reoptimize(None):
+        empty.add(0)
     for sign in (-1, 1):
         if sign > 0:
             pinned = {b for b in order if b not in empty and _pinned(
                 {(*a, c) for a, c in zip(rows, consts[b])}, [lo for lo, _ in ends[b]], nvars)}
         for v in range(nvars):
-            i, walked = d.basis.index(m + v), False
+            i = d.basis.index(m + v) if m + v in d.basis else None
+            if i is None or any(t[i][c] for c in stuck):
+                continue  # it moves with a free variable that could not enter
+            walked = False
             for b in order:
-                if b in empty or b in pinned:
+                if b in empty or b in pinned or not load(b):
                     continue
-                if b != loaded:
-                    d.shift([x - y for x, y in zip(consts[b], consts[loaded])])
-                    loaded = b
-                    if not d.reoptimize(*obj):
-                        empty.add(b)
-                        continue
                 if not walked:
                     if not d.maximize(i, sign):
-                        return out  # unbounded in every branch that is not empty
+                        obj = None  # unbounded in every branch that is not empty
+                        break
                     obj, walked = (i, sign), True
                 ends[b][v][sign > 0] = d.value(i, 0)
-            order.reverse()
+            else:
+                order.reverse()
     for b in order:
-        if b not in empty:
-            out[b] = [(lo, lo if b in pinned else hi) for lo, hi in ends[b]]
-    return out
+        if b not in seen:
+            load(b)
+    return [None if b in empty else [(lo, lo if b in pinned else hi) for lo, hi in e]
+            for b, e in enumerate(ends)]
 
 
 # -- the feasibility engine --------------------------------------------------------
@@ -845,11 +766,11 @@ def _search(
     distinct T, their negations and the augmentation pair, and a branch
     gives each row the least constant of the keys that give that row, which
     is the same polytope.  A branch switch swaps the constants and the dual
-    simplex re-optimizes.  A branch that it finds empty, or that has an
-    unbounded variable, is re-solved cold by `lp_bounds` on its own
-    primitive rows, so its Farkas vector, and the unbounded report, are
-    those of that branch's rows.  The integer walk tests each distinct
-    (k, T, n chi(1)) check once.
+    simplex re-optimizes.  A branch that it finds empty is solved cold by
+    `lp_bounds` on its own primitive rows, so that its Farkas vector is over
+    that branch's rows; an unbounded variable is reported from the walk's
+    own endpoints.  The integer walk tests each distinct (k, T, n chi(1))
+    check once.
     """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
@@ -892,6 +813,8 @@ def _search(
         return (*(x // g for x in row), k // g) if g > 1 else (*row, k)
 
     branches = list(_coherent_power_assignments(pools))
+    if not branches:  # no choice of the u^p agrees on every shared power
+        return res
     ks = [[_power_constant(slice_, chi, n, l, assign) for chi, l, _, _ in coeffs]
           for assign in branches]  # per branch, the k of every key
     # the shared rows are the distinct A; a branch gives each the least k of
@@ -901,16 +824,18 @@ def _search(
         sources.setdefault(row, []).append(i)
     consts = [[min(c[i] for i in src) for src in sources.values()] for c in map(constants, ks)]
 
+    rows = list(sources)
+    d = _Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
+    d.enter_free()
     try:
-        for assign, kb, ends in zip(branches, ks, _shared_bounds(list(sources), consts, nvars)):
-            if ends is None:  # empty or unbounded: solved cold on its own primitive rows
-                rows = [primitive(row, c, g) for (row, g), c in zip(shape, constants(kb))]
-                ends, farkas = lp_bounds(rows, nvars)
-                if ends is None:  # this branch is rationally infeasible
-                    pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
-                    res.certificates.append(InfeasibleBranch(
-                        assign, {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
-                    continue
+        for assign, kb, ends in zip(branches, ks, _shared_bounds(d, rows, consts)):
+            if ends is None:  # empty: solved cold on its own primitive rows for its certificate
+                _, farkas = lp_bounds([primitive(row, c, g) for (row, g), c in
+                                       zip(shape, constants(kb))], nvars)
+                pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
+                res.certificates.append(InfeasibleBranch(
+                    assign, {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
+                continue
             rel = dict(zip(var_names, ends))
             if any(lo is None or hi is None for lo, hi in ends):
                 raise UnboundedSearchError(

@@ -47,13 +47,36 @@ class TestHelpCheck:
         ("s5", 60, 0, "9abc3046c454a36ceb1484a5d9bfe86c29eca6f1a92d1c84ff933a691b209224"),
         ("c21", 63, 0, "6affe61df397d2ac238067ca7e6241b781242e92c94b6c3d7064e62f728c7e5b"),
         ("c21", 147, 0, "2882d5a7329bb5a2c50685a1caae6ec643c697c745afd4d920142c8ce8fba7bb"),
+        ("c21", 9, 0, "96f90bcbd01fdffb67e9ee794984cd560be1884e8d58ef46d54c5c5390808cc8"),
+        # every branch is empty
+        ("c21", 49, 0, "41c20ccaf172623f7060af04f2a033af0f5182e74765bb6fe8427c6bd5d35598"),
+        ("s5", 6, 1, "d09f79514b8f069dab3a4899813c00ff4eef2a671e4e90b9ae02505f57115c55"),
+        ("s5", 30, 0, "9839538cb4b883e96b9bb5c2eb13bb868cd445954cb0f144e9ed5d2260e179ed"),
     ], ids=["onan-21", "thompson-35", "s5-4", "s5-10", "s5-15", "c21-3", "c21-7", "c21-21",
-            "s5-12", "s5-20", "s5-60", "c21-63", "c21-147"])
+            "s5-12", "s5-20", "s5-60", "c21-63", "c21-147", "c21-9", "c21-49", "s5-6", "s5-30"])
     def test_json_bytes_pinned(self, table, order, code, digest):
         exit_code, text = run(["help-check", "--table", table, "--order", str(order),
                                "--format", "json"])
         assert exit_code == code
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("table, order, chars, code, digest, reason", [
+        ("s5", 12, "sgn", 1, "da1bf6db3752bd7c9ec754025db4d8049a91d2efe0624a3c216d457685ef70a8",
+         "order 6: no supplied character bounds 2a, 2b, 3a, 6a\n"),
+        ("c21", 63, "X1", 0, "ff978cfc12688c0d7da9dcc957d8c2fa0424cb3d9a901113f423ab5edd8e6272",
+         ""),
+        ("s5", 6, "triv", 1, "da1bf6db3752bd7c9ec754025db4d8049a91d2efe0624a3c216d457685ef70a8",
+         "order 2: no supplied character bounds 2a, 2b\n"),
+    ], ids=["s5-12-sgn", "c21-63-X1", "s5-6-triv"])
+    def test_character_subset_bytes_pinned(self, capsys, table, order, chars, code, digest,
+                                           reason):
+        # an unbounded sub-order, an empty one beside an unbounded one, and an
+        # unbounded order 2 under a single character
+        exit_code, text = run(["help-check", "--table", table, "--order", str(order),
+                               "--characters", chars])
+        assert exit_code == code
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert capsys.readouterr().err == reason
 
     def test_wide_rows_answer_from_the_residue_class(self, tmp_path):
         # the congruences force eps = 15 (mod 21), which no row divisibility allows
@@ -561,9 +584,12 @@ class TestErrors:
         (["help-check", "--table", "thompson", "--order", "10"], "no class of order 2"),
         (["help-check", "--table", "s5", "--order", "6", "--characters", "nope"],
          "no character named 'nope' in S5"),
+        (["help-check", "--table", "onan", "--order", "21", "--characters", "x"],
+         "--characters needs a character table"),
         (["tableaux-verify", "--max-boxes", "0"], "--max-boxes must be at least 1"),
         (["tableaux-verify", "--max-boxes", "-1"], "--max-boxes must be at least 1"),
-    ], ids=["thompson-2", "thompson-10", "unknown-character", "max-boxes-0", "max-boxes--1"])
+    ], ids=["thompson-2", "thompson-10", "unknown-character", "characters-on-rows",
+            "max-boxes-0", "max-boxes--1"])
     def test_query_outside_the_contract_is_an_input_error(self, capsys, argv, message):
         code, text = run(argv)
         assert (code, text) == (2, "")

@@ -327,6 +327,15 @@ class TestCompositeTowers:
         res = H.feasible_partial_augmentations(fixtures.load_slice(table), n, chars)
         assert (res.status, res.reason, res.feasible, res.bounds) == (status, reason, [], None)
 
+    def test_no_coherent_branch_is_infeasible(self, s5):
+        # u^2 = 6a and u^3 = 4a disagree on u^6 (a transposition against a
+        # double transposition), so order 12 has no branch at all
+        results = {m: H.FeasibilityResult(m, [], "feasible", [H.trivial_pa(s5, c)], None, [])
+                   for m, c in ((6, "6a"), (4, "4a"))}
+        res = H._search(s5, 12, s5.characters, None, results)
+        assert (res.status, res.feasible, res.bounds, res.certificates) == (
+            "infeasible", [], None, [])
+
     @pytest.mark.parametrize("m, listed", [
         (8, ["c7", "c3", "c5", "c1"]),
         (12, ["c11", "c5", "c7", "c1"]),
@@ -463,6 +472,74 @@ class TestOnan:
         assert fixture.feasible_points() == want
 
 
+_FM_ROW_CAP = 50_000
+
+
+class _Infeasible(Exception):
+    pass
+
+
+def _reduce_row(comb, nvars):
+    """Primitive form of an integer row; None for trivially true rows."""
+    if all(c == 0 for c in comb[:nvars]):
+        if comb[nvars] < 0:
+            raise _Infeasible
+        return None
+    g = gcd(*comb)
+    if g > 1:
+        comb = tuple(x // g for x in comb)
+    return comb
+
+
+def fm_bounds(rows, nvars):
+    """The (min, max) of each variable over {x : A x + k >= 0} for integer
+    rows (A | k), by Fourier-Motzkin elimination on primitive rows: the
+    independent oracle of `lp_bounds` and `_shared_bounds`.
+
+    Returns None when the system is rationally infeasible; a None endpoint
+    marks an unbounded direction.
+    """
+    try:
+        base = {_reduce_row(r, nvars) for r in rows} - {None}
+
+        def eliminate(rows, idx):
+            pos = [r for r in rows if r[idx] > 0]
+            neg = [r for r in rows if r[idx] < 0]
+            out = {r for r in rows if r[idx] == 0}
+            for rp in pos:
+                for rn in neg:
+                    comb = _reduce_row(
+                        tuple(rp[j] * (-rn[idx]) + rn[j] * rp[idx] for j in range(nvars + 1)),
+                        nvars,
+                    )
+                    if comb is not None:
+                        out.add(comb)
+                assert len(out) <= _FM_ROW_CAP, f"elimination passed {_FM_ROW_CAP} rows"
+            return out
+
+        bounds = []
+        for i in range(nvars):
+            rows = base
+            for j in range(nvars):
+                if j != i:
+                    rows = eliminate(rows, j)
+            lo, hi = None, None
+            for r in rows:
+                c, k = r[i], r[nvars]
+                if c > 0:
+                    cand = Fraction(-k, c)
+                    lo = cand if lo is None else max(lo, cand)
+                elif c < 0:
+                    cand = Fraction(-k, c)
+                    hi = cand if hi is None else min(hi, cand)
+            if lo is not None and hi is not None and lo > hi:
+                return None
+            bounds.append((lo, hi))
+        return bounds
+    except _Infeasible:
+        return None
+
+
 def by_name(engine):
     """A bounds engine on the primitive rows (coefficients..., constant) of
     rows >= 0, keyed by variable name."""
@@ -473,7 +550,7 @@ def by_name(engine):
 
 
 #: the search's simplex and its Fourier-Motzkin oracle answer every case alike
-BOUNDS_ENGINES = (by_name(H.fm_bounds), by_name(lambda *a: H.lp_bounds(*a)[0]))
+BOUNDS_ENGINES = (by_name(fm_bounds), by_name(lambda *a: H.lp_bounds(*a)[0]))
 
 
 class TestFourierMotzkin:
@@ -580,7 +657,7 @@ def assert_lp_matches_fm(system):
         ineqs += [row(*r), [-x for x in row(*r)]]
     rows = [primitive_row(r) for r in ineqs]
     bounds, farkas = H.lp_bounds(rows, nvars)
-    assert bounds == H.fm_bounds(rows, nvars)
+    assert bounds == fm_bounds(rows, nvars)
     if bounds is None:
         assert farkas_holds(zip(farkas, ineqs), nvars)
     else:
@@ -668,44 +745,70 @@ def shared_systems():
     return build()
 
 
+def shared_bounds(rows, consts, nvars):
+    """`_shared_bounds` on a fresh dictionary of branch 0, as the search
+    builds it: its free variables entered, no phase one."""
+    d = H._Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
+    d.enter_free()
+    return H._shared_bounds(d, rows, consts)
+
+
 class TestSharedDictionary:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(shared_systems())
     @example((1, [(1,), (-1,)], [[0, 0], [-2, 1], [0, 3]]))  # x = 0; empty; 0 <= x <= 3
     @example((2, [(1, 0), (1, 1), (-1, -1)], [[0, -1, 1], [0, -2, 2]]))  # y unbounded below
     @example((1, [(1,), (-1,), (0,)], [[0, 2, 0], [0, 2, -1], [1, 0, 0]]))  # 0 >= 1 in one branch
+    @example((1, [(1,), (-1,)], [[-2, 1], [0, 0], [0, 3]]))  # branch 0 empty: x >= 2, x <= 1
+    @example((2, [(1, 1), (-1, -1)], [[-2, 1], [-3, 0], [0, -1]]))  # every branch empty
+    # y has a zero column: free in every branch, while x is bounded
+    @example((2, [(1, 0), (-1, 0)], [[0, 2], [1, 1], [-3, 5]]))
+    # y unbounded below in branches 0 and 1, branch 2 empty (x + y >= 2, x + y <= 1)
+    @example((2, [(1, 0), (1, 1), (-1, -1)], [[0, -1, 1], [1, 0, 3], [0, -2, 1]]))
+    # branch 0 empty, y unbounded below in the others
+    @example((2, [(1, 0), (1, 1), (-1, -1)], [[0, -2, 1], [0, -1, 1], [1, 0, 3]]))
     def test_each_branch_matches_lp_bounds_and_fourier_motzkin(self, system):
         nvars, rows, consts = system
-        shared = H._shared_bounds(rows, consts, nvars)
+        shared = shared_bounds(rows, consts, nvars)
         assert len(shared) == len(consts)
         for ends, k in zip(shared, consts):
             full = [primitive_row((*a, c)) for a, c in zip(rows, k)]  # the same polytope
             bounds, farkas = H.lp_bounds(full, nvars)
-            assert bounds == H.fm_bounds(full, nvars)
-            if bounds is None:  # empty: re-solved cold for its certificate
-                assert ends is None and farkas_holds(zip(farkas, full), nvars)
-            elif None in (x for e in bounds for x in e):  # unbounded in every nonempty branch
-                assert ends is None
-            else:
-                assert ends == bounds
+            assert ends == bounds == fm_bounds(full, nvars)  # None endpoints included
+            if bounds is None:  # empty: the search solves it cold for its certificate
+                assert farkas_holds(zip(farkas, full), nvars)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(shared_systems())
     def test_one_walk_per_objective(self, system):
+        # and no phase one: the dual simplex finds branch 0's first basis
         nvars, rows, consts = system
-        walks, maximize = [], H._Dictionary.maximize
+        walks, maximize, phase_one = [], H._Dictionary.maximize, H._Dictionary.phase_one
 
         def walk(d, i, sign):
             walks.append((d.basis[i], sign))
             return maximize(d, i, sign)
 
-        H._Dictionary.maximize = walk
+        def no_phase_one(d):
+            raise AssertionError("phase one inside the shared walk")
+
+        H._Dictionary.maximize, H._Dictionary.phase_one = walk, no_phase_one
         try:
-            H._shared_bounds(rows, consts, nvars)
+            shared_bounds(rows, consts, nvars)
         finally:
-            H._Dictionary.maximize = maximize
-        objectives = [w for w in walks if w[0] >= len(rows)]  # not phase one's
-        assert len(objectives) == len(set(objectives)) <= 2 * nvars
+            H._Dictionary.maximize, H._Dictionary.phase_one = maximize, phase_one
+        assert len(walks) == len(set(walks)) <= 2 * nvars
+
+    @pytest.mark.parametrize("table, n", [("c21", 49), ("s5", 12), ("s5", 30)])
+    def test_phase_one_runs_once_per_certificate(self, table, n, monkeypatch):
+        # the shared walk finds empty branches by the dual simplex; only the
+        # cold solve that certifies one runs phase one
+        runs, phase_one = [], H._Dictionary.phase_one
+        monkeypatch.setattr(H._Dictionary, "phase_one",
+                            lambda d: runs.append(d) or phase_one(d))
+        slice_, results = fixtures.load_slice(table), {}
+        results[n] = H._search(slice_, n, slice_.characters, None, results)
+        assert len(runs) == sum(len(r.certificates) for r in results.values()) > 0
 
 
 def fraction_pivot(f, r, c):
@@ -752,6 +855,17 @@ class TestDictionary:
                             lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
         assert H.feasible_partial_augmentations(c21, 21).status == "feasible"
         assert len(pivots) == 522
+
+    def test_c21_order_49_pivot_count_pinned(self, c21, monkeypatch):
+        # all six branches are empty: one dual-simplex pass finds each, and
+        # the cold solves that certify them are the rest
+        pivots = []
+        pivot = H._Dictionary.pivot
+        monkeypatch.setattr(H._Dictionary, "pivot",
+                            lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
+        res = H.feasible_partial_augmentations(c21, 49)
+        assert res.status == "infeasible" and len(res.certificates) == 6
+        assert len(pivots) == 69
 
     def test_c21_order_21_walks_each_objective_once(self, c21, monkeypatch):
         # one dictionary for the 12 branches: each of the 20 minima is walked
