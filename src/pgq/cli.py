@@ -250,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", help="squarefree census of cyclotomic values at primes")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--condition", choices=sorted(numtheory.CONDITIONS), default="thm51")
-    p.add_argument("--method", choices=("phi-factor", "root-sieve", "full-F"),
-                   default="phi-factor")
+    p.add_argument("--method", choices=("phi-factor", "root-sieve"), default="phi-factor")
     p.add_argument("--dual", action="store_true",
                    help="cross-check against an independent counting path")
     add_format(p, ("text", "json", "csv"))

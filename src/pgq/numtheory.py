@@ -8,9 +8,10 @@ q > 3; the logarithmic integral; the biggest-divisor-coprime-to-6 map; and
 the order formulas plus squarefreeness verdicts for seven families of
 groups of Lie type.
 
-N(x) is computed by independent routes: trial-dividing each Phi_k(p) value,
-sieving the residue classes cut out by the roots of Phi_k mod q^2, or
-factoring the full product F(p); any two must agree exactly.
+N(x) is computed by two independent routes, which must agree exactly:
+trial-dividing each Phi_k(p) value, or sieving the residue classes cut out
+by the roots of Phi_k mod q^2.  Factoring the full product F(p) prime by
+prime is their oracle in the tests and the selftest.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def primes_up_to(n: int) -> list[int]:
     return _prime_array(n).tolist()
 
 
-#: trial division bound of the factorizer and of the census witness kernel
+#: trial division bound of the factorizer
 _TRIAL_LIMIT = 4096
 
 
@@ -235,35 +236,23 @@ def _inverse_table(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return primes, inv, ~np.uint64(0) // q
 
 
-@lru_cache(maxsize=1)
-def _small_inverses() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The inverse table of the odd primes <= 4096, built on first use."""
-    return _inverse_table(_prime_array(_TRIAL_LIMIT)[1:])
-
-
-def _cube_bound(top: int) -> int:
-    """The least b with b^3 > top: a cofactor <= top with no prime factor
-    <= b has at most two prime factors."""
+def _witness_table(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse table of the odd primes <= b, the least b with b^3 > top:
+    a cofactor <= top with no prime factor <= b has at most two."""
     b = round(top ** (1 / 3))
     while b**3 <= top:
         b += 1
-    return b
+    return _inverse_table(_prime_array(b)[1:])
 
 
-def _late_inverses(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The inverse table of the primes in (4096, b]."""
-    P = _prime_array(b)
-    return _inverse_table(P[P > _TRIAL_LIMIT])
-
-
-def _strip_primes(v, col, wit, table, above: int, cube: bool = False):
+def _strip_primes(v, col, wit, table, above: int):
     """Divide each odd prime q of the inverse table, in ascending order, out
     of the positive int64 cofactors v.  wit[col] takes the first prime >
     above that divides an entry at least twice.  Returns the entries that
-    may still hold a square: their column has no witness and their cofactor
-    is at least the next prime squared.  With `cube`, an entry also stops
+    may still hold a square: when they leave, their column has no witness
+    and their cofactor is at least the next prime squared.  An entry leaves
     early once its cofactor is below the next prime cubed (it then has at
-    most two prime factors left); it is returned with the others.
+    most two prime factors left).
 
     The test is exact division by an invariant integer (Granlund and
     Montgomery, PLDI 1994; Warren, Hacker's Delight 10-17): q divides v
@@ -302,36 +291,36 @@ def _strip_primes(v, col, wit, table, above: int, cube: bool = False):
                 wit[c[new]] = w[new]
         nxt = int(q[e]) if e < q.size else int(q[-1]) + 1
         open_ = (wit[col] == 0) & (v >= nxt * nxt)
-        if cube:
-            two = open_ & (v.view(np.uint64) < np.uint64(min(nxt**3, 2**64 - 1)))
-            done_v.append(v[two])
-            done_col.append(col[two])
-            open_ &= ~two
+        two = open_ & (v.view(np.uint64) < np.uint64(min(nxt**3, 2**64 - 1)))
+        done_v.append(v[two])
+        done_col.append(col[two])
+        open_ &= ~two
         v, col = v[open_], col[open_]
         s = e
     return np.concatenate(done_v + [v]), np.concatenate(done_col + [col])
 
 
-def _square_witnesses(values: np.ndarray, above: int, late) -> np.ndarray:
+def _square_witnesses(values: np.ndarray, above: int, table) -> np.ndarray:
     """For each column of a 2-D array of positive int64 values, the smallest
     prime q > above whose square divides some entry of the column; 0 where
-    there is none.
+    there is none.  `table` is `_witness_table` of the largest value or of
+    anything larger.
 
-    The factor 2 goes by the lowest set bit.  Every odd prime <= 4096 is
-    then stripped from all entries, in ascending order, by the exact test
-    of `_strip_primes`: q divides v exactly when v*q^-1 mod 2^64 <=
+    The factor 2 goes by the lowest set bit.  The odd primes of the table
+    are then stripped from the entries in one ascending pass of
+    `_strip_primes`: q divides v exactly when v*q^-1 mod 2^64 <=
     floor((2^64-1)/q), one multiply and one compare per prime and entry.
-    The first square found for a column is its witness.  Cofactors at or
-    above 4096^3 are tested the same way against the primes up to their
-    cube root, taken from `late`: an inverse table of `_late_inverses` that
-    reaches the cube root of the largest value, or None when every value
-    is below 4096^3.  Every cofactor left is 1, a prime, a prime square or
-    a product of two distinct primes; an exact square root tells which.
+    An entry stops at the cube root of its own cofactor, so every cofactor
+    left is 1, a prime, a prime square or a product of two distinct primes;
+    an exact square root tells which.  The first square the pass finds for
+    a column and the square roots come in no common order, so a column's
+    witness is the least of them.
 
-    This is a value-factoring path: every value meets every trial prime,
-    and no root of a polynomial is computed.  The root sieve finds the same
-    witnesses from roots mod q^2 and never divides a value, so the two stay
-    independent and `--dual` compares them.
+    This is a value-factoring path: each value meets the trial primes up to
+    its cofactor's cube root, and no root of a polynomial is computed.  The
+    root sieve finds the same witnesses from roots mod q^2 and never
+    divides a value, so the two stay independent and `--dual` compares
+    them.
     """
     n = values.shape[1]
     wit = np.zeros(n, dtype=np.int64)
@@ -340,24 +329,13 @@ def _square_witnesses(values: np.ndarray, above: int, late) -> np.ndarray:
     if above < 2:
         wit[col[v & 3 == 0]] = 2
     v = v // (v & -v)
-    v, col = _strip_primes(v, col, wit, _small_inverses(), above)
-    # witnesses above 4096 come from two sources that are not in ascending
-    # order with each other, so they are collected apart and the least taken
-    late_wit = np.zeros(n, dtype=np.int64)
-    big = v >= _TRIAL_LIMIT**3
-    if big.any():
-        k = int(np.searchsorted(late[0], _cube_bound(int(v[big].max())), side="right"))
-        vb, cb = _strip_primes(v[big], col[big], late_wit, tuple(a[:k] for a in late), above,
-                               cube=True)
-        v, col = np.concatenate((v[~big], vb)), np.concatenate((col[~big], cb))
+    v, col = _strip_primes(v, col, wit, table, above)
     r = _isqrt_array(v)
-    square = r * r == v
+    square = (r * r == v) & (v > 1)  # a cofactor of 1 is no square of a prime
     none = np.iinfo(np.int64).max
-    best = np.where(late_wit > 0, late_wit, none)
+    best = np.where(wit > 0, wit, none)
     np.minimum.at(best, col[square], r[square])
-    found = best < none
-    wit[found] = best[found]
-    return wit
+    return np.where(best < none, best, 0)
 
 
 # -- rho and the Euler-product constant ---------------------------------------
@@ -366,35 +344,28 @@ def _square_witnesses(values: np.ndarray, above: int, late) -> np.ndarray:
 _RHO_ENUM_CAP = 1450  # d^2 stays within comfortable int64 vectorized range
 
 
-def rho(d: int, method: str = "auto") -> int:
-    """Number of residues a mod d^2 with F(a) = 0 mod d^2.
-
-    'enumerate' scans all d^2 residues (the oracle); 'roots' counts the
-    simple roots of the five cyclotomic factors mod a prime q > 3, each of
-    which lifts uniquely mod q^2; 'auto' enumerates when feasible and falls
-    back to root counting combined multiplicatively over prime factors.
-    """
+def rho(d: int) -> int:
+    """Number of residues a mod d^2 with F(a) = 0 mod d^2: the product over
+    the prime powers p^e of d of the count mod p^2e, by CRT.  A prime q > 3
+    dividing d once counts the simple roots of the five cyclotomic factors
+    mod q, each of which lifts uniquely mod q^2; any other prime power is
+    enumerated."""
     if d < 1:
         raise ValueError("d must be positive")
-    if d == 1:
-        return 1
-    if method == "enumerate" or (method == "auto" and d <= _RHO_ENUM_CAP):
-        return _rho_enumerate(d)
-    if method == "roots" or method == "auto":
-        out = 1
-        for p, e in sorted(factorize(d).items()):
-            if e == 1 and p > 3:
-                out *= _rho_prime_by_roots(p)
-            else:
-                pe = p**e
-                if pe > _RHO_ENUM_CAP:
-                    raise ValueError(f"prime-power part {pe} too large to enumerate")
-                out *= _rho_enumerate(pe)
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    out = 1
+    for p, e in sorted(factorize(d).items()):
+        if e == 1 and p > 3:
+            out *= _rho_prime_by_roots(p)
+        else:
+            pe = p**e
+            if pe > _RHO_ENUM_CAP:
+                raise ValueError(f"prime-power part {pe} too large to enumerate")
+            out *= _rho_enumerate(pe)
+    return out
 
 
 def _rho_enumerate(d: int) -> int:
+    """rho(d) by scanning all d^2 residues: the oracle of `rho`."""
     m = d * d
     a = np.arange(m, dtype=np.int64)
     a2 = (a * a) % m
@@ -561,12 +532,11 @@ _FACTOR_BLOCK = 1 << 12
 def _count_phi_factor(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     P = _prime_array(x)
     wit = np.zeros_like(P)
-    top = max(_horner(_PHI_COEFFS[k], x) for k in ks)
-    late = _late_inverses(_cube_bound(top)) if top >= _TRIAL_LIMIT**3 else None
+    table = _witness_table(max(_horner(_PHI_COEFFS[k], x) for k in ks))
     for s in range(0, P.size, _FACTOR_BLOCK):
         block = P[s:s + _FACTOR_BLOCK]
         values = np.stack([_horner(_PHI_COEFFS[k], block) for k in ks])
-        wit[s:s + _FACTOR_BLOCK] = _square_witnesses(values, above, late)
+        wit[s:s + _FACTOR_BLOCK] = _square_witnesses(values, above, table)
     return P, wit
 
 
@@ -695,29 +665,16 @@ def _count_root_sieve(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     return P, best
 
 
-def _count_full_product(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
-    P = _prime_array(x)
-    wit = np.zeros_like(P)
-    for i, p in enumerate(P.tolist()):
-        value = 1
-        for k in ks:
-            value *= cyclotomic_value(k, p)
-        for prime, e in sorted(factorize(value).items()):
-            if e >= 2 and prime > above:
-                wit[i] = prime
-                break
-    return P, wit
-
-
 def count_N(x: int, condition: str = "thm51", method: str = "phi-factor") -> SieveResult:
     """Census of primes p <= x whose polynomial values pass the squarefree
     condition, with each prime's smallest witness in an int64 array.
 
     Methods: 'phi-factor' trial-divides each cyclotomic value for square
     factors; 'root-sieve' marks residue classes from polynomial roots mod
-    q^2 without ever factoring; 'full-F' factors the whole product.  All
-    must agree prime by prime.  Python tuples are built only when
-    `SieveResult.rows` is read.  Bounds above CENSUS_MAX_BOUND are refused.
+    q^2 without ever factoring.  The two must agree prime by prime, and
+    with the tests' oracle that factors the whole product F(p) prime by
+    prime.  Python tuples are built only when `SieveResult.rows` is read.
+    Bounds above CENSUS_MAX_BOUND are refused.
     """
     if x < 2:
         raise ValueError("bound must be at least 2")
@@ -731,8 +688,6 @@ def count_N(x: int, condition: str = "thm51", method: str = "phi-factor") -> Sie
         primes, witness = _count_phi_factor(x, ks, above)
     elif method == "root-sieve":
         primes, witness = _count_root_sieve(x, ks, above)
-    elif method == "full-F":
-        primes, witness = _count_full_product(x, ks, above)
     else:
         raise ValueError(f"unknown method {method!r}")
     return SieveResult(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from . import brauer, fixtures, helpmethod, numtheory, tableaux
 from .cyclotomic import CyclotomicElement, parse_cyclotomic, zeta
@@ -185,11 +186,10 @@ def check_verdict_tables():
 
 
 def check_rho_and_constant():
-    assert numtheory.rho(5, method="enumerate") == 4
-    assert numtheory.rho(5, method="roots") == 4
+    assert numtheory._rho_enumerate(5) == numtheory.rho(5) == 4
     for q in numtheory.primes_up_to(60):
         if q > 3:
-            assert numtheory.rho(q, "enumerate") == numtheory.rho(q, "roots") <= 8
+            assert numtheory._rho_enumerate(q) == numtheory.rho(q) <= 8
     c5, _ = numtheory.constant_c(5)
     assert c5 == Fraction(4, 5)
     prev = Fraction(1)
@@ -200,10 +200,16 @@ def check_rho_and_constant():
 
 
 def check_census_paths():
-    a = numtheory.count_N(500, "thm51", "phi-factor")
-    b = numtheory.count_N(500, "thm51", "root-sieve")
-    c = numtheory.count_N(500, "thm51", "full-F")
-    assert a.rows == b.rows == c.rows
+    # the oracle factors the whole product F(p), one prime at a time
+    ks, above = numtheory.CONDITIONS["thm51"]
+    rows = []
+    for p in numtheory.primes_up_to(500):
+        value = prod(numtheory.cyclotomic_value(k, p) for k in ks)
+        w = min((q for q, e in numtheory.factorize(value).items() if e >= 2 and q > above),
+                default=None)
+        rows.append((p, w is None, w))
+    for method in ("phi-factor", "root-sieve"):
+        assert numtheory.count_N(500, "thm51", method).rows == rows, method
     cor = numtheory.count_N(1000, "cor13", "phi-factor")
     assert (cor.count, cor.total_primes) == (124, 168)
 

@@ -109,9 +109,9 @@ def test_criterion_06_lr_properties():
 def test_criterion_07_rho_and_constant():
     """rho(5) = 4 by enumeration; rho(q) <= 8 for primes q <= 1000; exact
     truncations of the Euler product, positive and non-increasing, 4/5 at 5."""
-    assert NT.rho(5, "enumerate") == 4
+    assert NT._rho_enumerate(5) == 4
     for q in NT.primes_up_to(1000):
-        assert NT.rho(q, "enumerate") <= 8
+        assert NT._rho_enumerate(q) <= 8
     c5, _ = NT.constant_c(5)
     assert c5 == Fraction(4, 5)
     prev = Fraction(1)

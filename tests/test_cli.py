@@ -307,6 +307,12 @@ class TestSieve:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_full_product_is_no_method(self, capsys):
+        # factoring the whole product is the tests' oracle, not a counting path
+        code, text = run(["sieve", "--bound", "100", "--method", "full-F"])
+        assert (code, text) == (2, "")
+        assert "invalid choice: 'full-F'" in capsys.readouterr().err
+
     def test_bound_past_int64_is_an_input_error(self, capsys):
         code, text = run(["sieve", "--bound", "3037000500"])
         assert (code, text) == (2, "")

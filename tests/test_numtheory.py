@@ -69,12 +69,12 @@ def factorize_witness(value, above):
                default=inf)
 
 
-#: the stage-2 inverse table for every value below 2^63
-LATE = NT._late_inverses(NT._cube_bound(2**63 - 1))
+#: the inverse table for every value below 2^63
+TABLE = NT._witness_table(2**63 - 1)
 
 
 def witness(value, above=1):
-    return int(NT._square_witnesses(np.array([[value]], dtype=np.int64), above, LATE)[0])
+    return int(NT._square_witnesses(np.array([[value]], dtype=np.int64), above, TABLE)[0])
 
 
 _SMALL = NT.primes_up_to(4096)
@@ -115,7 +115,7 @@ class TestSquarefree:
         # in the final square root; the column's witness is the smaller
         values = np.array([[4111**2 * 4127, 4099**2 * 4127], [4099**2, 4111**2]],
                           dtype=np.int64)
-        assert NT._square_witnesses(values, 1, LATE).tolist() == [4099, 4099]
+        assert NT._square_witnesses(values, 1, TABLE).tolist() == [4099, 4099]
 
     def test_isqrt_array_is_exact_up_to_2_63(self):
         roots = [2, 4099, 10**6 + 3, 2**31 - 1, 3037000499]
@@ -131,7 +131,7 @@ class TestSquarefree:
         # several primes of one chunk divide one entry, squared or not
         shared = [5**2 * 7**3 * 4093**2, 3 * 5**2 * 7**2 * 11, 3**2 * 5 * 7**2 * 4091,
                   3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47]
-        # cofactors of 4096^3 and more reach the stage-2 primes above 4096
+        # cofactors of 4096^3 and more reach the table's primes above 4096
         late = [4099**2 * 4111 * 4127, 4099**3 * 5003, 4111**2 * 4099 * 4127 * 9,
                 4099**2 * 4111**2 * 4127, 4127**3, 4127**4 * 3, 65537**2 * 1000003,
                 1000003**3, 2097143**2 * 2097133]
@@ -142,23 +142,25 @@ class TestSquarefree:
 
     def test_witness_kernel_on_many_entries_of_one_column(self):
         # one column whose entries each carry a square: the least one wins,
-        # whichever stage or chunk finds it
+        # whether a chunk of the pass or the square root finds it
         column = [4127**3, 3**2 * 4099**2 * 4111, 2**4 * 101**2, 97**2 * 4093]
         values = np.array([[v, 1] for v in column], dtype=np.int64)
-        assert NT._square_witnesses(values, 1, LATE).tolist() == [2, 0]
-        assert NT._square_witnesses(values, 3, LATE).tolist() == [97, 0]
-        assert NT._square_witnesses(values, 97, LATE).tolist() == [101, 0]
-        assert NT._square_witnesses(values[:2], 3, LATE).tolist() == [4099, 0]
+        assert NT._square_witnesses(values, 1, TABLE).tolist() == [2, 0]
+        assert NT._square_witnesses(values, 3, TABLE).tolist() == [97, 0]
+        assert NT._square_witnesses(values, 97, TABLE).tolist() == [101, 0]
+        assert NT._square_witnesses(values[:2], 3, TABLE).tolist() == [4099, 0]
 
-    def test_witness_kernel_reads_the_late_table_only_to_the_cube_root(self):
+    def test_witness_kernel_reads_the_table_only_to_the_cube_root(self):
         values = np.array([[4099**2 * 4111 * 4127, 7919**3 * 11, 10**12 + 39]], dtype=np.int64)
-        tight = NT._late_inverses(NT._cube_bound(int(values.max())))
-        assert tight[0][-1] < 10**5 < LATE[0][-1]
+        tight = NT._witness_table(int(values.max()))
+        assert tight[0][-1] < 10**5 < TABLE[0][-1]
         for above in (1, 3):
             assert (NT._square_witnesses(values, above, tight).tolist()
-                    == NT._square_witnesses(values, above, LATE).tolist() == [4099, 7919, 0])
-        small = np.array([[4093**2 * 3]], dtype=np.int64)  # below 4096^3: no late table needed
-        assert NT._square_witnesses(small, 1, None).tolist() == [4093]
+                    == NT._square_witnesses(values, above, TABLE).tolist() == [4099, 7919, 0])
+        small = np.array([[4093**2 * 3]], dtype=np.int64)
+        table = NT._witness_table(int(small.max()))
+        assert table[0][-1] == 367  # 4093 is left to the square root
+        assert NT._square_witnesses(small, 1, table).tolist() == [4093]
 
     def test_inverse_table_divides_exactly(self):
         q, inv, lim = NT._inverse_table(np.array(NT.primes_up_to(10**5)[1:], dtype=np.int64))
@@ -174,7 +176,7 @@ class TestSquarefree:
     def test_witness_kernel_matches_factorize(self, columns, above):
         values = np.array(columns, dtype=np.int64).T
         want = [min(factorize_witness(v, above) for v in column) for column in columns]
-        got = NT._square_witnesses(values, above, LATE).tolist()
+        got = NT._square_witnesses(values, above, TABLE).tolist()
         assert got == [0 if w == inf else w for w in want]
 
 
@@ -216,8 +218,8 @@ class TestCyclotomicValues:
 
 class TestRho:
     def test_rho_5_enumeration_and_roots(self):
-        assert NT.rho(5, "enumerate") == 4
-        assert NT.rho(5, "roots") == 4
+        assert NT._rho_enumerate(5) == 4
+        assert NT.rho(5) == 4
         assert sorted(
             r for k in (1, 2, 3, 4, 6) for r in NT.phi_roots_mod_q2(k, 5)
         ) == [1, 7, 18, 24]
@@ -232,21 +234,25 @@ class TestRho:
 
     def test_rho_bound_small(self):
         for q in NT.primes_up_to(200):
-            assert NT.rho(q, "enumerate") <= 8
+            assert NT._rho_enumerate(q) <= 8
 
     def test_enumeration_matches_roots_for_primes(self):
         for q in NT.primes_up_to(150):
             if q > 3:
-                assert NT.rho(q, "enumerate") == NT.rho(q, "roots")
+                assert NT._rho_enumerate(q) == NT.rho(q)
 
     def test_multiplicativity_on_coprime_squarefree(self):
         sf = [d for d in range(2, 51) if FactoredInteger.from_value(d).is_squarefree()]
+        enumerate_rho = NT._rho_enumerate
         for d1 in sf:
             for d2 in sf:
                 if d1 * d2 <= 50 and gcd(d1, d2) == 1:
-                    assert NT.rho(d1 * d2, "enumerate") == NT.rho(d1, "enumerate") * NT.rho(
-                        d2, "enumerate"
-                    )
+                    assert enumerate_rho(d1 * d2) == enumerate_rho(d1) * enumerate_rho(d2)
+
+    def test_rho_matches_enumeration_below_400(self):
+        assert NT.rho(1) == 1
+        for d in range(2, 400):
+            assert NT.rho(d) == NT._rho_enumerate(d), d
 
     def test_square_divisor_hits_one_polynomial_only(self):
         # for q > 3 the pairwise gcds of the five values divide 6
@@ -348,6 +354,16 @@ class TestConstant:
         assert c >= floor > 0
 
 
+def oracle_rows(x, condition):
+    """The census rows by factoring the whole product F(p), prime by prime."""
+    ks, above = NT.CONDITIONS[condition]
+    rows = []
+    for p in NT.primes_up_to(x):
+        w = factorize_witness(prod(NT.cyclotomic_value(k, p) for k in ks), above)
+        rows.append((p, w == inf, None if w == inf else w))
+    return rows
+
+
 class TestCensus:
     def test_cor13_at_1000(self):
         res = NT.count_N(1000, "cor13", "phi-factor")
@@ -356,17 +372,14 @@ class TestCensus:
     def test_three_paths_agree_small(self):
         a = NT.count_N(300, "thm51", "phi-factor")
         b = NT.count_N(300, "thm51", "root-sieve")
-        c = NT.count_N(300, "thm51", "full-F")
-        assert a.rows == b.rows == c.rows
+        assert a.rows == b.rows == oracle_rows(300, "thm51")
         x = NT.count_N(300, "cor13", "phi-factor")
         y = NT.count_N(300, "cor13", "root-sieve")
-        z = NT.count_N(300, "cor13", "full-F")
-        assert x.rows == y.rows == z.rows
+        assert x.rows == y.rows == oracle_rows(300, "cor13")
 
     def test_full_product_oracle_at_1e4(self):
         a = NT.count_N(10**4, "thm51", "phi-factor")
-        b = NT.count_N(10**4, "thm51", "full-F")
-        assert a.rows == b.rows
+        assert a.rows == oracle_rows(10**4, "thm51")
 
     def test_monotone_in_x(self):
         assert NT.count_N(200, "thm51").count <= NT.count_N(500, "thm51").count
@@ -385,19 +398,25 @@ class TestCensus:
             assert a.rows == b.rows
 
     def test_rows_from_arrays_match_full_F_tuples_at_3000(self):
-        for condition, (ks, above) in NT.CONDITIONS.items():
-            tuples = []  # the full-F rows, one tuple per prime as the census once kept them
-            for p in NT.primes_up_to(3000):
-                w = factorize_witness(prod(NT.cyclotomic_value(k, p) for k in ks), above)
-                tuples.append((p, w == inf, None if w == inf else w))
-            for method in ("phi-factor", "root-sieve", "full-F"):
+        for condition in NT.CONDITIONS:
+            tuples = oracle_rows(3000, condition)  # one tuple a prime, as the census once kept
+            for method in ("phi-factor", "root-sieve"):
                 res = NT.count_N(3000, condition, method)
                 assert res.primes.dtype == res.witness.dtype == np.int64
                 assert res.rows == tuples
                 assert res.count == sum(ok for _, ok, _ in tuples)
                 assert res.total_primes == len(tuples)
 
-    @pytest.mark.parametrize("method", ["phi-factor", "root-sieve", "full-F"])
+    def test_rows_match_the_oracle_at_every_bound_below_200(self):
+        # at --bound 2 the witness table holds no odd prime at all
+        for condition in NT.CONDITIONS:
+            rows = oracle_rows(199, condition)
+            for x in range(2, 200):
+                want = [row for row in rows if row[0] <= x]
+                for method in ("phi-factor", "root-sieve"):
+                    assert NT.count_N(x, condition, method).rows == want, (x, condition, method)
+
+    @pytest.mark.parametrize("method", ["phi-factor", "root-sieve"])
     def test_row_fields_are_plain_python(self, method):
         for condition in NT.CONDITIONS:
             for p, ok, w in NT.count_N(3000, condition, method).rows:
