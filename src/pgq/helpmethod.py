@@ -27,12 +27,12 @@ every branch; only the constant changes.  So one walk on one exact simplex
 dictionary per order (`_Dictionary`, rows in lowest terms, Bland's rule)
 bounds every branch (`_shared_bounds`): a branch switch swaps the constants,
 and the dual simplex re-optimizes, finds the empty branches and follows an
-unbounded variable.  A branch it finds empty is solved cold by
-`lp_bounds(rows, nvars)`, whose phase one gives a Farkas certificate over
-that branch's own rows; `lp_bounds` also bounds published inequality rows.
-The integer stage walks the augmentation hyperplane inside those bounds, and
-the engine refuses (rather than truncating) when the relaxation leaves a
-variable unbounded or the walk would pass `CANDIDATE_CAP`.
+unbounded variable.  Where it finds a branch empty, the failing row is a
+Farkas certificate over that branch's own rows (`_Dictionary.reoptimize`).
+`lp_bounds(rows, nvars)`, the one-branch case, bounds published inequality
+rows.  The integer stage walks the augmentation hyperplane inside those
+bounds, and the engine refuses (rather than truncating) when the relaxation
+leaves a variable unbounded or the walk would pass `CANDIDATE_CAP`.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ class CharacterTableSlice:
                         f"got {self._by_name[target].order}"
                     )
         for chi in self.characters:
+            for key in chi.values:
+                if key not in self._by_name:
+                    raise ValueError(f"character {chi.name} has a value on {key!r}, "
+                                     f"which is no class of the slice")
             val = chi.value(self.identity.name)
             if val.to_rational() != chi.degree:
                 raise ValueError(f"character {chi.name}: value at identity != degree")
@@ -408,22 +412,19 @@ class SearchComplexityError(Exception):
 CANDIDATE_CAP = 2_000_000
 
 
-_ARTIFICIAL = -1
-
-
 class _Dictionary:
     """A simplex dictionary of integer rows, each over its own denominator.
 
-    Slack i (row i of the system, >= 0) is variable i, the phase-one
-    artificial variable (>= 0) is -1 and free variable v is m + v.  Row i
-    reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) / rden[i] over the
-    nonbasic cols[j], j >= 1, with rden[i] > 0.  A pivot rewrites only the
-    rows with a nonzero entry in the pivot column, each over the product of
-    its denominator and the pivot's, and divides it by its content, so that
-    every rewritten row is in lowest terms: gcd(rden[i], *t[i]) == 1, and
-    its entries are as small as the rational entries allow (Schrijver,
-    Theory of Linear and Integer Programming, 3.3).  The ratio and sign
-    tests compare entries of one row, so a row's scale never matters.
+    Slack i (row i of the system, >= 0) is variable i and free variable v
+    is m + v.  Row i reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) /
+    rden[i] over the nonbasic cols[j], j >= 1, with rden[i] > 0.  A pivot
+    rewrites only the rows with a nonzero entry in the pivot column, each
+    over the product of its denominator and the pivot's, and divides it by
+    its content, so that every rewritten row is in lowest terms:
+    gcd(rden[i], *t[i]) == 1, and its entries are as small as the rational
+    entries allow (Schrijver, Theory of Linear and Integer Programming, 3.3).
+    The ratio and sign tests compare entries of one row, so a row's scale
+    never matters.
     """
 
     def __init__(self, rows: list[tuple[int, ...]], nvars: int):
@@ -508,65 +509,39 @@ class _Dictionary:
             if best is not None:
                 self.pivot(best, c)
 
-    def phase_one(self) -> list[int] | None:
-        """Make every basic slack non-negative and return None, or return
-        Farkas' y over the rows (y >= 0, y^T A = 0, y^T k < 0) when they have
-        no common point; the dictionary is then spent."""
-        m, t = self.m, self.t
-        short = {i for i in range(m) if self.basis[i] < m and t[i][0] < 0}
-        if not short:
-            return None
-        # a single artificial variable lifts every violated row, enters on
-        # the most violated one, and -artificial is maximized
-        for i, row in enumerate(t):
-            row.append(self.rden[i] if i in short else 0)
-        self.cols.append(_ARTIFICIAL)
-        r = min(short, key=lambda i: self.value(i, 0))
-        self.pivot(r, len(self.cols) - 1)
-        self.maximize(r, -1)
-        # the artificial variable has the lowest index, so Bland's rule makes
-        # it leave on every tie: it stays basic only while positive
-        if self.basis[r] == _ARTIFICIAL:
-            # artificial = t[r] . (1, nonbasic slacks) / rden identically; its
-            # coefficients are >= 0 and cancel in x, which is Farkas' y
-            y = [0] * m
-            for c in range(1, len(self.cols)):
-                if 0 <= self.cols[c] < m:
-                    y[self.cols[c]] = t[r][c]
-            return y
-        # at zero it is nonbasic, and its column can go
-        c = self.cols.index(_ARTIFICIAL)
-        for row in t:
-            del row[c]
-        del self.cols[c]
-        return None
-
     def shift(self, delta: list[int]) -> None:
         """Add delta[j] to the constant of row j of the system.  A basic
         slack's row gains delta * rden; a nonbasic slack at column c takes
         t[i][c] * delta from the constant of every row i."""
         m, basis, rden = self.m, self.basis, self.rden
-        moved = [(c, delta[s]) for c, s in enumerate(self.cols) if c and 0 <= s < m and delta[s]]
+        moved = [(c, delta[s]) for c, s in enumerate(self.cols) if c and s < m and delta[s]]
         for i, row in enumerate(self.t):
             s = basis[i]
             k = row[0] - sum(row[c] * x for c, x in moved)
-            row[0] = k + delta[s] * rden[i] if 0 <= s < m else k
+            row[0] = k + delta[s] * rden[i] if s < m else k
 
-    def reoptimize(self, objective: tuple[int, int] | None) -> bool:
+    def reoptimize(self, objective: tuple[int, int] | None) -> list[int] | None:
         """Dual simplex: with sign * basis[i] maximal on the last constants
         (objective = (i, sign), so every sign * t[i][c] <= 0), pivot by
-        Bland's rule until every basic slack is >= 0 again; False when a
-        negative slack row has no positive entry, so the rows have no common
-        point.  The leaving row is the negative one of the lowest slack, and
-        the entering column the least ratio -sign * t[i][c] / t[r][c], ties
-        to the lowest variable; with no objective every ratio is 0, and any
-        basis finds a first feasible one."""
+        Bland's rule until every basic slack is >= 0 again, and return None.
+        The leaving row is the negative one of the lowest slack, and the
+        entering column the least ratio -sign * t[i][c] / t[r][c], ties to
+        the lowest variable; with no objective every ratio is 0, and any
+        basis finds a first feasible one.
+
+        A negative slack row r with no positive entry proves the rows have
+        no common point, and it is returned as Farkas' y over the m rows
+        (y >= 0, y^T A = 0, y^T k < 0): rden[r] at basis[r], -t[r][c] at
+        each nonbasic slack cols[c], 0 elsewhere.  Row r says that
+        rden[r] * basis[r] - sum_c t[r][c] * cols[c] = t[r][0] < 0 for
+        every x; no entry of y is negative, and a free column that could not
+        enter is zero in every slack row (`enter_free`)."""
         m, t, basis, cols = self.m, self.t, self.basis, self.cols
         i, sign = objective or (0, 0)
         while True:
             short = [j for j in range(m) if basis[j] < m and t[j][0] < 0]
             if not short:
-                return True
+                return None
             r = min(short, key=basis.__getitem__)
             row, obj, best = t[r], t[i], None
             for c in range(1, len(cols)):
@@ -577,7 +552,12 @@ class _Dictionary:
                             continue
                     best = c
             if best is None:
-                return False
+                y = [0] * m
+                y[basis[r]] = self.rden[r]
+                for c in range(1, len(cols)):
+                    if cols[c] < m:
+                        y[cols[c]] = -row[c]
+                return y
             self.pivot(r, best)
 
 
@@ -596,44 +576,39 @@ def lp_bounds(
     rows: list[tuple[int, ...]], nvars: int
 ) -> tuple[list[tuple[Fraction | None, Fraction | None]] | None, list[int] | None]:
     """The (min, max) of each variable over {x : A x + k >= 0} for integer
-    rows (A | k), by the simplex method on the distinct rows: the free
-    variables enter (`_Dictionary.enter_free`), phase one finds a feasible
-    basis or the certificate below (`_Dictionary.phase_one`), and
-    `_shared_bounds` walks the system as its only branch.  The search calls
-    it only for the branches that `_shared_bounds` finds empty, so that
-    their certificates index their own rows.
+    rows (A | k): `_shared_bounds` with one branch, on a dictionary of the
+    distinct rows (zero rows included) whose free variables have entered.
+    It bounds published inequality rows, and the tests check the shared
+    walk against it.
 
     Returns (bounds, None) when the system is rationally feasible; a None
     endpoint marks an unbounded direction.  Returns (None, y) when it is
     infeasible, with a Farkas certificate: one integer y_i >= 0 per row,
-    y^T A = 0 and y^T k < 0.
+    y^T A = 0 and y^T k < 0, in lowest terms, on the first of equal rows.
     """
     first: dict[tuple[int, ...], int] = {}  # distinct row -> first index giving it
     for i, row in enumerate(rows):
-        if any(row[:nvars]):
-            first.setdefault(row, i)
-        elif row[nvars] < 0:
-            return None, [int(j == i) for j in range(len(rows))]
+        first.setdefault(row, i)
     d = _Dictionary(list(first), nvars)
     d.enter_free()
-    y = d.phase_one()
-    if y is not None:
-        farkas = [0] * len(rows)
-        for i, x in zip(first.values(), y):
-            farkas[i] = x
-        g = math.gcd(*farkas)
-        return None, [x // g for x in farkas]
-    bounds, = _shared_bounds(d, [row[:nvars] for row in first], [[row[nvars] for row in first]])
-    return bounds, None
+    (bounds, y), = _shared_bounds(d, [row[:nvars] for row in first],
+                                  [[row[nvars] for row in first]])
+    if y is None:
+        return bounds, None
+    farkas = [0] * len(rows)
+    for i, x in zip(first.values(), y):
+        farkas[i] = x
+    g = math.gcd(*farkas)
+    return None, [x // g for x in farkas]
 
 
 def _shared_bounds(
     d: _Dictionary, rows: list[tuple[int, ...]], consts: list[list[int]]
-) -> list[list[tuple[Fraction | None, Fraction | None]] | None]:
+) -> list[tuple[list[tuple[Fraction | None, Fraction | None]] | None, list[int] | None]]:
     """The (min, max) of each variable in every branch b of {x : A x + k_b >= 0},
-    whose branches share the distinct coefficient rows A (`rows`) and differ
-    in the constants k_b (`consts[b]`), on one dictionary `d` of these rows
-    that holds branch 0's constants with its free variables entered.
+    whose branches share the coefficient rows A (`rows`) and differ in the
+    constants k_b (`consts[b]`), on one dictionary `d` of these rows that
+    holds branch 0's constants with its free variables entered.
 
     The outer loop runs over the objectives, every minimum and then every
     maximum (none for the branches whose minima are `_pinned`), the inner one
@@ -651,12 +626,15 @@ def _shared_bounds(
     goes on with no objective.  Branches that no walk reached are loaded
     last, to decide whether they are empty.
 
-    Returns per branch its (min, max) list, or None when it is empty.
+    Returns per branch (its (min, max) list, None), or (None, y) when it is
+    empty, y the Farkas vector over its rows that `reoptimize` read off the
+    walk where it found the branch empty.
     """
     m, t, nvars = d.m, d.t, d.nvars
     stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
     ends = [[[None, None] for _ in range(nvars)] for _ in consts]
-    order, empty, pinned, seen = list(range(len(consts))), set(), set(), {0}
+    order, pinned, seen = list(range(len(consts))), set(), {0}
+    empty: dict[int, list[int]] = {}  # empty branch -> its Farkas vector
     loaded, obj = 0, None
 
     def load(b: int) -> bool:
@@ -666,12 +644,12 @@ def _shared_bounds(
             d.shift([x - y for x, y in zip(consts[b], consts[loaded])])
             loaded = b
             seen.add(b)
-            if not d.reoptimize(obj):
-                empty.add(b)
+            if (y := d.reoptimize(obj)) is not None:
+                empty[b] = y
         return b not in empty
 
-    if not d.reoptimize(None):
-        empty.add(0)
+    if (y := d.reoptimize(None)) is not None:
+        empty[0] = y
     for sign in (-1, 1):
         if sign > 0:
             pinned = {b for b in order if b not in empty and _pinned(
@@ -695,8 +673,8 @@ def _shared_bounds(
     for b in order:
         if b not in seen:
             load(b)
-    return [None if b in empty else [(lo, lo if b in pinned else hi) for lo, hi in e]
-            for b, e in enumerate(ends)]
+    return [(None, empty[b]) if b in empty else
+            ([(lo, lo if b in pinned else hi) for lo, hi in e], None) for b, e in enumerate(ends)]
 
 
 # -- the feasibility engine --------------------------------------------------------
@@ -709,7 +687,10 @@ class InfeasibleBranch:
     constraints: a multiplier pair (for mu >= 0, for mu <= chi(1)) per
     (character, exponent) that has a nonzero one, and a pair for the sum of
     the partial augmentations (>= 1, <= 1).  Every multiplier is >= 0, and
-    the weighted rows add up to zero coefficients and a negative constant."""
+    the weighted rows add up to zero coefficients and a negative constant.
+    The multipliers are in lowest terms and read off the shared walk where
+    it found the branch empty, so they depend on that walk: deterministic,
+    but not always those of the branch solved alone."""
 
     powers: dict[int, PartialAugmentationVector]
     multipliers: dict[tuple[str, int], tuple[int, int]]
@@ -766,11 +747,13 @@ def _search(
     distinct T, their negations and the augmentation pair, and a branch
     gives each row the least constant of the keys that give that row, which
     is the same polytope.  A branch switch swaps the constants and the dual
-    simplex re-optimizes.  A branch that it finds empty is solved cold by
-    `lp_bounds` on its own primitive rows, so that its Farkas vector is over
-    that branch's rows; an unbounded variable is reported from the walk's
-    own endpoints.  The integer walk tests each distinct (k, T, n chi(1))
-    check once.
+    simplex re-optimizes.  Where it finds a branch empty it returns Farkas'
+    y over the shared rows; each row's weight goes to the row of that branch
+    that gave it its constant (the least, the first on ties), times that
+    row's content gcd(T, k), so the certificate is over the branch's own
+    primitive rows.  An unbounded variable is reported from the walk's own
+    endpoints.  The integer walk tests each distinct (k, T, n chi(1)) check
+    once.
     """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
@@ -808,33 +791,36 @@ def _search(
     def constants(kb):
         return [c for k, (chi, *_) in zip(kb, coeffs) for c in (k, n * chi.degree - k)] + [-1, 1]
 
-    def primitive(row, k, g):
-        g = math.gcd(g, k)
-        return (*(x // g for x in row), k // g) if g > 1 else (*row, k)
-
     branches = list(_coherent_power_assignments(pools))
     if not branches:  # no choice of the u^p agrees on every shared power
         return res
     ks = [[_power_constant(slice_, chi, n, l, assign) for chi, l, _, _ in coeffs]
           for assign in branches]  # per branch, the k of every key
     # the shared rows are the distinct A; a branch gives each the least k of
-    # the rows that have it
+    # the rows that have it, from the first such row (`picks`)
     sources: dict[tuple[int, ...], list[int]] = {}
     for i, (row, _) in enumerate(shape):
         sources.setdefault(row, []).append(i)
-    consts = [[min(c[i] for i in src) for src in sources.values()] for c in map(constants, ks)]
+    full = [constants(kb) for kb in ks]  # per branch, the k of every row of `shape`
+    picks = [[min(src, key=kf.__getitem__) for src in sources.values()] for kf in full]
+    consts = [[kf[i] for i in pick] for kf, pick in zip(full, picks)]
 
     rows = list(sources)
     d = _Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
     d.enter_free()
     try:
-        for assign, kb, ends in zip(branches, ks, _shared_bounds(d, rows, consts)):
-            if ends is None:  # empty: solved cold on its own primitive rows for its certificate
-                _, farkas = lp_bounds([primitive(row, c, g) for (row, g), c in
-                                       zip(shape, constants(kb))], nvars)
+        for assign, kb, kf, pick, (ends, y) in zip(branches, ks, full, picks,
+                                                   _shared_bounds(d, rows, consts)):
+            if ends is None:  # empty: y weighs the rows of `shape` in `pick`, and
+                # row i is gcd(g, k) times its primitive row
+                farkas = [0] * len(shape)
+                for i, x in zip(pick, y):
+                    farkas[i] = x * math.gcd(shape[i][1], kf[i])
+                g = math.gcd(*farkas)
+                farkas = [x // g for x in farkas]
                 pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
                 res.certificates.append(InfeasibleBranch(
-                    assign, {k: y for k, y in pairs.items() if any(y)}, tuple(farkas[-2:])))
+                    assign, {key: w for key, w in pairs.items() if any(w)}, tuple(farkas[-2:])))
                 continue
             rel = dict(zip(var_names, ends))
             if any(lo is None or hi is None for lo, hi in ends):

@@ -250,7 +250,7 @@ CHECKS = [
     ("brauer: verdict tables for bundled profiles", check_verdict_tables),
     ("numtheory: rho enumeration vs root counting; constant truncations", check_rho_and_constant),
     ("numtheory: census paths agree; cor13 census at 1000", check_census_paths),
-    ("numtheory: Li quadrature vs series", check_li_paths),
+    ("numtheory: Li, Ramanujan series vs power series", check_li_paths),
     ("numtheory: Lie-type orders and verdicts", check_lie_series),
 ]
 

@@ -692,6 +692,18 @@ class TestMalformedDocuments:
         assert code == 2
         assert_contract(code, text, err)
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_value_on_no_class_is_named(self, tmp_path, order):
+        # sgn's value on 2a filed under 2z: rejected at load, whether or not
+        # the query would read 2a, and the message names 2z
+        doc = json.loads(json.dumps(BUNDLED["s5"]))
+        values = next(ch for ch in doc["characters"] if ch["name"] == "sgn")["values"]
+        values["2z"] = values.pop("2a")
+        code, text, err = run_document(tmp_path, "s5", doc, order)
+        assert (code, text) == (2, "")
+        assert err == ("input error: character sgn has a value on '2z', "
+                       "which is no class of the slice\n")
+
     @pytest.mark.parametrize("name, path, what", [
         ("s5", ("characters",), "characters"),
         ("s5", ("classes", 1, "name"), "class name"),

@@ -405,10 +405,26 @@ class TestFarkasCertificates:
             assert all(branch.powers[d * e] == sub
                        for d, pa in branch.powers.items() for e, sub in pa.powers.items())
 
+    @pytest.mark.parametrize("table, n, counts", [
+        ("s5", 10, {10: 1}), ("s5", 12, {12: 4}), ("s5", 15, {}), ("s5", 20, {10: 1}),
+        ("s5", 30, {10: 1}), ("s5", 60, {12: 4}), ("c21", 9, {9: 2}), ("c21", 49, {49: 6}),
+        ("c21", 63, {9: 2}), ("c21", 147, {49: 6}), ("thompson", 35, {}),
+    ])
+    def test_every_order_searched_is_certified(self, table, n, counts):
+        # every bundled infeasible query, its sub-orders included: the
+        # certificates per order searched, each checked on its rebuilt rows
+        slice_, results = fixtures.load_slice(table), {}
+        results[n] = H._search(slice_, n, slice_.characters, None, results)
+        assert results[n].status == "infeasible"
+        assert {m: len(r.certificates) for m, r in results.items() if r.certificates} == counts
+        for m, r in results.items():
+            for branch in r.certificates:
+                assert branch_certificate_holds(slice_, m, r.variables, branch)
+
     def test_s5_order_10_certificate_pinned(self, s5):
         branch = H.feasible_partial_augmentations(s5, 10).certificates[0]
-        assert branch.multipliers == {("triv", 1): (4, 0), ("sgn", 2): (8, 0),
-                                      ("std", 5): (3, 0), ("w311", 5): (1, 0)}
+        assert branch.multipliers == {("triv", 1): (4, 0), ("sgn", 2): (4, 0),
+                                      ("std", 5): (1, 0), ("std_sgn", 0): (1, 0)}
         assert branch.augmentation == (0, 0)
 
     def test_checker_rejects_a_weakened_certificate(self, s5):
@@ -747,7 +763,7 @@ def shared_systems():
 
 def shared_bounds(rows, consts, nvars):
     """`_shared_bounds` on a fresh dictionary of branch 0, as the search
-    builds it: its free variables entered, no phase one."""
+    builds it: its free variables entered."""
     d = H._Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
     d.enter_free()
     return H._shared_bounds(d, rows, consts)
@@ -771,44 +787,34 @@ class TestSharedDictionary:
         nvars, rows, consts = system
         shared = shared_bounds(rows, consts, nvars)
         assert len(shared) == len(consts)
-        for ends, k in zip(shared, consts):
+        for (ends, y), k in zip(shared, consts):
             full = [primitive_row((*a, c)) for a, c in zip(rows, k)]  # the same polytope
             bounds, farkas = H.lp_bounds(full, nvars)
             assert ends == bounds == fm_bounds(full, nvars)  # None endpoints included
-            if bounds is None:  # empty: the search solves it cold for its certificate
+            if bounds is None:  # empty: the walk's y certifies it on the branch's raw rows
                 assert farkas_holds(zip(farkas, full), nvars)
+                assert len(y) == len(rows) and min(y) >= 0
+                assert not any(sum(w * a[v] for w, a in zip(y, rows)) for v in range(nvars))
+                assert sum(w * c for w, c in zip(y, k)) < 0
+            else:
+                assert y is None
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(shared_systems())
     def test_one_walk_per_objective(self, system):
-        # and no phase one: the dual simplex finds branch 0's first basis
         nvars, rows, consts = system
-        walks, maximize, phase_one = [], H._Dictionary.maximize, H._Dictionary.phase_one
+        walks, maximize = [], H._Dictionary.maximize
 
         def walk(d, i, sign):
             walks.append((d.basis[i], sign))
             return maximize(d, i, sign)
 
-        def no_phase_one(d):
-            raise AssertionError("phase one inside the shared walk")
-
-        H._Dictionary.maximize, H._Dictionary.phase_one = walk, no_phase_one
+        H._Dictionary.maximize = walk
         try:
             shared_bounds(rows, consts, nvars)
         finally:
-            H._Dictionary.maximize, H._Dictionary.phase_one = maximize, phase_one
+            H._Dictionary.maximize = maximize
         assert len(walks) == len(set(walks)) <= 2 * nvars
-
-    @pytest.mark.parametrize("table, n", [("c21", 49), ("s5", 12), ("s5", 30)])
-    def test_phase_one_runs_once_per_certificate(self, table, n, monkeypatch):
-        # the shared walk finds empty branches by the dual simplex; only the
-        # cold solve that certifies one runs phase one
-        runs, phase_one = [], H._Dictionary.phase_one
-        monkeypatch.setattr(H._Dictionary, "phase_one",
-                            lambda d: runs.append(d) or phase_one(d))
-        slice_, results = fixtures.load_slice(table), {}
-        results[n] = H._search(slice_, n, slice_.characters, None, results)
-        assert len(runs) == sum(len(r.certificates) for r in results.values()) > 0
 
 
 def fraction_pivot(f, r, c):
@@ -857,15 +863,15 @@ class TestDictionary:
         assert len(pivots) == 522
 
     def test_c21_order_49_pivot_count_pinned(self, c21, monkeypatch):
-        # all six branches are empty: one dual-simplex pass finds each, and
-        # the cold solves that certify them are the rest
+        # all six branches are empty: one dual-simplex pass finds each and
+        # certifies it, with no second solve
         pivots = []
         pivot = H._Dictionary.pivot
         monkeypatch.setattr(H._Dictionary, "pivot",
                             lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
         res = H.feasible_partial_augmentations(c21, 49)
         assert res.status == "infeasible" and len(res.certificates) == 6
-        assert len(pivots) == 69
+        assert len(pivots) == 21
 
     def test_c21_order_21_walks_each_objective_once(self, c21, monkeypatch):
         # one dictionary for the 12 branches: each of the 20 minima is walked
