@@ -303,7 +303,8 @@ def main(argv=None, out=None) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     except (FileNotFoundError, KeyError, ValueError) as e:
-        print(f"input error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key, quotes and all
+        print(f"input error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_INPUT
 
 

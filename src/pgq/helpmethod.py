@@ -29,10 +29,11 @@ bounds every branch (`_shared_bounds`): a branch switch swaps the constants,
 and the dual simplex re-optimizes, finds the empty branches and follows an
 unbounded variable.  Where it finds a branch empty, the failing row is a
 Farkas certificate over that branch's own rows (`_Dictionary.reoptimize`).
-`lp_bounds(rows, nvars)`, the one-branch case, bounds published inequality
-rows.  The integer stage walks the augmentation hyperplane inside those
-bounds, and the engine refuses (rather than truncating) when the relaxation
-leaves a variable unbounded or the walk would pass `CANDIDATE_CAP`.
+The integer stage walks the augmentation hyperplane inside those bounds, and
+the engine refuses (rather than truncating) when the relaxation leaves a
+variable unbounded or the walk would pass `CANDIDATE_CAP`.  Published
+inequality rows are in one variable, and their bounds are in closed form
+(`InequalityRowsFixture.feasible_points`).
 """
 
 from __future__ import annotations
@@ -398,14 +399,9 @@ def congruence_constraints(slice_: CharacterTableSlice, n: int) -> list[Congruen
 # -- rational bounds: one exact simplex ---------------------------------------------
 
 
-class UnboundedSearchError(Exception):
-    """The rational relaxation does not bound some variable; refusing to
-    truncate keeps 'infeasible' verdicts sound."""
-
-
 class SearchComplexityError(Exception):
-    """Enumeration grew past the configured cap; the engine reports an
-    inconclusive outcome instead of stalling."""
+    """Published rows leave more than `CANDIDATE_CAP` candidates to walk;
+    the caller reports an inconclusive outcome instead of stalling."""
 
 
 #: most integer candidates an exact search enumerates before it reports too-large
@@ -572,43 +568,14 @@ def _pinned(rows, lows: list[Fraction | None], nvars: int) -> bool:
         and sum(x * lo for x, lo in zip(row, lows)) == -row[nvars] for row in rows)
 
 
-def lp_bounds(
-    rows: list[tuple[int, ...]], nvars: int
-) -> tuple[list[tuple[Fraction | None, Fraction | None]] | None, list[int] | None]:
-    """The (min, max) of each variable over {x : A x + k >= 0} for integer
-    rows (A | k): `_shared_bounds` with one branch, on a dictionary of the
-    distinct rows (zero rows included) whose free variables have entered.
-    It bounds published inequality rows, and the tests check the shared
-    walk against it.
-
-    Returns (bounds, None) when the system is rationally feasible; a None
-    endpoint marks an unbounded direction.  Returns (None, y) when it is
-    infeasible, with a Farkas certificate: one integer y_i >= 0 per row,
-    y^T A = 0 and y^T k < 0, in lowest terms, on the first of equal rows.
-    """
-    first: dict[tuple[int, ...], int] = {}  # distinct row -> first index giving it
-    for i, row in enumerate(rows):
-        first.setdefault(row, i)
-    d = _Dictionary(list(first), nvars)
-    d.enter_free()
-    (bounds, y), = _shared_bounds(d, [row[:nvars] for row in first],
-                                  [[row[nvars] for row in first]])
-    if y is None:
-        return bounds, None
-    farkas = [0] * len(rows)
-    for i, x in zip(first.values(), y):
-        farkas[i] = x
-    g = math.gcd(*farkas)
-    return None, [x // g for x in farkas]
-
-
 def _shared_bounds(
-    d: _Dictionary, rows: list[tuple[int, ...]], consts: list[list[int]]
+    rows: list[tuple[int, ...]], consts: list[list[int]], nvars: int
 ) -> list[tuple[list[tuple[Fraction | None, Fraction | None]] | None, list[int] | None]]:
-    """The (min, max) of each variable in every branch b of {x : A x + k_b >= 0},
-    whose branches share the coefficient rows A (`rows`) and differ in the
-    constants k_b (`consts[b]`), on one dictionary `d` of these rows that
-    holds branch 0's constants with its free variables entered.
+    """The (min, max) of each of the nvars variables in every branch b of
+    {x : A x + k_b >= 0}, whose branches share the integer coefficient rows A
+    (`rows`, zero rows and repeats allowed) and differ in the constants k_b
+    (`consts[b]`).  It walks one `_Dictionary` of these rows, built on branch
+    0's constants, once its free variables have entered (`enter_free`).
 
     The outer loop runs over the objectives, every minimum and then every
     maximum (none for the branches whose minima are `_pinned`), the inner one
@@ -628,9 +595,12 @@ def _shared_bounds(
 
     Returns per branch (its (min, max) list, None), or (None, y) when it is
     empty, y the Farkas vector over its rows that `reoptimize` read off the
-    walk where it found the branch empty.
+    walk where it found the branch empty: one integer y_i >= 0 per row,
+    y^T A = 0 and y^T k_b < 0.  A None endpoint marks an unbounded direction.
     """
-    m, t, nvars = d.m, d.t, d.nvars
+    d = _Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
+    d.enter_free()
+    m, t = d.m, d.t
     stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
     ends = [[[None, None] for _ in range(nvars)] for _ in consts]
     order, pinned, seen = list(range(len(consts))), set(), {0}
@@ -751,9 +721,15 @@ def _search(
     y over the shared rows; each row's weight goes to the row of that branch
     that gave it its constant (the least, the first on ties), times that
     row's content gcd(T, k), so the certificate is over the branch's own
-    primitive rows.  An unbounded variable is reported from the walk's own
-    endpoints.  The integer walk tests each distinct (k, T, n chi(1)) check
-    once.
+    primitive rows.  Many keys share a row (c21/21 has 884 rows of `shape`,
+    90 of them distinct), so the dictionary is built on the distinct rows
+    only (`sources`), and `picks` maps each one back to its branch's row.
+
+    The first branch with an unbounded variable, or with more than
+    `CANDIDATE_CAP` integer candidates, ends the search inconclusive
+    (`unbounded`, `too-large`), its reason naming the order and the limit.
+    Otherwise the integer walk tests each distinct (k, T, n chi(1)) check
+    once per candidate.
     """
     var_names = [c.name for c in slice_.variable_classes(n)]
     congs = congruence_constraints(slice_, n)
@@ -806,63 +782,59 @@ def _search(
     consts = [[kf[i] for i in pick] for kf, pick in zip(full, picks)]
 
     rows = list(sources)
-    d = _Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
-    d.enter_free()
-    try:
-        for assign, kb, kf, pick, (ends, y) in zip(branches, ks, full, picks,
-                                                   _shared_bounds(d, rows, consts)):
-            if ends is None:  # empty: y weighs the rows of `shape` in `pick`, and
-                # row i is gcd(g, k) times its primitive row
-                farkas = [0] * len(shape)
-                for i, x in zip(pick, y):
-                    farkas[i] = x * math.gcd(shape[i][1], kf[i])
-                g = math.gcd(*farkas)
-                farkas = [x // g for x in farkas]
-                pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
-                res.certificates.append(InfeasibleBranch(
-                    assign, {key: w for key, w in pairs.items() if any(w)}, tuple(farkas[-2:])))
+    for assign, kb, kf, pick, (ends, y) in zip(branches, ks, full, picks,
+                                               _shared_bounds(rows, consts, nvars)):
+        if ends is None:  # empty: y weighs the rows of `shape` in `pick`, and
+            # row i is gcd(g, k) times its primitive row
+            farkas = [0] * len(shape)
+            for i, x in zip(pick, y):
+                farkas[i] = x * math.gcd(shape[i][1], kf[i])
+            g = math.gcd(*farkas)
+            farkas = [x // g for x in farkas]
+            pairs = dict(zip(keys, zip(farkas[0:-2:2], farkas[1:-2:2])))
+            res.certificates.append(InfeasibleBranch(
+                assign, {key: w for key, w in pairs.items() if any(w)}, tuple(farkas[-2:])))
+            continue
+        rel = dict(zip(var_names, ends))
+        if any(lo is None or hi is None for lo, hi in ends):
+            # refuse rather than truncate: a box cut short could miss a point
+            # and make an unsound INFEASIBLE verdict
+            return FeasibilityResult(
+                n, var_names, "unbounded", [], None, congs,
+                reason=f"order {n}: no supplied character bounds "
+                + ", ".join(v for v, (lo, hi) in rel.items() if lo is None or hi is None))
+        res.bounds = {v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()}
+        # walk the augmentation hyperplane: the last variable is 1 - the others;
+        # the walk wants 0 <= k + T.e <= n chi(1) and n | k + T.e per distinct check
+        checks = dict.fromkeys((k, row, n * chi.degree)
+                               for k, (chi, _, row, _) in zip(kb, coeffs))
+        *ranges, last = (range(lo, hi + 1) for lo, hi in res.bounds.values())
+        total = 1
+        for r in ranges:
+            total *= len(r)
+            if total > CANDIDATE_CAP:
+                return FeasibilityResult(
+                    n, var_names, "too-large", [], None, congs,
+                    reason=f"order {n}: more than {CANDIDATE_CAP} integer candidates to walk "
+                    f"on the augmentation hyperplane (candidate cap {CANDIDATE_CAP})")
+        for head in itertools.product(*ranges):
+            tail = 1 - sum(head)
+            if tail not in last:
                 continue
-            rel = dict(zip(var_names, ends))
-            if any(lo is None or hi is None for lo, hi in ends):
-                raise UnboundedSearchError(
-                    f"order {n}: no supplied character bounds "
-                    + ", ".join(v for v, (lo, hi) in rel.items() if lo is None or hi is None)
+            point = (*head, tail)
+            env = dict(zip(var_names, point))
+            if not all(c.satisfied(env) for c in congs):
+                continue
+            ok = True
+            for k, row, top in checks:
+                val = k + sum(c * x for c, x in zip(row, point))
+                if val < 0 or val > top or val % n:
+                    ok = False
+                    break
+            if ok:
+                res.feasible.append(
+                    PartialAugmentationVector(n, {k: v for k, v in env.items() if v}, assign)
                 )
-            res.bounds = {v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()}
-            # walk the augmentation hyperplane: the last variable is 1 - the others;
-            # the walk wants 0 <= k + T.e <= n chi(1) and n | k + T.e per distinct check
-            checks = dict.fromkeys((k, row, n * chi.degree)
-                                   for k, (chi, _, row, _) in zip(kb, coeffs))
-            *ranges, last = (range(lo, hi + 1) for lo, hi in res.bounds.values())
-            total = 1
-            for r in ranges:
-                total *= len(r)
-                if total > CANDIDATE_CAP:
-                    raise SearchComplexityError(
-                        f"order {n}: more than {CANDIDATE_CAP} integer candidates to walk on "
-                        f"the augmentation hyperplane (candidate cap {CANDIDATE_CAP})"
-                    )
-            for head in itertools.product(*ranges):
-                tail = 1 - sum(head)
-                if tail not in last:
-                    continue
-                point = (*head, tail)
-                env = dict(zip(var_names, point))
-                if not all(c.satisfied(env) for c in congs):
-                    continue
-                ok = True
-                for k, row, top in checks:
-                    val = k + sum(c * x for c, x in zip(row, point))
-                    if val < 0 or val > top or val % n:
-                        ok = False
-                        break
-                if ok:
-                    res.feasible.append(
-                        PartialAugmentationVector(n, {k: v for k, v in env.items() if v}, assign)
-                    )
-    except (UnboundedSearchError, SearchComplexityError) as e:
-        status = "unbounded" if isinstance(e, UnboundedSearchError) else "too-large"
-        return FeasibilityResult(n, var_names, status, [], None, congs, reason=str(e))
     res.status = "feasible" if res.feasible else "infeasible"
     return res
 
@@ -946,17 +918,17 @@ class InequalityRowsFixture:
 
     def feasible_points(self) -> list[tuple[int, int]]:
         """All (eps, 1 - eps) satisfying every row and congruence.  Row
-        non-negativity bounds the search (`lp_bounds` on the rows); the
-        congruences and the row divisibility leave one residue class, and
-        only that class is walked.  Raises SearchComplexityError when it holds
-        more than CANDIDATE_CAP candidates."""
-        ends, _ = lp_bounds([(coeff, const) for const, coeff in self.rows], 1)
-        if ends is None:
+        non-negativity bounds eps in closed form: c + k eps >= 0 gives
+        eps >= ceil(-c / k) for k > 0 and eps <= floor(c / -k) for k < 0
+        (`from_json` requires both signs), and a row with k = 0 and c < 0
+        leaves no point.  The congruences and the row divisibility leave one
+        residue class, and only that class is walked.  Raises
+        SearchComplexityError when it holds more than CANDIDATE_CAP
+        candidates."""
+        if any(k == 0 and c < 0 for c, k in self.rows):
             return []
-        (lo, hi), = ends
-        if lo is None or hi is None:
-            raise UnboundedSearchError("rows do not bound the variable on both sides")
-        lo, hi = math.ceil(lo), math.floor(hi)
+        lo = max(-(c // k) for c, k in self.rows if k > 0)
+        hi = min(c // -k for c, k in self.rows if k < 0)
         # every condition is a*eps = b (mod m); with eps = r + n*t so far, it
         # becomes a*n*t = b - a*r (mod m), which fixes t modulo m/g
         r, n = 0, 1

@@ -704,6 +704,15 @@ class TestMalformedDocuments:
         assert err == ("input error: character sgn has a value on '2z', "
                        "which is no class of the slice\n")
 
+    def test_missing_value_is_printed_bare(self, tmp_path):
+        # sgn has no value on 2a: the query at order 2 reads it, and the
+        # KeyError's message is printed without the quotes of its repr
+        doc = json.loads(json.dumps(BUNDLED["s5"]))
+        del next(ch for ch in doc["characters"] if ch["name"] == "sgn")["values"]["2a"]
+        code, text, err = run_document(tmp_path, "s5", doc, 2)
+        assert (code, text) == (2, "")
+        assert err == "input error: character sgn has no value on class 2a\n"
+
     @pytest.mark.parametrize("name, path, what", [
         ("s5", ("characters",), "characters"),
         ("s5", ("classes", 1, "name"), "class name"),

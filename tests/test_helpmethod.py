@@ -474,6 +474,13 @@ class TestOnan:
             assert fixture.rows_hold(e3) == (True, True, True)
             assert e3 % 3 == 0 and e3 % 7 == 1
 
+    def test_zero_row_with_negative_constant_leaves_no_point(self):
+        # the other rows leave 2 * 10^9 + 1 candidates, past the cap, but
+        # 0 * eps - 1 >= 0 holds at no eps: INFEASIBLE, not too-large
+        fixture = H.InequalityRowsFixture("G", 2, "a", "b", 1,
+                                          ((10**9, 1), (10**9, -1), (-1, 0)), ())
+        assert fixture.feasible_points() == []
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(-400, 400), st.integers(-6, 6)), max_size=3),
            st.integers(1, 6),
@@ -510,7 +517,7 @@ def _reduce_row(comb, nvars):
 def fm_bounds(rows, nvars):
     """The (min, max) of each variable over {x : A x + k >= 0} for integer
     rows (A | k), by Fourier-Motzkin elimination on primitive rows: the
-    independent oracle of `lp_bounds` and `_shared_bounds`.
+    independent oracle of `_shared_bounds`.
 
     Returns None when the system is rationally infeasible; a None endpoint
     marks an unbounded direction.
@@ -565,8 +572,14 @@ def by_name(engine):
     return bounds
 
 
+def lp_bounds(rows, nvars):
+    """`_shared_bounds` with one branch, on the integer rows (A | k) as given:
+    (bounds, None), or (None, y) when {x : A x + k >= 0} is empty."""
+    return H._shared_bounds([r[:nvars] for r in rows], [[r[nvars] for r in rows]], nvars)[0]
+
+
 #: the search's simplex and its Fourier-Motzkin oracle answer every case alike
-BOUNDS_ENGINES = (by_name(fm_bounds), by_name(lambda *a: H.lp_bounds(*a)[0]))
+BOUNDS_ENGINES = (by_name(fm_bounds), by_name(lambda *a: lp_bounds(*a)[0]))
 
 
 class TestFourierMotzkin:
@@ -672,7 +685,7 @@ def assert_lp_matches_fm(system):
     for r in equalities:
         ineqs += [row(*r), [-x for x in row(*r)]]
     rows = [primitive_row(r) for r in ineqs]
-    bounds, farkas = H.lp_bounds(rows, nvars)
+    bounds, farkas = lp_bounds(rows, nvars)
     assert bounds == fm_bounds(rows, nvars)
     if bounds is None:
         assert farkas_holds(zip(farkas, ineqs), nvars)
@@ -709,11 +722,11 @@ class TestSimplex:
         maximize = H._Dictionary.maximize
         monkeypatch.setattr(H._Dictionary, "maximize",
                             lambda d, i, sign: walks.append(sign) or maximize(d, i, sign))
-        assert H.lp_bounds(rows, 2) == ([(-1, -1), (2, 2)], None)
+        assert lp_bounds(rows, 2) == ([(-1, -1), (2, 2)], None)
         assert walks and 1 not in walks
         walks.clear()
-        assert H.lp_bounds(rows[:2] + [(2, 1, -1), (-2, -1, 1)], 2)[0] == [(-1, Fraction(-1, 2)),
-                                                                         (2, 3)]
+        assert lp_bounds(rows[:2] + [(2, 1, -1), (-2, -1, 1)], 2)[0] == [(-1, Fraction(-1, 2)),
+                                                                       (2, 3)]
         assert 1 in walks
 
 
@@ -761,14 +774,6 @@ def shared_systems():
     return build()
 
 
-def shared_bounds(rows, consts, nvars):
-    """`_shared_bounds` on a fresh dictionary of branch 0, as the search
-    builds it: its free variables entered."""
-    d = H._Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
-    d.enter_free()
-    return H._shared_bounds(d, rows, consts)
-
-
 class TestSharedDictionary:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(shared_systems())
@@ -785,11 +790,11 @@ class TestSharedDictionary:
     @example((2, [(1, 0), (1, 1), (-1, -1)], [[0, -2, 1], [0, -1, 1], [1, 0, 3]]))
     def test_each_branch_matches_lp_bounds_and_fourier_motzkin(self, system):
         nvars, rows, consts = system
-        shared = shared_bounds(rows, consts, nvars)
+        shared = H._shared_bounds(rows, consts, nvars)
         assert len(shared) == len(consts)
         for (ends, y), k in zip(shared, consts):
             full = [primitive_row((*a, c)) for a, c in zip(rows, k)]  # the same polytope
-            bounds, farkas = H.lp_bounds(full, nvars)
+            bounds, farkas = lp_bounds(full, nvars)
             assert ends == bounds == fm_bounds(full, nvars)  # None endpoints included
             if bounds is None:  # empty: the walk's y certifies it on the branch's raw rows
                 assert farkas_holds(zip(farkas, full), nvars)
@@ -811,7 +816,7 @@ class TestSharedDictionary:
 
         H._Dictionary.maximize = walk
         try:
-            shared_bounds(rows, consts, nvars)
+            H._shared_bounds(rows, consts, nvars)
         finally:
             H._Dictionary.maximize = maximize
         assert len(walks) == len(set(walks)) <= 2 * nvars

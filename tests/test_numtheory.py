@@ -458,7 +458,7 @@ class TestLi:
             with pytest.raises(ValueError):
                 NT.li(x)
 
-    def test_quadrature_matches_series(self):
+    def test_ramanujan_series_matches_power_series(self):
         for x in (3, 10, 1000, 10**5, 10**7):
             a, b = NT.li(x), NT.li_series(x)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
