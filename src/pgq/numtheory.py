@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum, gcd, inf, isqrt, log, sqrt
+from math import fsum, gcd, inf, isqrt, log, prod, sqrt
 
 import numpy as np
 
@@ -704,18 +704,23 @@ def count_N(x: int, condition: str = "thm51", method: str = "phi-factor") -> Sie
 # -- Lie-type series ---------------------------------------------------------------
 
 
-LIE_FAMILIES = ("PSL4", "PSU4", "PSp4", "PSp6", "POmega7", "POmega8plus", "G2")
-
-#: family -> cyclotomic indices whose product at q must have squarefree alpha
-_LIE_POLYS = {
-    "PSL4": (3, 4),
-    "PSU4": (4, 6),
-    "PSp4": (4,),
-    "PSp6": (3, 6),
-    "POmega7": (3, 6),
-    "POmega8plus": (3, 6),
-    "G2": (3, 6),
+#: family -> (tested, N, {k: e_k}, (m, ks)).  `tested` holds the cyclotomic
+#: indices whose product at q must have squarefree alpha; the group order is
+#: q^N prod_k Phi_k(q)^e_k / gcd(m, prod_{k in ks} Phi_k(q))  (Carter,
+#: Simple Groups of Lie Type, ch. 9 and 14).
+LIE_SERIES = {
+    "PSL4": ((3, 4), 6, {1: 3, 2: 2, 3: 1, 4: 1}, (4, (1,))),
+    "PSU4": ((4, 6), 6, {1: 2, 2: 3, 4: 1, 6: 1}, (4, (2,))),
+    "PSp4": ((4,), 4, {1: 2, 2: 2, 4: 1}, (2, (1,))),
+    "PSp6": ((3, 6), 9, {1: 3, 2: 3, 3: 1, 4: 1, 6: 1}, (2, (1,))),
+    "POmega7": ((3, 6), 9, {1: 3, 2: 3, 3: 1, 4: 1, 6: 1}, (2, (2,))),
+    "POmega8plus": ((3, 6), 12, {1: 4, 2: 4, 3: 1, 4: 2, 6: 1}, (4, (1, 2, 4))),
+    "G2": ((3, 6), 6, {1: 2, 2: 2, 3: 1, 6: 1}, (1, ())),
 }
+
+LIE_FAMILIES = tuple(LIE_SERIES)
+
+_PHI_LABELS = {1: "q-1", 2: "q+1", 3: "q^2+q+1", 4: "q^2+1", 6: "q^2-q+1"}
 
 
 @dataclass(frozen=True)
@@ -766,9 +771,7 @@ def lie_series_verdict(spec: LieSeriesSpec) -> LieVerdict:
     product at q, and alpha of that product is squarefree."""
     q = spec.q
     c = alpha(spec.f)
-    poly = 1
-    for k in _LIE_POLYS[spec.family]:
-        poly *= cyclotomic_value(k, q)
+    poly = prod(cyclotomic_value(k, q) for k in LIE_SERIES[spec.family][0])
     a = alpha(poly)
     fc = FactoredInteger.from_value(c)
     fa = FactoredInteger.from_value(a)
@@ -789,42 +792,16 @@ def lie_series_verdict(spec: LieSeriesSpec) -> LieVerdict:
 
 
 def lie_order(spec: LieSeriesSpec) -> tuple[FactoredInteger, list[tuple[str, int]]]:
-    """Exact group order from the displayed formula, with the cyclotomic
-    breakdown retained alongside the prime factorization."""
+    """Exact group order from the family's LIE_SERIES row, with the cyclotomic
+    breakdown (q^N first, then Phi_k by index) beside the prime factorization."""
     q = spec.q
-    phi1, phi2 = q - 1, q + 1
-    phi3, phi4, phi6 = cyclotomic_value(3, q), cyclotomic_value(4, q), cyclotomic_value(6, q)
-    fam = spec.family
-    if fam == "PSL4":
-        d = gcd(4, q - 1)
-        parts = [("q^6", q**6), ("(q-1)^3", phi1**3), ("(q+1)^2", phi2**2),
-                 ("q^2+q+1", phi3), ("q^2+1", phi4)]
-    elif fam == "PSU4":
-        d = gcd(4, q + 1)
-        parts = [("q^6", q**6), ("(q-1)^2", phi1**2), ("(q+1)^3", phi2**3),
-                 ("q^2+1", phi4), ("q^2-q+1", phi6)]
-    elif fam == "PSp4":
-        d = gcd(2, q - 1)
-        parts = [("q^4", q**4), ("(q-1)^2", phi1**2), ("(q+1)^2", phi2**2), ("q^2+1", phi4)]
-    elif fam == "PSp6":
-        d = gcd(2, q - 1)
-        parts = [("q^9", q**9), ("(q-1)^3", phi1**3), ("(q+1)^3", phi2**3),
-                 ("q^2+1", phi4), ("q^2+q+1", phi3), ("q^2-q+1", phi6)]
-    elif fam == "POmega7":
-        d = gcd(2, q + 1)
-        parts = [("q^9", q**9), ("(q-1)^3", phi1**3), ("(q+1)^3", phi2**3),
-                 ("q^2+1", phi4), ("q^2+q+1", phi3), ("q^2-q+1", phi6)]
-    elif fam == "POmega8plus":
-        d = gcd(4, q**4 - 1)
-        parts = [("q^12", q**12), ("(q-1)^4", phi1**4), ("(q+1)^4", phi2**4),
-                 ("(q^2+1)^2", phi4**2), ("q^2+q+1", phi3), ("q^2-q+1", phi6)]
-    else:  # G2
-        d = 1
-        parts = [("q^6", q**6), ("(q-1)^2", phi1**2), ("(q+1)^2", phi2**2),
-                 ("q^2+q+1", phi3), ("q^2-q+1", phi6)]
-    raw = 1
-    for _, v in parts:
-        raw *= v
+    _, n, powers, (m, ks) = LIE_SERIES[spec.family]
+    parts = [(f"q^{n}", q**n)]
+    for k, e in powers.items():
+        label = _PHI_LABELS[k] if e == 1 else f"({_PHI_LABELS[k]})^{e}"
+        parts.append((label, cyclotomic_value(k, q) ** e))
+    d = gcd(m, prod(cyclotomic_value(k, q) for k in ks))
+    raw = prod(v for _, v in parts)
     if raw % d:
         raise ArithmeticError("order formula did not divide evenly; formula data corrupt")
     return FactoredInteger.from_value(raw // d), parts

@@ -374,6 +374,52 @@ class TestLie:
         doc = json.loads(text)
         assert doc["order"] == "20160"
 
+    # q = 2^5: c = alpha(5) = 5 divides q^2+1 = 1025, so the coprimality clause
+    # decides PSL4, PSU4 and PSp4; the stdout digests pin every other key too
+    @pytest.mark.parametrize("family, code, order, factors, breakdown, digest", [
+        ("PSL4", 1, "37740850586690833612800",
+         {"2": 30, "3": 2, "5": 2, "7": 1, "11": 2, "31": 3, "41": 1, "151": 1},
+         {"q^6": "1073741824", "(q-1)^3": "29791", "(q+1)^2": "1089",
+          "q^2+q+1": "1057", "q^2+1": "1025"},
+         "703219611bb125e2e986843184e6da55dfacbe1022e696bbc6716da466114677"),
+        ("PSU4", 1, "37743154175703357849600",
+         {"2": 30, "3": 4, "5": 2, "11": 3, "31": 2, "41": 1, "331": 1},
+         {"q^6": "1073741824", "(q-1)^2": "961", "(q+1)^3": "35937",
+          "q^2+1": "1025", "q^2-q+1": "993"},
+         "51344700636cfba3781a1ea396d281f85b4be930c1730f5c956453c38e069eeb"),
+        ("PSp4", 1, "1124799322521600",
+         {"2": 20, "3": 2, "5": 2, "11": 2, "31": 2, "41": 1},
+         {"q^4": "1048576", "(q-1)^2": "961", "(q+1)^2": "1089", "q^2+1": "1025"},
+         "66ea5b28aaeec2eacc7a0892bcbfecd00f717566b2664cf1f085fb4ee410040d"),
+        ("PSp6", 0, "40525166440456910492724205977600",
+         {"2": 45, "3": 4, "5": 2, "7": 1, "11": 3, "31": 3, "41": 1, "151": 1, "331": 1},
+         {"q^9": "35184372088832", "(q-1)^3": "29791", "(q+1)^3": "35937",
+          "q^2+q+1": "1057", "q^2+1": "1025", "q^2-q+1": "993"},
+         "73aa650cb0d80a37ff2bd2cf34fa1c4d3fd385a38406f861ef0af48abee348ad"),
+        ("POmega7", 0, "40525166440456910492724205977600",
+         {"2": 45, "3": 4, "5": 2, "7": 1, "11": 3, "31": 3, "41": 1, "151": 1, "331": 1},
+         {"q^9": "35184372088832", "(q-1)^3": "29791", "(q+1)^3": "35937",
+          "q^2+q+1": "1057", "q^2+1": "1025", "q^2-q+1": "993"},
+         "5ba55d0fd53516170e8b1430c17ff4a6f4abf7358e9543cae21677a18ad9f11e"),
+        ("POmega8plus", 0, "1392432788285099374015554659384096194560000",
+         {"2": 60, "3": 5, "5": 4, "7": 1, "11": 4, "31": 4, "41": 2, "151": 1, "331": 1},
+         {"q^12": "1152921504606846976", "(q-1)^4": "923521", "(q+1)^4": "1185921",
+          "q^2+q+1": "1057", "(q^2+1)^2": "1050625", "q^2-q+1": "993"},
+         "3a5ef82cd9c1598a3140ce5391c09af5279b4ee8dfea3ebda2d51d6a91ab0571"),
+        ("G2", 0, "1179438698114366570496",
+         {"2": 30, "3": 3, "7": 1, "11": 2, "31": 2, "151": 1, "331": 1},
+         {"q^6": "1073741824", "(q-1)^2": "961", "(q+1)^2": "1089",
+          "q^2+q+1": "1057", "q^2-q+1": "993"},
+         "c093e65d641b38dc9c5bcdbe413571ce42cd9df28ec9fa6bfc92903286f74182"),
+    ])
+    def test_json_bytes_pinned_at_q32(self, family, code, order, factors, breakdown, digest):
+        got, text = run(["lie", "--family", family, "--q", "32", "--format", "json"])
+        doc = json.loads(text)
+        assert (got, doc["c"]) == (code, 5)
+        assert (doc["order"], doc["order_factors"], doc["order_breakdown"]) == (
+            order, factors, breakdown)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestTableauxVerify:
     def test_all_lemmas_at_six(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pgq import numtheory as NT
 from pgq.numtheory import FactoredInteger, LieSeriesSpec
+from pgq.selftest import weyl_degree_order
 
 
 def F_value(q):
@@ -491,11 +492,25 @@ class TestLieSeries:
         assert NT.lie_order(LieSeriesSpec("G2", 3, 1))[0].value == 4245696
         assert NT.lie_order(LieSeriesSpec("PSp6", 2, 1))[0].value == 1451520
 
-    def test_orders_always_integers(self):
+    def test_orders_match_weyl_degree_formula(self):
+        prime_powers = [(p, f) for p in NT.primes_up_to(200) for f in range(1, 8) if p**f < 200]
         for fam in NT.LIE_FAMILIES:
-            for p, f in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1)):
-                order, parts = NT.lie_order(LieSeriesSpec(fam, p, f))
-                assert order.value > 0
+            for p, f in prime_powers:
+                order, _ = NT.lie_order(LieSeriesSpec(fam, p, f))
+                assert order.value == weyl_degree_order(fam, p**f), (fam, p, f)
+
+    def test_tested_indices_are_census_data(self):
+        # at f = 1, c = 1: settled exactly when no q > 3 squares into a tested value
+        for ks in {row[0] for row in NT.LIE_SERIES.values()}:
+            censuses = [count(5000, ks, 3) for count in (NT._count_phi_factor, NT._count_root_sieve)]
+            primes = censuses[0][0].tolist()
+            for fam, row in NT.LIE_SERIES.items():
+                if row[0] == ks:
+                    settled = [NT.lie_series_verdict(LieSeriesSpec(fam, p, 1)).settled
+                               for p in primes]
+                    for P, witness in censuses:
+                        assert P.tolist() == primes
+                        assert (witness == 0).tolist() == settled, (fam, ks)
 
     def test_g2_at_5_settled(self):
         v = NT.lie_series_verdict(LieSeriesSpec("G2", 5, 1))
