@@ -5,9 +5,16 @@ Exit codes: 0 = success / settled, 1 = open or inconclusive finding,
 Machine-readable output is sorted and timestamp-free so repeated runs are
 byte-identical.
 
+The command line is read against one table, `COMMANDS`, of each command's
+flags with their types, choices and defaults.  A flag is written out in
+full, as `--flag value` or `--flag=value`; an abbreviation, an unknown
+flag or command, a missing or malformed value and a missing required flag
+are each one `input error:` line on stderr with exit 2.  `-h` or `--help`
+prints the help of pgq or of one command to stdout.
+
 The first `main` call of a process moves every object then on the garbage
-collector's heap (the modules, classes and constants that importing pgq,
-numpy and argparse left behind) into the permanent generation with
+collector's heap (the modules, classes and constants that importing pgq and
+numpy left behind) into the permanent generation with
 `gc.freeze()`. The collector stays enabled for what the command allocates.
 A process whose heap is frozen already at that first call is left as it is,
 later calls do not look again, and importing `pgq` or `pgq.cli` freezes
@@ -16,10 +23,10 @@ nothing, so a host program's collection is only changed if it calls `main`.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from . import brauer, fixtures, helpmethod, numtheory, selftest, tableaux
 
@@ -219,59 +226,139 @@ def cmd_selftest(args, out) -> int:
     return EXIT_OK if ok else EXIT_FINDING
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pgq",
-        description="prime-graph verification toolkit: HeLP feasibility, Brauer-tree "
-        "inequalities, tableau lemma verifiers and squarefree sieves",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: marks a flag that must be given
+_REQUIRED = object()
+_TEXT_JSON = ("text", "json")
+_TEXT_JSON_CSV = ("text", "json", "csv")
 
-    def add_format(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text")
+#: command -> (help, {flag: (kind, default, help)}).  A flag's kind is int
+#: or str for a value, a tuple of the values it allows, or bool for a switch
+#: that takes none.  A command runs cmd_<command, with "-" as "_">.
+COMMANDS = {
+    "help-check": ("integer feasibility of a hypothetical unit order", {
+        "--table": (str, _REQUIRED, "character-table slice or inequality-rows JSON"),
+        "--order": (int, _REQUIRED, "the unit order"),
+        "--characters": (str, None, "comma-separated character names (default: all)"),
+        "--format": (_TEXT_JSON, "text", ""),
+    }),
+    "verdict": ("prime-pair verdict table for a group profile", {
+        "--profile": (str, _REQUIRED, "group profile JSON"),
+        "--format": (_TEXT_JSON_CSV, "text", ""),
+    }),
+    "tree-check": ("validate a Brauer tree specification", {
+        "--tree": (str, _REQUIRED, "Brauer tree JSON"),
+        "--format": (_TEXT_JSON, "text", ""),
+    }),
+    "sieve": ("squarefree census of cyclotomic values at primes", {
+        "--bound": (int, _REQUIRED, "count the primes up to this bound"),
+        "--condition": (tuple(sorted(numtheory.CONDITIONS)), "thm51", ""),
+        "--method": (("phi-factor", "root-sieve"), "phi-factor", ""),
+        "--dual": (bool, False, "cross-check against an independent counting path"),
+        "--format": (_TEXT_JSON_CSV, "text", ""),
+    }),
+    "lie": ("order formula and squarefreeness verdict for a Lie series", {
+        "--family": (numtheory.LIE_FAMILIES, _REQUIRED, ""),
+        "--q": (int, _REQUIRED, "prime power field size"),
+        "--format": (_TEXT_JSON, "text", ""),
+    }),
+    "tableaux-verify": ("exhaustive skew-tableau lemma verifiers", {
+        "--max-boxes": (int, 8, ""),
+        "--lemma": (tuple(sorted(tableaux.ALL_VERIFIERS)), None, "one lemma (default: all)"),
+        "--format": (_TEXT_JSON, "text", ""),
+    }),
+    "selftest": ("run the bundled oracle and fixture checks", {}),
+}
 
-    p = sub.add_parser("help-check", help="integer feasibility of a hypothetical unit order")
-    p.add_argument("--table", required=True, help="character-table slice or inequality-rows JSON")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--characters", help="comma-separated character names (default: all)")
-    add_format(p)
-    p.set_defaults(fn=cmd_help_check)
+_DESCRIPTION = ("prime-graph verification toolkit: HeLP feasibility, Brauer-tree "
+                "inequalities, tableau lemma verifiers and squarefree sieves")
 
-    p = sub.add_parser("verdict", help="prime-pair verdict table for a group profile")
-    p.add_argument("--profile", required=True)
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(fn=cmd_verdict)
 
-    p = sub.add_parser("tree-check", help="validate a Brauer tree specification")
-    p.add_argument("--tree", required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_tree_check)
+def _is_value(arg: str) -> bool:
+    """Whether an argument can be a flag's value: anything but a flag, so
+    a value that starts with "-" must be a negative number."""
+    return not arg.startswith("-") or arg[1:].isdigit()
 
-    p = sub.add_parser("sieve", help="squarefree census of cyclotomic values at primes")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--condition", choices=sorted(numtheory.CONDITIONS), default="thm51")
-    p.add_argument("--method", choices=("phi-factor", "root-sieve"), default="phi-factor")
-    p.add_argument("--dual", action="store_true",
-                   help="cross-check against an independent counting path")
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(fn=cmd_sieve)
 
-    p = sub.add_parser("lie", help="order formula and squarefreeness verdict for a Lie series")
-    p.add_argument("--family", choices=numtheory.LIE_FAMILIES, required=True)
-    p.add_argument("--q", type=int, required=True, help="prime power field size")
-    add_format(p)
-    p.set_defaults(fn=cmd_lie)
+def _parse_args(argv) -> SimpleNamespace:
+    """The flags of one command line as attributes ("--max-boxes" becomes
+    max_boxes), with `fn` the function that runs the command.  -h or --help
+    makes `fn` print the help instead.
 
-    p = sub.add_parser("tableaux-verify", help="exhaustive skew-tableau lemma verifiers")
-    p.add_argument("--max-boxes", type=int, default=8)
-    p.add_argument("--lemma", choices=sorted(tableaux.ALL_VERIFIERS))
-    add_format(p)
-    p.set_defaults(fn=cmd_tableaux_verify)
+    A flag is its exact long name: `--flag value` or `--flag=value`, a
+    switch alone.  A flag given twice keeps its last value.  Anything else
+    raises ValueError with a one-line message."""
+    if not argv:
+        raise ValueError(f"no command given (choose from {', '.join(COMMANDS)})")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        return SimpleNamespace(fn=_print_help, command=None)
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    flags = COMMANDS[command][1]
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    rest.reverse()
+    while rest:
+        arg = rest.pop()
+        if arg in ("-h", "--help"):
+            return SimpleNamespace(fn=_print_help, command=command)
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{command} has no argument {arg!r} "
+                             f"(its flags are {', '.join(flags)})")
+        kind = flags[flag][0]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"argument {flag}: takes no value, got {value!r}")
+            values[flag] = True
+            continue
+        if not eq:
+            if not rest or not _is_value(rest[-1]):
+                raise ValueError(f"argument {flag}: expected one argument")
+            value = rest.pop()
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError(f"argument {flag}: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"argument {flag}: invalid int value: {value!r}") from None
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ValueError(f"{command}: the following arguments are required: "
+                         f"{', '.join(missing)}")
+    return SimpleNamespace(fn=globals()[f"cmd_{command.replace('-', '_')}"],
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
-    p = sub.add_parser("selftest", help="run the bundled oracle and fixture checks")
-    p.set_defaults(fn=cmd_selftest)
 
-    return parser
+def _print_help(args, out) -> int:
+    if args.command is None:
+        width = max(map(len, COMMANDS))
+        out.write(f"usage: pgq COMMAND [FLAGS]\n\n{_DESCRIPTION}\n\ncommands:\n")
+        for name, (text, _) in COMMANDS.items():
+            out.write(f"  {name:<{width}}  {text}\n")
+        out.write("\npgq COMMAND --help lists the flags of a command.\n")
+        return EXIT_OK
+    text, flags = COMMANDS[args.command]
+    rows = []
+    for flag, (kind, default, note) in flags.items():
+        if isinstance(kind, tuple):
+            flag += " {" + ",".join(kind) + "}"
+        elif kind is not bool:
+            flag += " " + flag[2:].upper().replace("-", "_")
+        if default is _REQUIRED:
+            note += " (required)"
+        elif not (kind is bool or default is None):
+            note += f" (default: {default})"
+        rows.append((flag, note.strip()))
+    width = max((len(f) for f, _ in rows), default=0)
+    out.write(f"usage: pgq {args.command} [FLAGS]\n\n{text}\n")
+    if rows:
+        out.write("\nflags:\n")
+        out.writelines(f"  {f:<{width}}  {note}\n" for f, note in rows)
+    return EXIT_OK
 
 
 #: whether `main` has decided on the heap freeze in this process
@@ -291,12 +378,8 @@ def main(argv=None, out=None) -> int:
         if not gc.get_freeze_count():
             gc.freeze()
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.fn(args, out)
     except json.JSONDecodeError as e:
         print(f"input error: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}",

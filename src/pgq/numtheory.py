@@ -10,8 +10,12 @@ groups of Lie type.
 
 N(x) is computed by two independent routes, which must agree exactly:
 trial-dividing each Phi_k(p) value, or sieving the residue classes cut out
-by the roots of Phi_k mod q^2.  Factoring the full product F(p) prime by
-prime is their oracle in the tests and the selftest.
+by the roots of Phi_k mod q^2.  The sieve takes the roots of Phi_4 from the
+least quadratic non-residue, which quadratic reciprocity finds without a
+modular power, tries g = 2, 3, 5, ... for those of Phi_3 and Phi_6, and
+drops composite class members with a bitmap of the odd primes.  Factoring
+the full product F(p) prime by prime is their oracle in the tests and the
+selftest.
 """
 
 from __future__ import annotations
@@ -374,16 +378,21 @@ def _rho_enumerate(d: int) -> int:
     return int(np.count_nonzero(f == 0))
 
 
-def _rho_prime_by_roots(q: int) -> int:
+def _rho_prime_by_roots(q):
     """For q > 3 every root of F mod q is simple, so roots mod q^2 biject
     with roots mod q: one each from Phi_1, Phi_2, two from Phi_4 iff
-    q = 1 mod 4, and two each from Phi_3 and Phi_6 iff q = 1 mod 3."""
-    count = 2
-    if q % 4 == 1:
-        count += 2
-    if q % 3 == 1:
-        count += 4
-    return count
+    q = 1 mod 4, and two each from Phi_3 and Phi_6 iff q = 1 mod 3.  q may
+    be an int or an int64 array of primes."""
+    return 2 + 2 * (q % 4 == 1) + 4 * (q % 3 == 1)
+
+
+def _euler_product(truncation: int) -> tuple[int, int]:
+    """The numerator and denominator of prod (1 - rho(q)/phi(q^2)) over the
+    primes 3 < q <= truncation, unreduced: each factor is (phi - rho)/phi
+    with phi = q(q-1)."""
+    q = _prime_array(truncation)[2:]
+    phi = q * (q - 1)
+    return prod((phi - _rho_prime_by_roots(q)).tolist()), prod(phi.tolist())
 
 
 def constant_c(truncation: int) -> tuple[Fraction, float]:
@@ -391,16 +400,7 @@ def constant_c(truncation: int) -> tuple[Fraction, float]:
     with a float shadow; strictly positive and non-increasing in Q."""
     if truncation < 5:
         raise ValueError("truncation bound must be at least 5")
-    # each factor is (phi - rho)/phi with phi = q(q-1): multiply the integer
-    # numerators and denominators apart and reduce once
-    num = den = 1
-    for q in primes_up_to(truncation):
-        if q <= 3:
-            continue
-        phi = q * (q - 1)
-        num *= phi - _rho_prime_by_roots(q)
-        den *= phi
-    exact = Fraction(num, den)
+    exact = Fraction(*_euler_product(truncation))
     return exact, float(exact)
 
 
@@ -509,6 +509,9 @@ class SieveResult:
 
     def summary(self) -> dict:
         li_x = li(self.x) if self.x >= 2 else 0.0
+        # int / int rounds correctly, so this is float(constant_c(10_000)[0])
+        # without reducing a 28,546-bit fraction
+        num, den = _euler_product(10_000)
         return {
             "x": self.x,
             "condition": self.condition,
@@ -518,7 +521,7 @@ class SieveResult:
             "ratio": self.ratio,
             "li_x": li_x,
             "count_over_li": self.count / li_x if li_x else None,
-            "c_truncated": float(constant_c(10_000)[0]),
+            "c_truncated": num / den,
         }
 
 
@@ -540,9 +543,9 @@ def _count_phi_factor(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     return P, wit
 
 
-def _powmod(g: int, e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """g^e mod m elementwise for g >= 0, e >= 0 and m >= 1; m^2 must stay
-    below 2^63."""
+def _powmod(g, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """g^e mod m elementwise for g >= 0 (an int or an int64 array), e >= 0
+    and m >= 1; m^2 must stay below 2^63."""
     out = 1 % m
     b = g % m
     for bit in range(int(e.max(initial=0)).bit_length()):
@@ -551,23 +554,50 @@ def _powmod(g: int, e: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _next_prime(g: int) -> int:
+    g += 1
+    while not is_prime(g):
+        g += 1
+    return g
+
+
+def _least_non_residue(Q: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue mod each prime q = 1 mod 4 of Q, which
+    is a prime c.  By quadratic reciprocity, (c/q) = (q/c) for odd c as
+    q = 1 mod 4, and (2/q) = -1 iff q = 5 mod 8 (Crandall and Pomerance,
+    Prime Numbers, 2.3): so c = 2 when q = 5 mod 8, and otherwise the least
+    odd prime c for which q mod c is no square mod c."""
+    out = np.where(Q % 8 == 5, 2, 0)
+    todo = np.flatnonzero(out == 0)
+    c = 3
+    while todo.size:
+        square = np.zeros(c, dtype=bool)
+        square[np.arange(c) ** 2 % c] = True
+        non = ~square[Q[todo] % c]
+        out[todo[non]] = c
+        todo = todo[~non]
+        c = _next_prime(c)
+    return out
+
+
 def _root_of_unity(Q: np.ndarray, n: int) -> np.ndarray:
     """A primitive n-th root of unity mod each prime q of Q, for n in {3, 4}
     dividing q - 1: g^((q-1)/n) for the least g that gives one, that is a
-    quadratic non-residue for n = 4 and a cubic one for n = 3."""
+    quadratic non-residue for n = 4 and a cubic one for n = 3.  The
+    quadratic one comes from `_least_non_residue`; the cubic one is found
+    by trying g = 2, 3, 5, ... on the primes still open."""
+    if n == 4:
+        return _powmod(_least_non_residue(Q), (Q - 1) // 4, Q)
     out = np.zeros_like(Q)
     todo = np.arange(Q.size)
     g = 2
     while todo.size:
         q = Q[todo]
-        z = _powmod(g, (q - 1) // n, q)
-        # z has order n unless z^(n/2) = 1 (n = 4) or z = 1 (n = 3)
-        primitive = (z * z % q if n == 4 else z) != 1
+        z = _powmod(g, (q - 1) // 3, q)
+        primitive = z != 1  # z^3 = 1, so z has order 3 unless z = 1
         out[todo[primitive]] = z[primitive]
         todo = todo[~primitive]
-        g += 1
-        while not is_prime(g):  # the least non-residue of either kind is a prime
-            g += 1
+        g = _next_prime(g)  # the least cubic non-residue is a prime
     return out
 
 
@@ -623,16 +653,34 @@ def phi_roots_mod_q2(k: int, q: int) -> list[int]:
     return sorted(_lifted_roots((k,), np.array([q], dtype=np.int64))[1].tolist())
 
 
-def _mark(P: np.ndarray, best: np.ndarray, q: np.ndarray, hits: np.ndarray) -> None:
-    """best[j] = min(best[j], q[i]) for every prime P[j] = hits[i]."""
-    j = np.searchsorted(P, hits)
-    np.minimum(j, P.size - 1, out=j)
-    prime = P[j] == hits
-    np.minimum.at(best, j[prime], q[prime])
+def _odd_prime_bits(P: np.ndarray, x: int) -> np.ndarray:
+    """The primes P <= x as a packed bitmap of the odd numbers, x/16 bytes:
+    bit i (little-endian bit order) is set iff 2i+1 is in P."""
+    odd = np.zeros((x + 1) // 2 + 1, dtype=bool)
+    odd[P[1:] >> 1] = True
+    return np.packbits(odd, bitorder="little")
+
+
+def _in_primes(bits: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Whether each entry of h, 0 <= h <= x + 1, is a prime <= x, read from
+    the bitmap `_odd_prime_bits(P, x)`."""
+    i = h >> 1
+    odd_prime = (bits[i >> 3] >> (i & 7).astype(np.uint8)) & 1 == 1
+    return (odd_prime & (h & 1 == 1)) | (h == 2)
+
+
+def _mark(P: np.ndarray, bits: np.ndarray, best: np.ndarray, q: np.ndarray,
+          hits: np.ndarray) -> None:
+    """best[j] = min(best[j], q[i]) for every prime P[j] = hits[i]; `bits` is
+    `_odd_prime_bits` of P, which drops the composite hits before the
+    search in P."""
+    prime = _in_primes(bits, hits)
+    np.minimum.at(best, np.searchsorted(P, hits[prime]), q[prime])
 
 
 def _count_root_sieve(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     P = _prime_array(x)
+    bits = _odd_prime_bits(P, x)
     none = np.iinfo(np.int64).max
     best = np.full(P.size, none)
     tiny = [(q, r) for q in (2, 3) if q > above for k in ks for r in phi_roots_mod_q2(k, q)]
@@ -648,7 +696,7 @@ def _count_root_sieve(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
         rs.append(r[small])
         # for q^2 > x the class of a root r holds one candidate p = r at most
         large = ~small & (r <= x)
-        _mark(P, best, q[large], r[large])
+        _mark(P, bits, best, q[large], r[large])
     # the classes r + k q^2 <= x of all the small pairs, as one run of
     # candidates cut into _BLOCK-sized calls; r < q^2, so no count is below 0
     q, r = np.concatenate(qs), np.concatenate(rs)
@@ -660,7 +708,7 @@ def _count_root_sieve(x: int, ks, above: int) -> tuple[np.ndarray, np.ndarray]:
     for s in range(0, total, _BLOCK):
         k = np.arange(s, min(total, s + _BLOCK))
         i = np.searchsorted(ends, k, side="right")
-        _mark(P, best, q[i], r[i] + m[i] * (k - starts[i]))
+        _mark(P, bits, best, q[i], r[i] + m[i] * (k - starts[i]))
     best[best == none] = 0
     return P, best
 

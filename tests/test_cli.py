@@ -313,6 +313,15 @@ class TestSieve:
         assert (code, text) == (2, "")
         assert "invalid choice: 'full-F'" in capsys.readouterr().err
 
+    def test_root_sieve_csv_pinned_at_1e6(self):
+        # the census workload's root-sieve bound: roots of unity by reciprocity
+        # and the prime bitmap must leave every row as it was
+        code, text = run(["sieve", "--bound", "1000000", "--method", "root-sieve",
+                          "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e45ceee8d5b0f4507e1852b520207fdac54dfcfc345700b20429624cf1f259aa")
+
     def test_bound_past_int64_is_an_input_error(self, capsys):
         code, text = run(["sieve", "--bound", "3037000500"])
         assert (code, text) == (2, "")
@@ -652,6 +661,96 @@ class TestErrors:
     def test_unknown_subcommand(self):
         code, _ = run(["frobnicate"])
         assert code == 2
+
+
+#: the command-line block of README.md: (argv, exit code, stdout sha256)
+README_COMMANDS = [
+    ("help-check --table thompson --order 35", 0,
+     "7a602245185994ded608b1941bd401be8bc6a68a49e439011bcc16b2dc55c3e9"),
+    ("help-check --table onan --order 21", 1,
+     "a5ff4c531927ef93c4cb31dfecd3f78a472ffd8b66d19b55085ed8d6a37e5485"),
+    ("verdict --profile profile_monster", 1,
+     "387b9d52d2356dfd5115eba122ccc8e2d2c47cbedacaf67c1e9d03ffe349e7f5"),
+    ("tree-check --tree tree_s5_p5", 0,
+     "96289a9a93d12165dd817e551f909ae8275eb3ff002ed3c826cc120b42787ed8"),
+    ("sieve --bound 1000 --condition cor13", 0,
+     "c3df8af847ee8c804e10ad12e803e82301c9e0e8f58f49c65ceece971851a1c7"),
+    ("sieve --bound 100000 --dual --format json", 0,
+     "b3f7dedd762ffcc343b3d4dee09513af23a5147a6f5ab14dde842aa26fbfeaf1"),
+    ("lie --family G2 --q 5", 0,
+     "b70469f32846734cf148ce5598888f9a62db183a168cf0c904c24353275623ea"),
+    ("tableaux-verify --max-boxes 8", 0,
+     "96750c99775b149ce572cf4d96dbc1f7568ad17f54debebf70f9c36cc9fd32b4"),
+    ("selftest", 0, "b0d270719768503f6ef6453fb5b3b598bd7e1d6a6fbf514556e0ed87395e2249"),
+]
+
+
+class TestArguments:
+    """argv is read against `cli.COMMANDS`: exact long flags, one
+    `input error:` line and exit 2 for anything else."""
+
+    def test_readme_lists_the_pinned_commands(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme) as fh:
+            block = fh.read().split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+        listed = [" ".join(line.split("#")[0].split()[1:]) for line in block.splitlines()]
+        assert listed == [argv for argv, _, _ in README_COMMANDS]
+
+    @pytest.mark.parametrize("argv, code, digest", README_COMMANDS,
+                             ids=[argv for argv, _, _ in README_COMMANDS])
+    def test_readme_command_bytes_pinned(self, argv, code, digest):
+        exit_code, text = run(argv.split())
+        assert exit_code == code
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lie", "--family", "E8", "--q", "5"], "argument --family: invalid choice: 'E8'"),
+        (["lie", "--family", "G2", "--q", "x"], "argument --q: invalid int value: 'x'"),
+        (["sieve"], "the following arguments are required: --bound"),
+        (["sieve", "--bound", "100", "--sieve"], "no argument '--sieve'"),
+        (["frobnicate"], "unknown command 'frobnicate'"),
+        (["sieve", "--bou", "100"], "no argument '--bou'"),
+        ([], "no command given"),
+        (["sieve", "--bound"], "argument --bound: expected one argument"),
+        (["sieve", "--bound", "100", "--dual=yes"], "argument --dual: takes no value"),
+        (["sieve", "--bound", "100", "7"], "no argument '7'"),
+    ], ids=["bad-choice", "bad-int", "missing-required", "unknown-flag", "unknown-command",
+            "abbreviated-flag", "no-command", "missing-value", "switch-with-value",
+            "stray-value"])
+    def test_bad_argument_is_one_input_error_line(self, capsys, argv, message):
+        code, text = run(argv)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        assert message in err
+
+    def test_equals_form_and_negative_values(self):
+        assert run(["sieve", "--bound=1000", "--condition=cor13"]) == run(
+            ["sieve", "--bound", "1000", "--condition", "cor13"])
+        # a value may start with "-" when it is a number; --max-boxes then refuses it
+        assert run(["tableaux-verify", "--max-boxes", "-1"])[0] == 2
+
+    @pytest.mark.parametrize("argv, first", [
+        (["--help"], "usage: pgq COMMAND [FLAGS]\n"),
+        (["-h"], "usage: pgq COMMAND [FLAGS]\n"),
+        (["sieve", "--help"], "usage: pgq sieve [FLAGS]\n"),
+        (["lie", "--family", "G2", "-h"], "usage: pgq lie [FLAGS]\n"),
+    ], ids=["help", "h", "sieve-help", "lie-h"])
+    def test_help_exits_0(self, argv, first):
+        code, text = run(argv)
+        assert code == 0 and text.startswith(first)
+
+    def test_command_help_lists_every_flag(self):
+        for command, (_, flags) in cli.COMMANDS.items():
+            text = run([command, "--help"])[1]
+            assert all(f"  {flag}" in text for flag in flags), command
+
+    def test_import_loads_no_argparse(self):
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys, pgq.cli; print('argparse' in sys.modules)"],
+                              env=_child_env(), capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
 
 
 BUNDLED = {name[:-len(".json")]: fixtures.load_json(name) for name in fixtures.available()}

@@ -270,18 +270,52 @@ class TestRho:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 2**40),
-           st.lists(st.tuples(st.integers(0, 2**62), st.integers(1, NT.CENSUS_MAX_BOUND)),
+           st.lists(st.tuples(st.integers(0, 2**62), st.integers(1, NT.CENSUS_MAX_BOUND),
+                              st.integers(0, 2**62)),
                     min_size=1, max_size=16))
-    @example(0, [(0, 1)])
-    @example(2, [(0, 7), (0, NT.CENSUS_MAX_BOUND)])
-    @example(NT.CENSUS_MAX_BOUND - 1, [(2**62, NT.CENSUS_MAX_BOUND), (1, 1), (0, 2), (5, 2)])
-    def test_powmod_matches_pow(self, g, pairs):
-        # m^2 < 2^63 is the precondition, so every product stays in int64
-        e = np.array([e for e, _ in pairs], dtype=np.int64)
-        m = np.array([m for _, m in pairs], dtype=np.int64)
+    @example(0, [(0, 1, 0)])
+    @example(2, [(0, 7, 7), (0, NT.CENSUS_MAX_BOUND, 0)])
+    @example(NT.CENSUS_MAX_BOUND - 1, [(2**62, NT.CENSUS_MAX_BOUND, 2**62), (1, 1, 3),
+                                       (0, 2, 1), (5, 2, 5)])
+    def test_powmod_matches_pow(self, g, triples):
+        # m^2 < 2^63 is the precondition, so every product stays in int64;
+        # the base is one int or an int64 array of one base per entry
+        e = np.array([e for e, _, _ in triples], dtype=np.int64)
+        m = np.array([m for _, m, _ in triples], dtype=np.int64)
         got = NT._powmod(g, e, m)
         assert got.dtype == np.int64
-        assert got.tolist() == [pow(g, e, m) for e, m in pairs]
+        assert got.tolist() == [pow(g, e, m) for e, m, _ in triples]
+        bases = np.array([b for _, _, b in triples], dtype=np.int64)
+        got = NT._powmod(bases, e, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(b, e, m) for e, m, b in triples]
+
+    def test_fourth_root_is_the_least_non_residue_raised(self):
+        # for every prime q = 1 mod 4 below 2e5, the root is g^((q-1)/4) for
+        # the least prime g that Euler's criterion finds a non-residue
+        Q = np.array([q for q in NT.primes_up_to(2 * 10**5) if q % 4 == 1], dtype=np.int64)
+        small = NT.primes_up_to(1000)
+        least = [next(g for g in small if pow(g, (q - 1) // 2, q) == q - 1) for q in Q.tolist()]
+        assert NT._least_non_residue(Q).tolist() == least
+        assert NT._root_of_unity(Q, 4).tolist() == [
+            pow(g, (q - 1) // 4, q) for g, q in zip(least, Q.tolist())]
+
+    def test_cube_roots_are_primitive(self):
+        Q = np.array([q for q in NT.primes_up_to(2 * 10**5) if q % 3 == 1], dtype=np.int64)
+        for q, z in zip(Q.tolist(), NT._root_of_unity(Q, 3).tolist()):
+            assert 1 < z < q and pow(z, 3, q) == 1, q
+
+    @pytest.mark.parametrize("x", [2, 3, 9, 10, 15, 16, 17, 100, 1001, 4096, 10**5])
+    def test_prime_bitmap_is_membership_in_the_primes(self, x):
+        # candidates 0..x+1: 2, 9, every even number, x and x + 1 among them
+        P = NT._prime_array(x)
+        bits = NT._odd_prime_bits(P, x)
+        assert bits.dtype == np.uint8 and bits.size <= x // 16 + 2
+        h = np.arange(x + 2, dtype=np.int64)
+        assert np.array_equal(NT._in_primes(bits, h), np.isin(h, P))
+        h = np.array([x + 1, 9, 2, x, 0, 1, 4], dtype=np.int64)
+        assert NT._in_primes(bits, h).tolist() == [False, False, True, x in P.tolist(),
+                                                   False, False, False]
 
     def test_hensel_lifts_are_roots(self):
         for q in (5, 7, 11, 13, 97, 101):
