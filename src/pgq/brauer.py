@@ -11,36 +11,31 @@ units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicElement
 from .cyclotomic import factorint  # noqa: F401  (the benchmark's tracer checks probe it)
 from .helpmethod import CharacterTableSlice, PartialAugmentationVector, lupa_multiplicity
 from .numtheory import divisors, factorize, is_prime
-from .schema import required, want, want_list, want_positive
+from .schema import FrozenRecord, required, want, want_list, want_positive
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    name: str
-    sign: int
-    characters: tuple[str, ...] = ()
+class TreeVertex(FrozenRecord):
+    __slots__ = ("name", "sign", "characters")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"vertex {self.name}: sign must be +1 or -1")
+    def __init__(self, name: str, sign: int, characters: tuple[str, ...] = ()):
+        if sign not in (1, -1):
+            raise ValueError(f"vertex {name}: sign must be +1 or -1")
+        super().__init__(name, sign, characters)
 
 
-@dataclass
 class BrauerTreeSpec:
-    prime: int
-    vertices: list[TreeVertex]
-    edges: list[tuple[str, str, str]]  # (vertex, vertex, simple-module label)
-    exceptional: tuple[str, int] | None = None  # (vertex name, multiplicity t)
-
-    def __post_init__(self):
-        self._by_name = {v.name: v for v in self.vertices}
+    def __init__(self, prime: int, vertices: list[TreeVertex],
+                 edges: list[tuple[str, str, str]],  # (vertex, vertex, simple-module label)
+                 exceptional: tuple[str, int] | None = None):  # (vertex name, multiplicity t)
+        self.prime, self.vertices, self.edges = prime, vertices, edges
+        self.exceptional = exceptional
+        self._by_name = {v.name: v for v in vertices}
 
     @property
     def t(self) -> int:
@@ -177,18 +172,16 @@ def signed_vertex_sum(
 # -- multiplicity assignments ---------------------------------------------------
 
 
-@dataclass
 class MultiplicityAssignment:
     """Per-vertex eigenvalue multiplicities for a unit of order p*m at a fixed
     m-th root of unity xi: mu_shifted[v] = mu(xi*zeta_p, u, chi_v) and
-    mu_plain[v] = mu(xi, u, chi_v); an exceptional vertex carries the values
-    of the summed character."""
+    mu_plain[v] = mu(xi, u, chi_v) (a fresh dict by default); an exceptional
+    vertex carries the values of the summed character."""
 
-    p: int
-    m: int
-    xi_exponent: int
-    mu_shifted: dict[str, Fraction]
-    mu_plain: dict[str, Fraction] = field(default_factory=dict)
+    def __init__(self, p: int, m: int, xi_exponent: int, mu_shifted: dict[str, Fraction],
+                 mu_plain: dict[str, Fraction] | None = None):
+        self.p, self.m, self.xi_exponent, self.mu_shifted = p, m, xi_exponent, mu_shifted
+        self.mu_plain = {} if mu_plain is None else mu_plain
 
     def shifted(self, name: str) -> Fraction:
         try:
@@ -275,11 +268,13 @@ class GammaBoundError(Exception):
     tree data); the paper gives no fallback, so the operation refuses."""
 
 
-@dataclass(frozen=True)
-class GammaBound:
-    kind: str  # "lower" | "upper"
-    s: int  # bound on gamma_s(D)
-    value: Fraction
+class GammaBound(FrozenRecord):
+    """kind is "lower" or "upper", s the index of the bounded gamma_s(D)."""
+
+    __slots__ = ("kind", "s", "value")
+
+    def __init__(self, kind: str, s: int, value: Fraction):
+        super().__init__(kind, s, value)
 
 
 def _neg_node(p: int, mu_chi: Fraction, pairs: list[tuple[int, Fraction]]) -> GammaBound:
@@ -366,15 +361,13 @@ def gamma_bounds(
 # -- prime-pair verdicts -----------------------------------------------------------
 
 
-@dataclass
 class GroupArithmeticProfile:
     """Group order, set of element orders (closed under divisors on load) and
     an optional Lie-family tag."""
 
-    name: str
-    order: int
-    spectrum: frozenset[int]
-    lie_family: str | None = None
+    def __init__(self, name: str, order: int, spectrum: frozenset[int],
+                 lie_family: str | None = None):
+        self.name, self.order, self.spectrum, self.lie_family = name, order, spectrum, lie_family
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroupArithmeticProfile":
@@ -416,10 +409,9 @@ def pq_edge_verdict(profile: GroupArithmeticProfile, p: int, q: int) -> str:
     return OPEN
 
 
-@dataclass
 class VerdictReport:
-    group: str
-    verdicts: dict[tuple[int, int], str]
+    def __init__(self, group: str, verdicts: dict[tuple[int, int], str]):
+        self.group, self.verdicts = group, verdicts
 
     @property
     def open_pairs(self) -> list[tuple[int, int]]:

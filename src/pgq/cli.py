@@ -28,7 +28,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from . import brauer, fixtures, helpmethod, numtheory, selftest, tableaux
+from . import brauer, fixtures, helpmethod, numtheory, tableaux
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -222,6 +222,8 @@ def cmd_tableaux_verify(args, out) -> int:
 
 
 def cmd_selftest(args, out) -> int:
+    from . import selftest
+
     ok = selftest.run(out)
     return EXIT_OK if ok else EXIT_FINDING
 

@@ -40,30 +40,30 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicElement, parse_cyclotomic
 from .numtheory import divisors, factorize, is_prime
-from .schema import required, want, want_int, want_list, want_positive
+from .schema import FrozenRecord, required, want, want_int, want_list, want_positive
 
 
 # -- character table slices ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyClassInfo:
-    name: str
-    order: int
-    power_map: dict[int, str] = field(default_factory=dict)  # prime -> class of g^p
-    size: int | None = None
+class ConjugacyClassInfo(FrozenRecord):
+    __slots__ = ("name", "order", "power_map", "size")
+
+    def __init__(self, name: str, order: int,
+                 power_map: dict[int, str] | None = None,  # prime -> class of g^p; fresh dict
+                 size: int | None = None):
+        super().__init__(name, order, {} if power_map is None else power_map, size)
 
 
-@dataclass(frozen=True)
-class Character:
-    name: str
-    degree: int
-    values: dict[str, CyclotomicElement]
+class Character(FrozenRecord):
+    __slots__ = ("name", "degree", "values")
+
+    def __init__(self, name: str, degree: int, values: dict[str, CyclotomicElement]):
+        super().__init__(name, degree, values)
 
     def value(self, class_name: str) -> CyclotomicElement:
         try:
@@ -252,15 +252,15 @@ class CharacterTableSlice:
 # -- partial augmentation vectors ---------------------------------------------
 
 
-@dataclass
 class PartialAugmentationVector:
     """Partial augmentations of a hypothetical normalized unit of the given
     order, plus the class distributions of its proper powers (u^d of order
-    n/d for each divisor 1 < d < n)."""
+    n/d for each divisor 1 < d < n; a fresh dict by default)."""
 
-    order: int
-    entries: dict[str, int]
-    powers: dict[int, "PartialAugmentationVector"] = field(default_factory=dict)
+    def __init__(self, order: int, entries: dict[str, int],
+                 powers: dict[int, PartialAugmentationVector] | None = None):
+        self.order, self.entries = order, entries
+        self.powers = {} if powers is None else powers
 
     def __eq__(self, other):
         return (
@@ -363,13 +363,13 @@ def lupa_multiplicity(
 # -- congruence constraints -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(FrozenRecord):
     """sum of the listed partial augmentations == residue (mod modulus)."""
 
-    classes: tuple[str, ...]
-    modulus: int
-    residue: int
+    __slots__ = ("classes", "modulus", "residue")
+
+    def __init__(self, classes: tuple[str, ...], modulus: int, residue: int):
+        super().__init__(classes, modulus, residue)
 
     def satisfied(self, env: dict[str, int]) -> bool:
         return sum(env.get(c, 0) for c in self.classes) % self.modulus == self.residue
@@ -650,7 +650,6 @@ def _shared_bounds(
 # -- the feasibility engine --------------------------------------------------------
 
 
-@dataclass
 class InfeasibleBranch:
     """A distribution of the proper powers whose rational relaxation is
     empty, with a Farkas certificate over the primitive integer rows of its
@@ -662,21 +661,24 @@ class InfeasibleBranch:
     it found the branch empty, so they depend on that walk: deterministic,
     but not always those of the branch solved alone."""
 
-    powers: dict[int, PartialAugmentationVector]
-    multipliers: dict[tuple[str, int], tuple[int, int]]
-    augmentation: tuple[int, int]
+    def __init__(self, powers: dict[int, PartialAugmentationVector],
+                 multipliers: dict[tuple[str, int], tuple[int, int]],
+                 augmentation: tuple[int, int]):
+        self.powers, self.multipliers, self.augmentation = powers, multipliers, augmentation
 
 
-@dataclass
 class FeasibilityResult:
-    order: int
-    variables: list[str]
-    status: str  # "infeasible" | "feasible" | "unbounded" | "too-large"
-    feasible: list[PartialAugmentationVector]
-    bounds: dict[str, tuple[int, int]] | None
-    congruences: list[Congruence]
-    certificates: list[InfeasibleBranch] = field(default_factory=list)
-    reason: str | None = None  # which limit an inconclusive search hit, and where
+    """status is "infeasible", "feasible", "unbounded" or "too-large";
+    certificates is a fresh list by default, and reason says which limit an
+    inconclusive search hit, and where."""
+
+    def __init__(self, order: int, variables: list[str], status: str,
+                 feasible: list[PartialAugmentationVector],
+                 bounds: dict[str, tuple[int, int]] | None, congruences: list[Congruence],
+                 certificates: list[InfeasibleBranch] | None = None, reason: str | None = None):
+        self.order, self.variables, self.status, self.feasible = order, variables, status, feasible
+        self.bounds, self.congruences, self.reason = bounds, congruences, reason
+        self.certificates = [] if certificates is None else certificates
 
 
 def _coherent_power_assignments(pools: dict[int, list[PartialAugmentationVector]]):
@@ -875,18 +877,16 @@ def feasible_partial_augmentations(
 # -- published inequality rows ---------------------------------------------------
 
 
-@dataclass
 class InequalityRowsFixture:
     """A HeLP instance given directly by affine rows (constant + coeff*eps)/modulus
     in a single aggregated variable, as published, plus congruences on it."""
 
-    group: str
-    unit_order: int
-    variable: str
-    partner: str
-    modulus: int
-    rows: tuple[tuple[int, int], ...]
-    congruences: tuple[tuple[int, int], ...]  # (modulus, residue) on the variable
+    def __init__(self, group: str, unit_order: int, variable: str, partner: str, modulus: int,
+                 rows: tuple[tuple[int, int], ...],
+                 congruences: tuple[tuple[int, int], ...]):  # (modulus, residue) on the variable
+        self.group, self.unit_order, self.variable = group, unit_order, variable
+        self.partner, self.modulus = partner, modulus
+        self.rows, self.congruences = rows, congruences
 
     @classmethod
     def from_json(cls, doc: dict) -> "InequalityRowsFixture":

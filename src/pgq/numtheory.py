@@ -20,12 +20,13 @@ selftest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, inf, isqrt, log, prod, sqrt
 
 import numpy as np
+
+from .schema import FrozenRecord
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # Sorenson-Webster bound
@@ -153,25 +154,24 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(FrozenRecord):
     """A non-negative integer with its complete prime factorization."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
+
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
+        prod = 1
+        for p, e in factors:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            prod *= p**e
+        if prod != value:
+            raise ValueError("factorization does not multiply back to the value")
+        super().__init__(value, factors)
 
     @classmethod
     def from_value(cls, n: int) -> "FactoredInteger":
         return cls(n, tuple(sorted(factorize(n).items())))
-
-    def __post_init__(self):
-        prod = 1
-        for p, e in self.factors:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError("factorization does not multiply back to the value")
 
     def is_squarefree(self) -> bool:
         return all(e < 2 for _, e in self.factors)
@@ -474,19 +474,15 @@ CONDITIONS = {
 CENSUS_MAX_BOUND = 3_037_000_499
 
 
-@dataclass(eq=False)
 class SieveResult:
     """A census: the primes p <= x in ascending order and, for each, the
     smallest witness q (q^2 divides a value of the condition's polynomials),
     both as int64 arrays; witness 0 means p qualifies."""
 
-    x: int
-    condition: str
-    method: str
-    count: int
-    total_primes: int
-    primes: np.ndarray
-    witness: np.ndarray
+    def __init__(self, x: int, condition: str, method: str, count: int, total_primes: int,
+                 primes: np.ndarray, witness: np.ndarray):
+        self.x, self.condition, self.method, self.count = x, condition, method, count
+        self.total_primes, self.primes, self.witness = total_primes, primes, witness
 
     def agrees_with(self, other: "SieveResult") -> bool:
         """Whether both censuses list the same primes with the same witnesses."""
@@ -771,34 +767,29 @@ LIE_FAMILIES = tuple(LIE_SERIES)
 _PHI_LABELS = {1: "q-1", 2: "q+1", 3: "q^2+q+1", 4: "q^2+1", 6: "q^2-q+1"}
 
 
-@dataclass(frozen=True)
-class LieSeriesSpec:
-    family: str
-    p: int
-    f: int
+class LieSeriesSpec(FrozenRecord):
+    __slots__ = ("family", "p", "f")
 
-    def __post_init__(self):
-        if self.family not in LIE_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {LIE_FAMILIES}")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.f < 1:
+    def __init__(self, family: str, p: int, f: int):
+        if family not in LIE_FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose from {LIE_FAMILIES}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if f < 1:
             raise ValueError("field exponent must be at least 1")
+        super().__init__(family, p, f)
 
     @property
     def q(self) -> int:
         return self.p**self.f
 
 
-@dataclass
 class LieVerdict:
-    spec: LieSeriesSpec
-    settled: bool
-    c: int
-    poly_value: int
-    alpha_of_poly: int
-    conditions: dict[str, bool]
-    tested: dict[str, FactoredInteger]
+    def __init__(self, spec: LieSeriesSpec, settled: bool, c: int, poly_value: int,
+                 alpha_of_poly: int, conditions: dict[str, bool],
+                 tested: dict[str, FactoredInteger]):
+        self.spec, self.settled, self.c, self.poly_value = spec, settled, c, poly_value
+        self.alpha_of_poly, self.conditions, self.tested = alpha_of_poly, conditions, tested
 
     def to_json(self) -> dict:
         return {

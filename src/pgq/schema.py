@@ -1,4 +1,5 @@
-"""Type checks for the JSON input documents.
+"""Type checks for the JSON input documents, and the base of pgq's frozen
+records.
 
 Each document's `from_json` loader reads its required fields with `required`
 and runs these checks on them, so a missing field or a value of the wrong
@@ -8,15 +9,49 @@ not a bare KeyError or a TypeError inside a computation.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
-class _Missing(NamedTuple):
+class FrozenRecord:
+    """A value whose fields are its class's `__slots__`: `__init__` takes
+    them in slot order, equality and hashing compare them in that order
+    between instances of one class, and assigning to an instance raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._values()
+
+
+class _Missing:
     """What `required` reads for an absent key; every check below rejects it."""
 
-    key: str
+    __slots__ = ("key",)
+
+    def __init__(self, key: str):
+        self.key = key
 
 
 def required(doc: dict, key: str):

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .numtheory import is_prime
+from .schema import FrozenRecord
 
 
 Partition = tuple[int, ...]
@@ -47,6 +47,11 @@ def is_partition(parts) -> bool:
     for x in parts:  # every part an int before any is compared
         if not isinstance(x, int):
             return False
+    return _is_partition_of_ints(parts)
+
+
+def _is_partition_of_ints(parts: tuple) -> bool:
+    """is_partition for a tuple whose parts are all ints."""
     return all(map(operator.ge, parts, parts[1:])) and (not parts or parts[-1] >= 1)
 
 
@@ -97,18 +102,17 @@ def subpartitions(lam):
             mu[j] = min(mu[j - 1], lam[j])
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(FrozenRecord):
     """Skew diagram outer/inner; inner must be a subpartition of outer."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        check_partition(self.outer)
-        check_partition(self.inner)
-        if not is_subpartition(self.inner, self.outer):
-            raise ValueError(f"{self.inner} is not a subpartition of {self.outer}")
+    def __init__(self, outer: Partition, inner: Partition):
+        check_partition(outer)
+        check_partition(inner)
+        if not is_subpartition(inner, outer):
+            raise ValueError(f"{inner} is not a subpartition of {outer}")
+        super().__init__(outer, inner)
 
     def inner_at(self, i: int) -> int:
         return self.inner[i] if i < len(self.inner) else 0
@@ -124,22 +128,21 @@ class SkewShape:
                 yield i, j
 
 
-@dataclass(frozen=True)
-class SkewTableau:
+class SkewTableau(FrozenRecord):
     """A skew shape with one positive-integer entry per box (rows left to right)."""
 
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("shape", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.shape.outer):
+    def __init__(self, shape: SkewShape, rows: tuple[tuple[int, ...], ...]):
+        if len(rows) != len(shape.outer):
             raise ValueError("one entry tuple per outer row is required")
-        for i, row in enumerate(self.rows):
-            need = self.shape.outer[i] - self.shape.inner_at(i)
+        for i, row in enumerate(rows):
+            need = shape.outer[i] - shape.inner_at(i)
             if len(row) != need:
                 raise ValueError(f"row {i} must hold {need} entries, got {len(row)}")
             if any(e < 1 for e in row):
                 raise ValueError("entries must be positive integers")
+        super().__init__(shape, rows)
 
     @classmethod
     def from_rows(cls, outer, inner, rows) -> "SkewTableau":
@@ -338,10 +341,14 @@ def lr_coefficient(lam, mu, nu) -> int:
     c^lam_{nu mu}), all without running the filling kernel.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if not (is_partition(lam) and is_partition(mu) and is_partition(nu)):
-        return 0
-    if (sum(mu) + sum(nu) != sum(lam) or not is_subpartition(mu, lam)
-            or not is_subpartition(nu, lam)):
+    for x in lam + mu + nu:  # every part an int before any is compared
+        if not isinstance(x, int):
+            return 0
+    # a partition has no zero part, so one inside lam is no longer than lam
+    if not (len(mu) <= len(lam) >= len(nu) and sum(mu) + sum(nu) == sum(lam)
+            and all(map(operator.le, mu, lam)) and all(map(operator.le, nu, lam))
+            and _is_partition_of_ints(lam) and _is_partition_of_ints(mu)
+            and _is_partition_of_ints(nu)):
         return 0
     if not nu:
         return 1
@@ -378,10 +385,14 @@ def enumerate_corpus(max_boxes: int):
 # e >= 1 and counts[0] unused.
 
 
-@dataclass
 class VerifierReport:
-    checked: int
-    violations: list
+    def __init__(self, checked: int, violations: list):
+        self.checked, self.violations = checked, violations
+
+    def __eq__(self, other):
+        if other.__class__ is not VerifierReport:
+            return NotImplemented
+        return (self.checked, self.violations) == (other.checked, other.violations)
 
     @property
     def ok(self) -> bool:
@@ -572,21 +583,20 @@ def verify_lemmas(max_boxes: int, names) -> dict[str, VerifierReport]:
 # -- module partitions and the submodule/quotient criterion ------------------
 
 
-@dataclass(frozen=True)
-class ModulePartition:
+class ModulePartition(FrozenRecord):
     """Isomorphism type of a module over a cyclic group of order p in
     characteristic p: the multiset of indecomposable summand dimensions,
     every part at most p."""
 
-    p: int
-    parts: Partition
+    __slots__ = ("p", "parts")
 
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"{self.p} is not an odd prime")
-        check_partition(self.parts)
-        if any(x > self.p for x in self.parts):
-            raise ValueError(f"parts of {self.parts} must be at most p={self.p}")
+    def __init__(self, p: int, parts: Partition):
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"{p} is not an odd prime")
+        check_partition(parts)
+        if any(x > p for x in parts):
+            raise ValueError(f"parts of {parts} must be at most p={p}")
+        super().__init__(p, parts)
 
     @property
     def dim(self) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,17 @@ class TestPredicatePins:
         assert T.lr_coefficient((1.0, 1), (1,), (1,)) == 0
         assert T.lr_coefficient((2, 1), (1, 1), (1,)) == 1
         assert T.lr_coefficient((2, 1), (1.0, 1), (1,)) == 0
+
+    def test_lr_coefficient_is_zero_exactly_off_its_preconditions(self):
+        tuples = [p for w in range(4) for p in T.partitions_of(w)] + [
+            (1, 2), (1, 0), (0,), (-1,), (2, -1), (1.0,), (2, 1.0), (True,), (2, True),
+            (1, 1, 1, 1)]
+        for triple in itertools.product(tuples, repeat=3):
+            lam, mu, nu = triple
+            valid = (all(map(T.is_partition, triple)) and sum(mu) + sum(nu) == sum(lam)
+                     and T.is_subpartition(mu, lam) and T.is_subpartition(nu, lam))
+            expected = oracle_lr(*(tuple(map(int, p)) for p in triple)) if valid else 0
+            assert T.lr_coefficient(lam, mu, nu) == expected, triple
 
 
 class TestLRCoefficients:
