@@ -332,7 +332,8 @@ def _coefficient(c: str, text) -> Fraction:
 def parse_cyclotomic(text) -> CyclotomicElement:
     """Parse the textual 'c0 + c1*z^1 + ... @ n' form or a JSON coeff map.
 
-    A bare rational like '-2' or '1/3' is the constant at level 1.
+    A bare rational like '-2' or '1/3', or a JSON integer, is the constant
+    at level 1; true and false are no integers here.
     """
     if isinstance(text, dict):
         n = want_positive(required(text, "n"), "cyclotomic level n")
@@ -340,7 +341,7 @@ def parse_cyclotomic(text) -> CyclotomicElement:
                   _coefficient(want(c, str, "cyclotomic coefficient"), text))
                  for a, c in want(required(text, "coeffs"), dict, "cyclotomic coeffs").items()]
         return CyclotomicElement.make(n, terms)
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return CyclotomicElement.rational(text)
     if not isinstance(text, str):
         raise ValueError(f"a cyclotomic number must be a string, an integer or an object, "

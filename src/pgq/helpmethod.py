@@ -1,39 +1,24 @@
 """Eigenvalue-multiplicity constraints on torsion units of integral group rings.
 
-Given a slice of a character table, a hypothetical normalized unit u of
-order n is described by one integer per conjugacy class of order dividing n
-(its partial augmentations) together with the class distributions of its
-proper powers.  Each character chi and each n-th root of unity zeta^l then
-yield an exact rational multiplicity
+A hypothetical normalized unit u of order n is given, over a slice of a
+character table, by its partial augmentations on the classes of order
+dividing n and the class distributions of its proper powers.  Each
+character chi and n-th root of unity zeta^l yield the multiplicity
 
-    mu(zeta^l, u, chi) = (1/n) sum_{d | n} Tr_{Q(zeta_{n/d})/Q}(chi(u^d) zeta^{-dl})
+    mu(zeta^l, u, chi) = (1/n) sum_{d | n} Tr_{Q(zeta_{n/d})/Q}(chi(u^d) zeta^{-dl}),
 
-which for an actual unit is a non-negative integer bounded by chi(1).  It is
-linear in the partial augmentations of u and its powers, so n * mu is an
-integer sum over one cached trace table per slice, Tr(chi(C) zeta_r^{-l}) as
-in HeLP (`CharacterTableSlice.trace`): `multiplicity_form` gives it as
-integers (k, T) with n * mu = k + sum_C T[C] e_C, and `lupa_multiplicity`
-divides by n once, at a given vector.  Character values are algebraic
-integers, so every table entry is an integer, and each row of the table comes
-from closed-form traces of roots of unity with no cyclotomic product
-(`CyclotomicElement.trace_row`); the tests check it against the formula in
-cyclotomic arithmetic and against Fourier inversion of character values.
-The feasibility engine turns these conditions, the vanishing and congruence
-constraints on partial augmentations, and augmentation one into an exact
-integer search in Python ints, one branch per distribution of the proper
-powers (read off the towers of u^p, p prime; each order is searched once per
-query).  Each row's coefficients are a `variable_traces` row, the same in
-every branch; only the constant changes.  So one walk on one exact simplex
-dictionary per order (`_Dictionary`, rows in lowest terms, Bland's rule)
-bounds every branch (`_shared_bounds`): a branch switch swaps the constants,
-and the dual simplex re-optimizes, finds the empty branches and follows an
-unbounded variable.  Where it finds a branch empty, the failing row is a
-Farkas certificate over that branch's own rows (`_Dictionary.reoptimize`).
-The integer stage walks the augmentation hyperplane inside those bounds, and
-the engine refuses (rather than truncating) when the relaxation leaves a
-variable unbounded or the walk would pass `CANDIDATE_CAP`.  Published
-inequality rows are in one variable, and their bounds are in closed form
-(`InequalityRowsFixture.feasible_points`).
+a non-negative integer at most chi(1) for an actual unit, and linear in
+the partial augmentations: n * mu = k + sum_C T[C] e_C in integers
+(`multiplicity_form`), read from one trace table per slice as in HeLP, one
+row per distinct character value (`CharacterTableSlice.trace`).  The
+search adds the congruences and augmentation one, one branch per
+distribution of the proper powers (the towers of u^p, p prime).  Its rows
+are the same in every branch up to the constants, so one dictionary of
+ranged rows per order bounds them all and certifies each empty branch by a
+Farkas vector over its own rows (`_shared_bounds`).  The integer stage
+walks the augmentation hyperplane inside those bounds, unless a variable is
+unbounded or the walk would pass `CANDIDATE_CAP`.  Published inequality
+rows are in one variable, bounded in closed form (`InequalityRowsFixture`).
 """
 
 from __future__ import annotations
@@ -74,10 +59,8 @@ class Character(FrozenRecord):
 
 class CharacterTableSlice:
     """Conjugacy classes with orders and power maps plus some characters.
-
     For unit-order n computations the slice must contain every class of the
-    group whose element order divides n.
-    """
+    group whose element order divides n."""
 
     def __init__(self, group_name: str, group_order: int, classes, characters):
         self.group_name = group_name
@@ -87,8 +70,14 @@ class CharacterTableSlice:
         self._by_name = {c.name: c for c in self.classes}
         self._chars = {c.name: c for c in self.characters}
         self._galois_powers: dict[tuple[str, int], str] = {}
-        self._traces: dict[tuple[str, str, int], tuple[int, ...]] = {}
-        self._rows: dict[tuple[str, int, int], tuple[tuple[int, ...], int]] = {}
+        # (character, class) -> index of its value among the distinct values,
+        # which key the trace rows: (index, r) -> row
+        distinct: dict[tuple, int] = {}
+        self._value_ids = {(chi.name, c): distinct.setdefault(
+            (x.n, x.den, frozenset(x.coeffs.items())), len(distinct))
+            for chi in self.characters for c, x in chi.values.items()}
+        self._traces: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._rows: dict[tuple[str, int], list[tuple[tuple[int, ...], int]]] = {}
         self.validate()
 
     def validate(self):
@@ -108,10 +97,8 @@ class CharacterTableSlice:
                     raise ValueError(f"power map of {c.name} leaves the slice: {target}")
                 expected = c.order // (p if c.order % p == 0 else 1)
                 if self._by_name[target].order != expected:
-                    raise ValueError(
-                        f"class {c.name}^{p} should have order {expected}, "
-                        f"got {self._by_name[target].order}"
-                    )
+                    raise ValueError(f"class {c.name}^{p} should have order {expected}, "
+                                     f"got {self._by_name[target].order}")
         for chi in self.characters:
             for key in chi.values:
                 if key not in self._by_name:
@@ -121,17 +108,13 @@ class CharacterTableSlice:
             if val.to_rational() != chi.degree:
                 raise ValueError(f"character {chi.name}: value at identity != degree")
             for c in self.classes:
-                if c.name not in chi.values:
-                    continue
-                if chi.values[c.name].den != 1:
+                if (x := chi.values.get(c.name)) is not None and x.den != 1:
                     raise ValueError(
                         f"character {chi.name} value on {c.name} is not an algebraic integer "
-                        f"(its canonical coefficients must be integers)"
-                    )
-                if not chi.values[c.name].fixed_by(c.order):
+                        f"(its canonical coefficients must be integers)")
+                if x is not None and not x.fixed_by(c.order):
                     raise ValueError(
-                        f"character {chi.name} value on {c.name} is not in Q(zeta_{c.order})"
-                    )
+                        f"character {chi.name} value on {c.name} is not in Q(zeta_{c.order})")
 
     def cls(self, name: str) -> ConjugacyClassInfo:
         return self._by_name[name]
@@ -143,14 +126,11 @@ class CharacterTableSlice:
             raise ValueError(f"no character named {name!r} in {self.group_name}") from None
 
     def power_class(self, name: str, k: int) -> str:
-        """Name of the class of g^k for g in the named class.
-
-        The walk follows the given power maps prime by prime.  A power map
-        at a prime dividing the current class's order is required.  One at a
-        coprime prime p is optional: g^p is then the unique class of the same
-        order whose column is the p-th Galois conjugate of g's column, and
-        it is a KeyError if the slice's characters cannot single it out.
-        """
+        """Name of the class of g^k for g in the named class, by the power
+        maps prime by prime.  A map at a prime dividing the current class's
+        order is required.  One at a coprime p is optional: g^p is then the
+        unique class of the same order whose column is the p-th Galois
+        conjugate of g's, and a KeyError if the characters cannot tell."""
         c = self.cls(name)
         k %= c.order
         if k == 0:
@@ -168,13 +148,11 @@ class CharacterTableSlice:
         return cur
 
     def _galois_power(self, name: str, p: int) -> str:
-        """Class of g^p for p coprime to o = o(g), matched by Galois conjugation.
-
-        chi(g^p) = sigma_p(chi(g)) with sigma_p: zeta_o -> zeta_o^p.  A value
-        stored at level L (a multiple of o) is conjugated by an exponent
-        k = p (mod o) that is a unit mod L; on Q(zeta_o) it acts as sigma_p.
-        Only characters with a value on both classes are compared.
-        """
+        """Class of g^p for p coprime to o = o(g), by Galois conjugation:
+        chi(g^p) = sigma_p(chi(g)), sigma_p: zeta_o -> zeta_o^p.  A value at
+        level L (a multiple of o) is conjugated by a k = p (mod o) that is a
+        unit mod L, sigma_p on Q(zeta_o).  Only characters with a value on
+        both classes are compared."""
         key = (name, p)
         if key not in self._galois_powers:
             o = self.cls(name).order
@@ -185,39 +163,38 @@ class CharacterTableSlice:
                     L = math.lcm(x.n, o)
                     k = next(k for k in range(p, p + L, o) if math.gcd(k, L) == 1)
                     images.append((chi, x.lift(L).galois(k)))
-            matches = [
-                c.name
-                for c in self.classes
-                if c.order == o
-                and all(chi.values[c.name] == y for chi, y in images if c.name in chi.values)
-            ]
+            matches = [c.name for c in self.classes if c.order == o and all(
+                chi.values[c.name] == y for chi, y in images if c.name in chi.values)]
             if len(matches) != 1:
                 raise KeyError(
                     f"class {name} is missing the power map at prime {p}, and the slice is "
-                    f"too thin to decide it by Galois conjugation ({len(matches)} classes match)"
-                )
+                    f"too thin to decide it by Galois conjugation ({len(matches)} classes match)")
             self._galois_powers[key] = matches[0]
         return self._galois_powers[key]
 
     def trace(self, chi: Character, class_name: str, r: int, l: int) -> int:
-        """Tr_{Q(zeta_r)/Q}(chi(g) zeta_r^{-l}) for g in the named class, an
-        integer because chi(g) is an algebraic integer of Q(zeta_r); read from
-        one row per (chi, class, r), computed once per slice."""
-        key = (chi.name, class_name, r)
+        """Tr_{Q(zeta_r)/Q}(chi(g) zeta_r^{-l}) for g in the named class: an
+        integer, as chi(g) is an algebraic integer of Q(zeta_r)."""
+        return self._trace_row(chi, class_name, r)[l % r]
+
+    def _trace_row(self, chi: Character, class_name: str, r: int) -> tuple[int, ...]:
+        """`trace` for every l mod r, computed once per distinct value and r."""
+        key = (self._value_ids.get((chi.name, class_name)), r)
         row = self._traces.get(key)
         if row is None:
             row = self._traces[key] = tuple(chi.value(class_name).trace_row(r))
             assert all(type(x) is int for x in row), "trace of an algebraic integer"
-        return row[l % r]
+        return row
 
     def variable_traces(self, chi: Character, n: int, l: int) -> tuple[tuple[int, ...], int]:
-        """(T, gcd of T), T = `trace`(chi, C, n, l) for C in `variable_classes(n)`:
-        the coefficients of n * mu(zeta_n^l, u, chi), computed once per slice."""
-        key = (chi.name, n, l % n)
-        if key not in self._rows:
-            row = tuple(self.trace(chi, c.name, n, l) for c in self.variable_classes(n))
-            self._rows[key] = row, math.gcd(*row)
-        return self._rows[key]
+        """(T, gcd of T), T = `trace`(chi, C, n, l) for C in `variable_classes(n)`,
+        the coefficients of n * mu: columns of chi's trace rows, once per slice."""
+        rows = self._rows.get((chi.name, n))
+        if rows is None:
+            cols = [self._trace_row(chi, c.name, n) for c in self.variable_classes(n)]
+            rows = self._rows[chi.name, n] = [
+                (row, math.gcd(*row)) for row in (zip(*cols) if cols else [()] * n)]
+        return rows[l % n]
 
     def variable_classes(self, n: int) -> list[ConjugacyClassInfo]:
         """Classes that may carry a nonzero partial augmentation for a unit of
@@ -236,11 +213,20 @@ class CharacterTableSlice:
                            for p, t in want(c.get("powers", {}), dict, "class powers").items()},
                 size=None if size is None else want_positive(size, "class size"),
             ))
+        parsed = {}  # (JSON type, value) -> element: a repeated value is parsed once
+
+        def value(v):
+            if not isinstance(v, (str, int)):  # an object, or a type parse_cyclotomic rejects
+                return parse_cyclotomic(v)
+            if (key := (type(v), v)) not in parsed:  # true and 1 hash alike
+                parsed[key] = parse_cyclotomic(v)
+            return parsed[key]
+
         chars = [
             Character(
                 name=want(required(ch, "name"), str, "character name"),
                 degree=want(required(ch, "degree"), int, "character degree"),
-                values={k: parse_cyclotomic(v) for k, v in
+                values={k: value(v) for k, v in
                         want(required(ch, "values"), dict, "character values").items()},
             )
             for ch in want_list(required(doc, "characters"), dict, "characters")
@@ -316,42 +302,39 @@ def trivial_pa(slice_: CharacterTableSlice, class_name: str) -> PartialAugmentat
 # -- the multiplicity formula --------------------------------------------------
 
 
-def _power_constant(slice_: CharacterTableSlice, chi: Character, n: int, l: int,
-                    powers: dict[int, PartialAugmentationVector]) -> int:
-    """n times the constant of mu(zeta_n^l, u, chi): chi(1), from u^n = 1,
-    plus per proper divisor d a sum of table traces over Q(zeta_{n/d}), where
-    both chi(u^d) and zeta^{-d} = zeta_{n/d}^{-l} live."""
-    const = chi.degree
+def _power_constants(slice_: CharacterTableSlice, n: int, keys,
+                     powers: dict[int, PartialAugmentationVector]) -> list[int]:
+    """n times the constant of mu(zeta_n^l, u, chi) per key (chi, l): chi(1),
+    from u^n = 1, plus per proper divisor d a sum of table traces over
+    Q(zeta_{n/d}), where both chi(u^d) and zeta^{-d} = zeta_{n/d}^{-l} live."""
+    terms = []  # (class, partial augmentation, n/d) of every u^d
     for d in divisors(n)[1:-1]:
         if d not in powers:
             raise KeyError(f"missing class distribution for the {d}-th power")
-        for name, e in powers[d].entries.items():
-            if e:
-                const += e * slice_.trace(chi, name, n // d, l)
-    return const
+        terms += [(name, e, n // d) for name, e in powers[d].entries.items() if e]
+    out, last = [], None
+    for chi, l in keys:
+        if chi is not last:  # chi's constants at every l mod n, once per run of its keys
+            last, ks = chi, [chi.degree] * n
+            for name, e, r in terms:
+                row = slice_._trace_row(chi, name, r) * (n // r)
+                ks = [k + e * x for k, x in zip(ks, row)]
+        out.append(ks[l % n])
+    return out
 
 
-def multiplicity_form(
-    slice_: CharacterTableSlice,
-    chi: Character,
-    n: int,
-    zeta_exponent: int,
-    powers: dict[int, PartialAugmentationVector],
-) -> tuple[int, dict[str, int]]:
+def multiplicity_form(slice_: CharacterTableSlice, chi: Character, n: int, zeta_exponent: int,
+                      powers: dict[int, PartialAugmentationVector]) -> tuple[int, dict[str, int]]:
     """(k, T) with n * mu(zeta_n^zeta_exponent, u, chi) = k + sum_C T[C] e_C
     over the order-n partial augmentations, the proper-power distributions
-    fixed: k from `_power_constant`, T the nonzero `variable_traces`, all ints."""
+    fixed: k from `_power_constants`, T the nonzero `variable_traces`, all ints."""
     row, _ = slice_.variable_traces(chi, n, zeta_exponent)
     coeffs = {c.name: t for c, t in zip(slice_.variable_classes(n), row) if t}
-    return _power_constant(slice_, chi, n, zeta_exponent, powers), coeffs
+    return _power_constants(slice_, n, [(chi, zeta_exponent)], powers)[0], coeffs
 
 
-def lupa_multiplicity(
-    slice_: CharacterTableSlice,
-    chi_name: str,
-    pa: PartialAugmentationVector,
-    zeta_exponent: int,
-) -> Fraction:
+def lupa_multiplicity(slice_: CharacterTableSlice, chi_name: str, pa: PartialAugmentationVector,
+                      zeta_exponent: int) -> Fraction:
     """Exact multiplicity of zeta_n^zeta_exponent as an eigenvalue of u under
     a representation with the named character; a non-negative integer for a
     genuine unit."""
@@ -380,10 +363,9 @@ class Congruence(FrozenRecord):
 
 
 def congruence_constraints(slice_: CharacterTableSlice, n: int) -> list[Congruence]:
-    """For each prime p dividing the group order with p != n: the order-p
-    partial augmentations sum to 0 mod p, and the remaining ones to 1 mod p.
-    No constraint is emitted at p = n (the congruence requires the unit order
-    to differ from p)."""
+    """For each prime p != n dividing the group order: the order-p partial
+    augmentations sum to 0 mod p, and the others to 1 mod p (the congruence
+    needs the unit order to differ from p)."""
     out = []
     scope = slice_.variable_classes(n)
     for p in sorted(factorize(slice_.group_order)):
@@ -409,31 +391,48 @@ CANDIDATE_CAP = 2_000_000
 
 
 class _Dictionary:
-    """A simplex dictionary of integer rows, each over its own denominator.
+    """A simplex dictionary of ranged integer rows, each over its own denominator.
 
-    Slack i (row i of the system, >= 0) is variable i and free variable v
-    is m + v.  Row i reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) /
-    rden[i] over the nonbasic cols[j], j >= 1, with rden[i] > 0.  A pivot
-    rewrites only the rows with a nonzero entry in the pivot column, each
-    over the product of its denominator and the pivot's, and divides it by
-    its content, so that every rewritten row is in lowest terms:
-    gcd(rden[i], *t[i]) == 1, and its entries are as small as the rational
-    entries allow (Schrijver, Theory of Linear and Integer Programming, 3.3).
-    The ratio and sign tests compare entries of one row, so a row's scale
-    never matters.
+    Given rows a.x + k >= 0 merge in exact opposite pairs: (a, k1) and
+    (-a, k2) are one ranged row 0 <= a.x + k1 <= k1 + k2, its width (a row
+    with no opposite has none).  Ranged row i is variable i, standing for the
+    given row sides[i][up[i]]; `flip` swaps it for the other, its complement
+    width - x_i (Chvatal, Linear Programming, ch. 8), so a nonbasic variable
+    is at 0 and every bound met is a given row.  Free variable v is m + v;
+    once basic it never leaves, and its row keeps no constant (`value`).
+    Row i reads basis[i] = (t[i][0] + sum_j t[i][j] * cols[j]) / rden[i]
+    over the nonbasic cols[j], j >= 1.  A pivot rewrites the rows with a
+    nonzero entry in its column, each divided by its content, so a row is in
+    lowest terms, gcd(rden[i], *t[i]) == 1 (Schrijver, Theory of Linear and
+    Integer Programming, 3.3); a ratio test compares entries of one row.
     """
 
-    def __init__(self, rows: list[tuple[int, ...]], nvars: int):
-        self.m = m = len(rows)
-        self.nvars = nvars
-        self.t = [[r[nvars], *r[:nvars]] for r in rows]
-        self.rden = [1] * m
-        self.basis = list(range(m))
+    def __init__(self, rows: list[tuple[int, ...]], consts: list[int], nvars: int):
+        self.nvars, self.size = nvars, len(rows)
+        sides: list[list] = []
+        waiting: dict[tuple[int, ...], list[int]] = {}  # coefficients -> unpaired ranged rows
+        for g, a in enumerate(rows):
+            if pending := waiting.get(tuple(-x for x in a)):
+                sides[pending.pop(0)][1] = g
+            else:
+                waiting.setdefault(tuple(a), []).append(len(sides))
+                sides.append([g, None])
+        self.m = m = len(sides)
+        self.sides, self.up = sides, [0] * m
+        self.k = [consts[g] for g, _ in sides]  # each variable's constant, as it stands
+        self.width = [None if h is None else consts[g] + consts[h] for g, h in sides]
+        self.t = [[consts[g], *rows[g]] for g, _ in sides]
+        self.rden, self.basis = [1] * m, list(range(m))
         self.cols = [None, *range(m, m + nvars)]
 
     def value(self, i: int, c: int) -> Fraction:
-        """Entry c of row i as a rational number."""
-        return Fraction(self.t[i][c], self.rden[i])
+        """Entry c of row i as a rational number.  At x = 0 each variable is
+        its constant k, so a free row's constant is -sum_c t[i][c] k[cols[c]]."""
+        row, m = self.t[i], self.m
+        if c == 0 and self.basis[i] >= m:
+            return Fraction(-sum(row[j] * self.k[v] for j, v in enumerate(self.cols)
+                                 if j and v < m), self.rden[i])
+        return Fraction(row[c], self.rden[i])
 
     def _store(self, i: int, new: list[int], den: int) -> None:
         """Row i := new / den, divided by its content."""
@@ -447,7 +446,7 @@ class _Dictionary:
 
     def pivot(self, r: int, c: int) -> None:
         """Exchange basis[r] and cols[c]."""
-        t, rden = self.t, self.rden
+        t, rden, m, basis = self.t, self.rden, self.m, self.basis
         pr, pd = t[r], rden[r]
         sign = 1 if pr[c] > 0 else -1
         p = sign * pr[c]
@@ -458,42 +457,65 @@ class _Dictionary:
             # basis[r] = (... + P x_c) / pd gives x_c; substituted into row i:
             # (p * a - q * b) / (p * rden[i]), and q * pd on basis[r]
             new = [p * a - q * b for a, b in zip(row, pr)]
+            new[0] *= basis[i] < m  # a free row keeps no constant
             new[c] = q * pd
             self._store(i, new, p * rden[i])
         new = [-sign * x for x in pr]
+        new[0] *= self.cols[c] < m
         new[c] = sign * pd
         self._store(r, new, p)
         self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
 
+    def flip(self, v: int) -> None:
+        """Swap variable v for its complement width[v] - v."""
+        w, t, basis = self.width[v], self.t, self.basis
+        if v in basis:
+            r = basis.index(v)
+            t[r][:] = [w * self.rden[r] - t[r][0], *(-x for x in t[r][1:])]
+        else:
+            c = self.cols.index(v)
+            for row, s in zip(t, basis):
+                if row[c]:
+                    row[0] += row[c] * w * (s < self.m)
+                    row[c] = -row[c]
+        self.up[v] ^= 1
+        self.k[v] = w - self.k[v]
+
     def maximize(self, i: int, sign: int) -> bool:
-        """Pivot by Bland's rule until sign * basis[i] is maximal over the
-        non-negative variables; False when it is unbounded.  Free variables
-        never enter or leave, and the walk ends when basis[i] leaves."""
-        m, t, basis, cols = self.m, self.t, self.basis, self.cols
-        goal, obj = basis[i], t[i]
-        while basis[i] == goal:
+        """Pivot by Bland's rule until sign * basis[i] is maximal; False when
+        unbounded.  The entering slack rises until a variable meets a bound,
+        the lowest on ties: itself at its width (a flip), or a basic one at 0
+        or at its width (flipped first), which leaves."""
+        m, t, basis, cols, width = self.m, self.t, self.basis, self.cols, self.width
+        obj = t[i]
+        while True:
             enter = [c for c in range(1, len(cols)) if cols[c] < m and sign * obj[c] > 0]
             if not enter:
                 return True
             c = min(enter, key=cols.__getitem__)
-            best = None  # min ratio t[i][0] / -t[i][c], ties to the lowest variable
+            v = cols[c]
+            stop = None if width[v] is None else (width[v], 1, v, None)  # step a / b, at row j
             for j, row in enumerate(t):
-                if row[c] < 0 and basis[j] < m:
-                    if best is not None:
-                        lhs, rhs = row[0] * t[best][c], t[best][0] * row[c]
-                        if lhs < rhs or (lhs == rhs and basis[j] > basis[best]):
-                            continue
-                    best = j
-            if best is None:
+                s = basis[j]
+                if s >= m or not row[c] or (row[c] > 0 and width[s] is None):
+                    continue
+                a, b = (row[0], -row[c]) if row[c] < 0 else (
+                    width[s] * self.rden[j] - row[0], row[c])
+                if stop is None or a * stop[1] < stop[0] * b or (
+                        a * stop[1] == stop[0] * b and s < stop[2]):
+                    stop = (a, b, s, j)
+            if stop is None:
                 return False
-            self.pivot(best, c)
-        return True
+            j = stop[3]
+            if j is None or t[j][c] > 0:
+                self.flip(v if j is None else basis[j])
+            if j is not None:
+                self.pivot(j, c)
 
     def enter_free(self) -> None:
         """Pivot each free variable into the basis, on the slack row with the
-        least |t[i][c] / rden[i]| (the first on ties); it never leaves.  One
-        that cannot enter has a zero column in every slack row, and pivots
-        among the slacks keep it so: nothing bounds it."""
+        least |t[i][c] / rden[i]|, the first on ties.  One that cannot enter
+        has a zero column in every slack row, which pivots keep: it is free."""
         m, t, rden, basis = self.m, self.t, self.rden, self.basis
         for v in range(m, m + self.nvars):
             c = self.cols.index(v)
@@ -506,39 +528,45 @@ class _Dictionary:
                 self.pivot(best, c)
 
     def shift(self, delta: list[int]) -> None:
-        """Add delta[j] to the constant of row j of the system.  A basic
-        slack's row gains delta * rden; a nonbasic slack at column c takes
-        t[i][c] * delta from the constant of every row i."""
+        """Add delta[g] to given row g's constant: a basic variable's row gains
+        its delta * rden, and a nonbasic one at column c takes t[i][c] * delta."""
         m, basis, rden = self.m, self.basis, self.rden
-        moved = [(c, delta[s]) for c, s in enumerate(self.cols) if c and s < m and delta[s]]
+        step = [delta[s[u]] for s, u in zip(self.sides, self.up)]
+        self.k = [k + x for k, x in zip(self.k, step)]
+        self.width = [w if h is None else w + delta[g] + delta[h]
+                      for w, (g, h) in zip(self.width, self.sides)]
+        moved = [(c, step[s]) for c, s in enumerate(self.cols) if c and s < m and step[s]]
         for i, row in enumerate(self.t):
-            s = basis[i]
-            k = row[0] - sum(row[c] * x for c, x in moved)
-            row[0] = k + delta[s] * rden[i] if s < m else k
+            if (s := basis[i]) < m:
+                row[0] += step[s] * rden[i] - sum(row[c] * x for c, x in moved)
 
     def reoptimize(self, objective: tuple[int, int] | None) -> list[int] | None:
         """Dual simplex: with sign * basis[i] maximal on the last constants
         (objective = (i, sign), so every sign * t[i][c] <= 0), pivot by
-        Bland's rule until every basic slack is >= 0 again, and return None.
-        The leaving row is the negative one of the lowest slack, and the
-        entering column the least ratio -sign * t[i][c] / t[r][c], ties to
-        the lowest variable; with no objective every ratio is 0, and any
-        basis finds a first feasible one.
-
-        A negative slack row r with no positive entry proves the rows have
-        no common point, and it is returned as Farkas' y over the m rows
-        (y >= 0, y^T A = 0, y^T k < 0): rden[r] at basis[r], -t[r][c] at
-        each nonbasic slack cols[c], 0 elsewhere.  Row r says that
-        rden[r] * basis[r] - sum_c t[r][c] * cols[c] = t[r][0] < 0 for
-        every x; no entry of y is negative, and a free column that could not
-        enter is zero in every slack row (`enter_free`)."""
-        m, t, basis, cols = self.m, self.t, self.basis, self.cols
+        Bland's rule until each basic variable is in range, and return None.
+        The leaving row is the lowest variable's out of range, flipped first
+        if above its width; the entering column has the least ratio
+        -sign * t[i][c] / t[r][c] (0 with no objective), ties to the lowest
+        variable.  An empty branch returns Farkas' y over the given rows: 1 on
+        both rows of an empty range, or, from a negative row r with no
+        positive entry, rden[r] at basis[r]'s row and -t[r][c] at each
+        nonbasic slack's, as rden[r] * basis[r] - sum_c t[r][c] * cols[c] =
+        t[r][0] < 0 for every x (a free column that could not enter is 0)."""
+        m, t, basis, cols, width = self.m, self.t, self.basis, self.cols, self.width
+        rden, y = self.rden, [0] * self.size
+        for pair, w in zip(self.sides, width):
+            if w is not None and w < 0:  # its two rows add up to w >= 0, which fails
+                return [int(g in pair) for g in range(self.size)]
         i, sign = objective or (0, 0)
+        slacks = [j for j in range(m) if basis[j] < m]  # pivots keep them slack rows
         while True:
-            short = [j for j in range(m) if basis[j] < m and t[j][0] < 0]
-            if not short:
+            out = [j for j in slacks if t[j][0] < 0 or (
+                width[basis[j]] is not None and t[j][0] > width[basis[j]] * rden[j])]
+            if not out:
                 return None
-            r = min(short, key=basis.__getitem__)
+            r = min(out, key=basis.__getitem__)
+            if t[r][0] >= 0:
+                self.flip(basis[r])
             row, obj, best = t[r], t[i], None
             for c in range(1, len(cols)):
                 if row[c] > 0 and cols[c] < m:
@@ -548,24 +576,19 @@ class _Dictionary:
                             continue
                     best = c
             if best is None:
-                y = [0] * m
-                y[basis[r]] = self.rden[r]
-                for c in range(1, len(cols)):
-                    if cols[c] < m:
-                        y[cols[c]] = -row[c]
+                for v, x in [(basis[r], rden[r]), *zip(cols[1:], (-a for a in row[1:]))]:
+                    if v < m:
+                        y[self.sides[v][self.up[v]]] = x
                 return y
             self.pivot(r, best)
 
 
-def _pinned(rows, lows: list[Fraction | None], nvars: int) -> bool:
-    """Whether the minima pin the only point of P = {x : A x + k >= 0}: every
-    minimum is finite, some row a.x + k >= 0 has every a_v > 0, its negation
-    is a row too, and a.lows = -k.  Then a.x + k = 0 and x >= lows hold on
-    P, and a point of P off lows would give a.x > a.lows = -k.  `rows` is a
-    set of the integer rows (A | k)."""
-    return None not in lows and any(
-        all(x > 0 for x in row[:nvars]) and tuple(-x for x in row) in rows
-        and sum(x * lo for x, lo in zip(row, lows)) == -row[nvars] for row in rows)
+def _pinned(level, rows, k: list[int], lows: list[Fraction | None]) -> bool:
+    """Whether the minima pin the only point of P = {x : A x + k >= 0}: all
+    are finite, and for a pair (g, h) of `level` (row g's a > 0, row h -a),
+    k_g + k_h = 0 and a.lows = -k_g, so a point of P off lows has a.x > -k_g."""
+    return None not in lows and any(k[g] + k[h] == 0 and -k[g] == sum(
+        x * lo for x, lo in zip(rows[g], lows)) for g, h in level)
 
 
 def _shared_bounds(
@@ -574,32 +597,28 @@ def _shared_bounds(
     """The (min, max) of each of the nvars variables in every branch b of
     {x : A x + k_b >= 0}, whose branches share the integer coefficient rows A
     (`rows`, zero rows and repeats allowed) and differ in the constants k_b
-    (`consts[b]`).  It walks one `_Dictionary` of these rows, built on branch
-    0's constants, once its free variables have entered (`enter_free`).
+    (`consts[b]`), from one `_Dictionary` built on branch 0's constants.
 
     The outer loop runs over the objectives, every minimum and then every
     maximum (none for the branches whose minima are `_pinned`), the inner one
-    over the branches in serpentine order, so that each objective starts
-    where the last one ended and is walked to once, by `maximize`.  A branch
-    switch shifts the constants, which keeps the basis optimal for the dual,
-    and `reoptimize` (the dual simplex) restores the primal or proves the
-    branch empty; branch 0 is loaded with no objective, to find its first
-    feasible basis.
-
-    The recession cone {x : A x >= 0} does not depend on the constants, so an
-    objective unbounded in one branch is so in every branch that is not
-    empty: its endpoint is None in all of them when the variable's row has a
-    free column that could not enter or `maximize` finds no end, and the walk
-    goes on with no objective.  Branches that no walk reached are loaded
-    last, to decide whether they are empty.
+    over the branches in serpentine order, so that each objective is walked
+    to once, by `maximize`.  A branch switch shifts the constants, which
+    keeps the basis dual feasible, and `reoptimize` restores the primal or
+    proves the branch empty.  A done objective's row is zeroed, so pivots
+    skip it; the maxima, where a branch needs them, start on a fresh
+    dictionary.  An objective unbounded in one branch is so in every branch
+    that is not empty (the recession cone {x : A x >= 0} is shared).
+    Branches that no walk reached are loaded last, to decide if they are empty.
 
     Returns per branch (its (min, max) list, None), or (None, y) when it is
-    empty, y the Farkas vector over its rows that `reoptimize` read off the
-    walk where it found the branch empty: one integer y_i >= 0 per row,
-    y^T A = 0 and y^T k_b < 0.  A None endpoint marks an unbounded direction.
+    empty: y the integer Farkas vector over its rows that `reoptimize` read
+    off the walk, y >= 0, y^T A = 0 and y^T k_b < 0.  A None endpoint marks an
+    unbounded direction.
     """
-    d = _Dictionary([(*a, c) for a, c in zip(rows, consts[0])], nvars)
+    d = _Dictionary(rows, consts[0], nvars)
     d.enter_free()
+    level = [(g, h) for pair in d.sides if pair[1] is not None  # for `_pinned`
+             for g, h in (pair, pair[::-1]) if all(x > 0 for x in rows[g])]
     m, t = d.m, d.t
     stuck = [c for c in range(1, len(d.cols)) if d.cols[c] >= m]
     ends = [[[None, None] for _ in range(nvars)] for _ in consts]
@@ -623,7 +642,12 @@ def _shared_bounds(
     for sign in (-1, 1):
         if sign > 0:
             pinned = {b for b in order if b not in empty and _pinned(
-                {(*a, c) for a, c in zip(rows, consts[b])}, [lo for lo, _ in ends[b]], nvars)}
+                level, rows, consts[b], [lo for lo, _ in ends[b]])}
+            if any(b not in empty and b not in pinned for b in order):
+                d = _Dictionary(rows, consts[loaded], nvars)
+                d.enter_free()
+                t, obj = d.t, None
+                d.reoptimize(None)
         for v in range(nvars):
             i = d.basis.index(m + v) if m + v in d.basis else None
             if i is None or any(t[i][c] for c in stuck):
@@ -640,6 +664,7 @@ def _shared_bounds(
                 ends[b][v][sign > 0] = d.value(i, 0)
             else:
                 order.reverse()
+            t[i][:] = [0] * (nvars + 1)  # done: pivots skip a zero row, as ratios do
     for b in order:
         if b not in seen:
             load(b)
@@ -653,13 +678,11 @@ def _shared_bounds(
 class InfeasibleBranch:
     """A distribution of the proper powers whose rational relaxation is
     empty, with a Farkas certificate over the primitive integer rows of its
-    constraints: a multiplier pair (for mu >= 0, for mu <= chi(1)) per
-    (character, exponent) that has a nonzero one, and a pair for the sum of
-    the partial augmentations (>= 1, <= 1).  Every multiplier is >= 0, and
-    the weighted rows add up to zero coefficients and a negative constant.
-    The multipliers are in lowest terms and read off the shared walk where
-    it found the branch empty, so they depend on that walk: deterministic,
-    but not always those of the branch solved alone."""
+    constraints: a multiplier pair (mu >= 0, mu <= chi(1)) per (character,
+    exponent) that has a nonzero one, and a pair for the sum of the partial
+    augmentations (>= 1, <= 1).  The multipliers are >= 0 and in lowest
+    terms, and the weighted rows add up to zero coefficients and a negative
+    constant; they are read off the shared walk, so they depend on it."""
 
     def __init__(self, powers: dict[int, PartialAugmentationVector],
                  multipliers: dict[tuple[str, int], tuple[int, int]],
@@ -668,9 +691,8 @@ class InfeasibleBranch:
 
 
 class FeasibilityResult:
-    """status is "infeasible", "feasible", "unbounded" or "too-large";
-    certificates is a fresh list by default, and reason says which limit an
-    inconclusive search hit, and where."""
+    """status is "infeasible", "feasible", "unbounded" or "too-large"; reason
+    says which limit an inconclusive search hit, and where."""
 
     def __init__(self, order: int, variables: list[str], status: str,
                  feasible: list[PartialAugmentationVector],
@@ -693,39 +715,26 @@ def _coherent_power_assignments(pools: dict[int, list[PartialAugmentationVector]
             yield dict(sorted(assign.items()))
 
 
-def _search(
-    slice_: CharacterTableSlice, n: int, chars: list[Character], exponents,
-    results: dict[int, FeasibilityResult],
-) -> FeasibilityResult:
+def _search(slice_: CharacterTableSlice, n: int, chars: list[Character], exponents,
+            results: dict[int, FeasibilityResult]) -> FeasibilityResult:
     """Feasible pa trees for a unit of order n, with the bounds of the last
     rationally feasible branch and a Farkas certificate per rationally
-    infeasible branch.
+    infeasible branch.  A branch is a distribution of the proper powers.
 
-    A branch is a distribution of the proper powers.  Only the orders n/p, p
-    a prime below n, are searched: u^d = (u^p)^(d/p) for a prime p | d, and an
-    empty sub-order ends the search, so a feasible n/p has feasible sub-orders.
-    `results` holds each order searched in this query (with `chars` and every
-    exponent), so each is searched once.
+    Only the orders n/p, p a prime below n, are searched, smallest first
+    (u^d = (u^p)^(d/p) for a prime p | d), and `results` holds each order
+    searched in this query, so each is searched once.  An empty sub-order
+    ends the search; an inconclusive one speaks only when none is empty.
 
-    The sub-orders are searched smallest first, and an empty one returns at
-    once; an inconclusive one (unbounded or too large) speaks only when no
-    sub-order is empty, and then the one at the least prime does.
-
-    Everything is in integers: n * mu(zeta^l, u, chi) = k + sum_C T_C e_C, the
-    form of `multiplicity_form`, with T_C = Tr(chi(C) zeta_n^{-l}).  T does not
-    depend on the branch: it is the slice's cached `variable_traces` row, and
-    only k (`_power_constant`) is per branch, kept as one int per key.  So one
-    dictionary bounds every branch (`_shared_bounds`): its rows are the
-    distinct T, their negations and the augmentation pair, and a branch
-    gives each row the least constant of the keys that give that row, which
-    is the same polytope.  A branch switch swaps the constants and the dual
-    simplex re-optimizes.  Where it finds a branch empty it returns Farkas'
-    y over the shared rows; each row's weight goes to the row of that branch
-    that gave it its constant (the least, the first on ties), times that
-    row's content gcd(T, k), so the certificate is over the branch's own
-    primitive rows.  Many keys share a row (c21/21 has 884 rows of `shape`,
-    90 of them distinct), so the dictionary is built on the distinct rows
-    only (`sources`), and `picks` maps each one back to its branch's row.
+    n * mu(zeta^l, u, chi) = k + sum_C T_C e_C (`multiplicity_form`): T, the
+    slice's `variable_traces` row, is the same in every branch, and only k
+    (`_power_constants`) is per branch.  So one dictionary bounds every
+    branch (`_shared_bounds`), on the distinct rows of `shape` (c21/21 has
+    884, 90 distinct): each key's T and -T, and the augmentation pair, each
+    at the least constant of the rows that have it.  A Farkas y over them
+    weighs, per row, the branch's row that gave its constant (the first
+    least) times that row's content gcd(T, k): a certificate over the
+    branch's own primitive rows.
 
     The first branch with an unbounded variable, or with more than
     `CANDIDATE_CAP` integer candidates, ends the search inconclusive
@@ -761,35 +770,31 @@ def _search(
         coeffs.append((chi, l, *slice_.variable_traces(chi, n, l)))
     nvars = len(var_names)
     # every branch's rows, as (A, gcd of A): n mu >= 0 and n mu <= n chi(1) per
-    # key, then the augmentation pair sum e - 1 >= 0, <= 0; `constants` gives
-    # a branch's k of these rows from the k of its keys
-    shape = [(r, g) for _, _, row, g in coeffs for r in (row, tuple(-x for x in row))]
+    # key, then the augmentation pair sum e - 1 >= 0, <= 0
+    neg = {row: tuple(-x for x in row) for row in dict.fromkeys(c[2] for c in coeffs)}
+    shape = [(r, g) for _, _, row, g in coeffs for r in (row, neg[row])]
     shape += [((1,) * nvars, 1), ((-1,) * nvars, 1)]
-
-    def constants(kb):
-        return [c for k, (chi, *_) in zip(kb, coeffs) for c in (k, n * chi.degree - k)] + [-1, 1]
-
+    tops = [n * chi.degree for chi, *_ in coeffs]
     branches = list(_coherent_power_assignments(pools))
     if not branches:  # no choice of the u^p agrees on every shared power
         return res
-    ks = [[_power_constant(slice_, chi, n, l, assign) for chi, l, _, _ in coeffs]
+    ks = [_power_constants(slice_, n, [(chi, l) for chi, l, _, _ in coeffs], assign)
           for assign in branches]  # per branch, the k of every key
-    # the shared rows are the distinct A; a branch gives each the least k of
-    # the rows that have it, from the first such row (`picks`)
+    # the shared rows are the distinct A, each at the least k of the rows that have it
     sources: dict[tuple[int, ...], list[int]] = {}
     for i, (row, _) in enumerate(shape):
         sources.setdefault(row, []).append(i)
-    full = [constants(kb) for kb in ks]  # per branch, the k of every row of `shape`
-    picks = [[min(src, key=kf.__getitem__) for src in sources.values()] for kf in full]
-    consts = [[kf[i] for i in pick] for kf, pick in zip(full, picks)]
+    full = [[c for k, top in zip(kb, tops) for c in (k, top - k)] + [-1, 1]
+            for kb in ks]  # per branch, the k of every row of `shape`
+    consts = [[min(map(kf.__getitem__, src)) for src in sources.values()] for kf in full]
 
     rows = list(sources)
-    for assign, kb, kf, pick, (ends, y) in zip(branches, ks, full, picks,
-                                               _shared_bounds(rows, consts, nvars)):
-        if ends is None:  # empty: y weighs the rows of `shape` in `pick`, and
+    for assign, kb, kf, (ends, y) in zip(branches, ks, full, _shared_bounds(rows, consts, nvars)):
+        if ends is None:  # empty: y weighs each shared row's pick in `shape`, and
             # row i is gcd(g, k) times its primitive row
             farkas = [0] * len(shape)
-            for i, x in zip(pick, y):
+            for src, x in zip(sources.values(), y):
+                i = min(src, key=kf.__getitem__)
                 farkas[i] = x * math.gcd(shape[i][1], kf[i])
             g = math.gcd(*farkas)
             farkas = [x // g for x in farkas]
@@ -841,19 +846,14 @@ def _search(
     return res
 
 
-def feasible_partial_augmentations(
-    slice_: CharacterTableSlice,
-    n: int,
-    characters: list[str] | None = None,
-    exponents: list[int] | None = None,
-) -> FeasibilityResult:
+def feasible_partial_augmentations(slice_: CharacterTableSlice, n: int,
+                                   characters: list[str] | None = None,
+                                   exponents: list[int] | None = None) -> FeasibilityResult:
     """Exact feasible set of order-n partial augmentation vectors.
-
     characters restricts the multiplicity constraints at every order searched,
-    the proper powers' included; exponents restricts them at order n only (the
-    proper powers use every exponent).  Fewer constraints can only enlarge the
-    feasible set, so an empty answer from a subset is a sound exclusion.
-    """
+    the proper powers' included; exponents restricts them at order n only.
+    Fewer constraints can only enlarge the feasible set, so an empty answer
+    from a subset is a sound exclusion."""
     if n < 2:
         raise ValueError("unit order must be at least 2")
     # Cauchy: a prime dividing n and |G| is the order of some element of G.

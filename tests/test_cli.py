@@ -833,6 +833,16 @@ class TestMalformedDocuments:
                                                    **{"2a": {"n": 2, "coeffs": {"0": "1/0"}}}))
                               if ch["name"] == "std" else ch
                               for ch in BUNDLED["s5"]["characters"]]),
+        # JSON true is a Python int, yet no cyclotomic number; nor may it
+        # reuse the element parsed for a JSON 1, which it hashes alike
+        ("s5", "characters", [dict(ch, values={c: True for c in ch["values"]})
+                              if ch["name"] == "triv" else ch
+                              for ch in BUNDLED["s5"]["characters"]]),
+        ("s5", "characters", [dict(ch, values={c: 1 for c in ch["values"]})
+                              if ch["name"] == "triv" else
+                              dict(ch, values=dict(ch["values"], **{"2a": True}))
+                              if ch["name"] == "sgn" else ch
+                              for ch in BUNDLED["s5"]["characters"]]),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, name, field, value):
         code, text, err = run_with_field(tmp_path, name, field, value)

@@ -8,12 +8,31 @@ from hypothesis import strategies as st
 from pgq import fixtures
 from pgq import helpmethod as H
 from pgq import numtheory as NT
-from pgq.cyclotomic import CyclotomicElement, zeta
+from pgq.cyclotomic import CyclotomicElement, parse_cyclotomic, zeta
 
 
 @pytest.fixture(scope="module")
 def thompson():
     return fixtures.load_slice("thompson")
+
+
+def unshared_slice(name):
+    """The bundled table `name` built in code with one element per value:
+    each parsed afresh, and every other one lifted to twice its level, so
+    that equal values are distinct objects and not all at one level."""
+    doc = fixtures.load_json(f"{name}.json")
+    base = H.CharacterTableSlice.from_json(doc)
+    chars = []
+    for ch in doc["characters"]:
+        values = {c: parse_cyclotomic(v) for c, v in ch["values"].items()}
+        chars.append(H.Character(ch["name"], ch["degree"], {
+            c: x.lift(2 * x.n) if i % 2 else x for i, (c, x) in enumerate(values.items())}))
+    return H.CharacterTableSlice(base.group_name, base.group_order, base.classes, chars)
+
+
+@pytest.fixture(scope="module")
+def unshared_c21():
+    return unshared_slice("c21")
 
 
 @pytest.fixture(scope="module")
@@ -189,10 +208,10 @@ class TestLupaMultiplicity:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_trace_table_matches_direct_evaluation(self, s5, c21, thompson, data):
+    def test_trace_table_matches_direct_evaluation(self, s5, c21, thompson, unshared_c21, data):
         # augmentation-one vectors that are mostly not genuine elements, with the
         # proper powers of genuine elements of the right orders
-        slice_ = data.draw(st.sampled_from([s5, c21, thompson]), label="table")
+        slice_ = data.draw(st.sampled_from([s5, c21, thompson, unshared_c21]), label="table")
         n = data.draw(st.sampled_from(unit_orders(slice_)), label="n")
         chi = data.draw(st.sampled_from(slice_.characters), label="chi")
         powers = {}
@@ -210,6 +229,41 @@ class TestLupaMultiplicity:
             got = H.lupa_multiplicity(slice_, chi.name, pa, l)
             assert got == direct_multiplicity(slice_, chi, n, l, entries, powers)
             assert type(got) is Fraction
+        # the table keyed by value: each entry is its own value's fresh row,
+        # at every r the search reads (the class order divides r)
+        for r in NT.divisors(n)[1:]:
+            for c in slice_.variable_classes(r):
+                row = chi.value(c.name).trace_row(r)
+                assert [slice_.trace(chi, c.name, r, l) for l in range(-r, r)] == row * 2
+
+
+class TestSharedValues:
+    def test_c21_load_parses_each_distinct_value_once(self, monkeypatch):
+        texts, parse = [], H.parse_cyclotomic
+        monkeypatch.setattr(H, "parse_cyclotomic", lambda v: texts.append(v) or parse(v))
+        slice_ = fixtures.load_slice("c21")
+        assert len(texts) == 21  # of 441 values
+        assert len({id(x) for chi in slice_.characters for x in chi.values.values()}) == 21
+
+    def test_c21_order_21_traces_each_value_once(self, monkeypatch):
+        rows, trace_row = [], CyclotomicElement.trace_row
+        monkeypatch.setattr(CyclotomicElement, "trace_row",
+                            lambda x, r: rows.append(r) or trace_row(x, r))
+        assert H.feasible_partial_augmentations(fixtures.load_slice("c21"), 21).feasible
+        # 21 distinct values at r = 21, the 7 on the classes of order 7, 3 of order 3
+        assert sorted(rows) == [3] * 3 + [7] * 7 + [21] * 21
+
+    @pytest.mark.parametrize("table, n", [("c21", 21), ("s5", 10)])
+    def test_distinct_equal_values_give_the_same_answer(self, table, n):
+        built = unshared_slice(table)
+        values = [x for chi in built.characters for x in chi.values.values()]
+        assert len({id(x) for x in values}) == len(values)
+        loaded = fixtures.load_slice(table)
+        a, b = (H.feasible_partial_augmentations(s, n) for s in (loaded, built))
+        assert (a.status, a.variables, a.bounds) == (b.status, b.variables, b.bounds)
+        assert [pa.to_json() for pa in a.feasible] == [pa.to_json() for pa in b.feasible]
+        assert [(c.powers, c.multipliers, c.augmentation) for c in a.certificates] == [
+            (c.powers, c.multipliers, c.augmentation) for c in b.certificates]
 
 
 class TestCongruences:
@@ -774,6 +828,54 @@ def shared_systems():
     return build()
 
 
+def ranged_systems():
+    """1-4 variables and 1-4 branches whose rows are mostly exact opposite
+    pairs a.x + k1 >= 0 and -a.x + k2 >= 0, with k1 drawn per branch and the
+    range k1 + k2 from -1 to 6: an empty range below 0, an equality at 0.
+    Up to two unpaired rows, which may repeat a paired one, and half the
+    time the box |x_v| <= 5, whose rows pair too."""
+    @st.composite
+    def build(draw):
+        nvars = draw(st.integers(1, 4))
+        coeff = st.tuples(*[st.integers(-3, 3)] * nvars).filter(any)
+        pairs = draw(st.lists(coeff, min_size=1, max_size=4))
+        single = draw(st.lists(coeff, max_size=2))
+        unit = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+        unit *= draw(st.booleans())  # the box, half the time
+        rows = [r for a in pairs + unit for r in (a, tuple(-x for x in a))] + single
+        consts = []
+        for _ in range(draw(st.integers(1, 4))):
+            k = []
+            for _ in pairs:
+                k1 = draw(st.integers(-6, 6))
+                k += [k1, draw(st.integers(-1, 6)) - k1]
+            k += [5] * (2 * len(unit))
+            consts.append(k + draw(st.lists(st.integers(-6, 6), min_size=len(single),
+                                            max_size=len(single))))
+        return nvars, rows, consts
+
+    return build()
+
+
+def assert_shared_matches_fm(system):
+    """Each branch of `_shared_bounds` has the bounds of lp_bounds and
+    fm_bounds, and an empty one a Farkas y >= 0 over the rows as given."""
+    nvars, rows, consts = system
+    shared = H._shared_bounds(rows, consts, nvars)
+    assert len(shared) == len(consts)
+    for (ends, y), k in zip(shared, consts):
+        full = [primitive_row((*a, c)) for a, c in zip(rows, k)]  # the same polytope
+        bounds, farkas = lp_bounds(full, nvars)
+        assert ends == bounds == fm_bounds(full, nvars)  # None endpoints included
+        if bounds is None:  # empty: the walk's y certifies it on the branch's raw rows
+            assert farkas_holds(zip(farkas, full), nvars)
+            assert len(y) == len(rows) and min(y) >= 0
+            assert not any(sum(w * a[v] for w, a in zip(y, rows)) for v in range(nvars))
+            assert sum(w * c for w, c in zip(y, k)) < 0
+        else:
+            assert y is None
+
+
 class TestSharedDictionary:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(shared_systems())
@@ -789,20 +891,16 @@ class TestSharedDictionary:
     # branch 0 empty, y unbounded below in the others
     @example((2, [(1, 0), (1, 1), (-1, -1)], [[0, -2, 1], [0, -1, 1], [1, 0, 3]]))
     def test_each_branch_matches_lp_bounds_and_fourier_motzkin(self, system):
+        assert_shared_matches_fm(system)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ranged_systems())
+    @example((1, [(1,), (-1,)], [[2, -3]]))  # an empty range: x >= -2 and x <= -3
+    @example((2, [(1, 1), (-1, -1), (1, 0)], [[-1, 1, 0], [0, -1, 2]]))  # x + y = 1; empty
+    def test_opposite_pairs_match_fourier_motzkin(self, system):
         nvars, rows, consts = system
-        shared = H._shared_bounds(rows, consts, nvars)
-        assert len(shared) == len(consts)
-        for (ends, y), k in zip(shared, consts):
-            full = [primitive_row((*a, c)) for a, c in zip(rows, k)]  # the same polytope
-            bounds, farkas = lp_bounds(full, nvars)
-            assert ends == bounds == fm_bounds(full, nvars)  # None endpoints included
-            if bounds is None:  # empty: the walk's y certifies it on the branch's raw rows
-                assert farkas_holds(zip(farkas, full), nvars)
-                assert len(y) == len(rows) and min(y) >= 0
-                assert not any(sum(w * a[v] for w, a in zip(y, rows)) for v in range(nvars))
-                assert sum(w * c for w, c in zip(y, k)) < 0
-            else:
-                assert y is None
+        assert H._Dictionary(rows, consts[0], nvars).m < len(rows)  # the pairs merged
+        assert_shared_matches_fm(system)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(shared_systems())
@@ -839,22 +937,47 @@ def fraction_pivot(f, r, c):
     return out
 
 
+def fraction_flip(f, width, basis, cols, v):
+    """The dictionary f after variable v became its complement width - v."""
+    if v in basis:
+        r = basis.index(v)
+        return [[width - x[0], *(-a for a in x[1:])] if i == r else x for i, x in enumerate(f)]
+    c = cols.index(v)
+    return [[x[0] + x[c] * width, *(-a if j == c else a for j, a in enumerate(x) if j)]
+            for x in f]
+
+
 class TestDictionary:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_random_pivots_match_fractions_in_lowest_terms(self, data):
+        # random pivots and flips against the same steps solved in rationals;
+        # the opposites drawn for some rows merge with them into ranged rows
         nvars = data.draw(st.integers(1, 4))
         entry = st.integers(-6, 6)
         rows = data.draw(st.lists(st.tuples(*[entry] * (nvars + 1)), min_size=1, max_size=6))
-        d = H._Dictionary(rows, nvars)
-        f = [[Fraction(x) for x in (r[nvars], *r[:nvars])] for r in rows]
+        rows += [(*(-x for x in r[:nvars]), data.draw(entry)) for r in rows
+                 if data.draw(st.booleans(), label="opposite")]
+        d = H._Dictionary([r[:nvars] for r in rows], [r[nvars] for r in rows], nvars)
+        for i, j in d.sides:  # each ranged row is the first unpaired row and its opposite
+            assert j is None or i < j
+            assert d.width[d.sides.index([i, j])] == (None if j is None else
+                                                       rows[i][nvars] + rows[j][nvars])
+        f = [[Fraction(x) for x in (rows[i][nvars], *rows[i][:nvars])] for i, _ in d.sides]
         for _ in range(data.draw(st.integers(0, 10))):
-            choices = [(r, c) for r in range(d.m) for c in range(1, nvars + 1) if f[r][c]]
-            if not choices:
+            ranged = [v for v in range(d.m) if d.width[v] is not None]
+            choices = [(r, c) for r in range(d.m) for c in range(1, nvars + 1)
+                       if f[r][c] and d.basis[r] < d.m]  # a free variable never leaves
+            if ranged and data.draw(st.booleans(), label="flip"):
+                v = data.draw(st.sampled_from(ranged))
+                f = fraction_flip(f, d.width[v], d.basis, d.cols, v)
+                d.flip(v)
+            elif choices:
+                r, c = data.draw(st.sampled_from(choices))
+                d.pivot(r, c)
+                f = fraction_pivot(f, r, c)
+            else:
                 break
-            r, c = data.draw(st.sampled_from(choices))
-            d.pivot(r, c)
-            f = fraction_pivot(f, r, c)
             for i in range(d.m):
                 assert d.rden[i] > 0 and gcd(d.rden[i], *d.t[i]) == 1
                 assert [d.value(i, j) for j in range(nvars + 1)] == f[i]
@@ -865,18 +988,29 @@ class TestDictionary:
         monkeypatch.setattr(H._Dictionary, "pivot",
                             lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
         assert H.feasible_partial_augmentations(c21, 21).status == "feasible"
-        assert len(pivots) == 522
+        assert len(pivots) == 523
 
     def test_c21_order_49_pivot_count_pinned(self, c21, monkeypatch):
         # all six branches are empty: one dual-simplex pass finds each and
-        # certifies it, with no second solve
+        # certifies it, with no second solve (order 7's maxima, searched
+        # first, start on a fresh dictionary)
         pivots = []
         pivot = H._Dictionary.pivot
         monkeypatch.setattr(H._Dictionary, "pivot",
                             lambda d, r, c: pivots.append((r, c)) or pivot(d, r, c))
         res = H.feasible_partial_augmentations(c21, 49)
         assert res.status == "infeasible" and len(res.certificates) == 6
-        assert len(pivots) == 21
+        assert len(pivots) == 24
+
+    def test_c21_order_21_holds_one_ranged_row_per_pair(self, c21, monkeypatch):
+        # the 90 shared rows are 45 exact opposite pairs (each T and -T, and
+        # the augmentation pair), and the minima pin every branch, so the one
+        # dictionary of order 21 is never built again for the maxima
+        sizes, init = [], H._Dictionary.__init__
+        monkeypatch.setattr(H._Dictionary, "__init__", lambda d, rows, consts, nvars: init(
+            d, rows, consts, nvars) or sizes.append((len(rows), d.m, nvars)))
+        assert H.feasible_partial_augmentations(c21, 21).status == "feasible"
+        assert [s for s in sizes if s[2] == 20] == [(90, 45, 20)]
 
     def test_c21_order_21_walks_each_objective_once(self, c21, monkeypatch):
         # one dictionary for the 12 branches: each of the 20 minima is walked
