@@ -789,6 +789,8 @@ def _search(slice_: CharacterTableSlice, n: int, chars: list[Character], exponen
     consts = [[min(map(kf.__getitem__, src)) for src in sources.values()] for kf in full]
 
     rows = list(sources)
+    at = {row: i for i, row in enumerate(rows)}
+    row_at = [at[row] for _, _, row, _ in coeffs]  # per key, its T's index in rows
     for assign, kb, kf, (ends, y) in zip(branches, ks, full, _shared_bounds(rows, consts, nvars)):
         if ends is None:  # empty: y weighs each shared row's pick in `shape`, and
             # row i is gcd(g, k) times its primitive row
@@ -813,8 +815,7 @@ def _search(slice_: CharacterTableSlice, n: int, chars: list[Character], exponen
         res.bounds = {v: (math.ceil(lo), math.floor(hi)) for v, (lo, hi) in rel.items()}
         # walk the augmentation hyperplane: the last variable is 1 - the others;
         # the walk wants 0 <= k + T.e <= n chi(1) and n | k + T.e per distinct check
-        checks = dict.fromkeys((k, row, n * chi.degree)
-                               for k, (chi, _, row, _) in zip(kb, coeffs))
+        checks = [(k, rows[i], top) for k, i, top in dict.fromkeys(zip(kb, row_at, tops))]
         *ranges, last = (range(lo, hi + 1) for lo, hi in res.bounds.values())
         total = 1
         for r in ranges:

@@ -24,7 +24,8 @@ Divided-tableau reads each cut's right part once and tests its gamma
 inequalities on the sorted letter counts.  split_at_column, content and
 gamma are the checks' references in the tests.  The oracle tests the
 invariance of a whole block of RREF bases, one numpy array per pivot set,
-at once.
+at once, and reads the ranks of N's powers off the pivot set; only a type
+whose block sizes differ by more than one ranks its bases one at a time.
 """
 
 from __future__ import annotations
@@ -622,53 +623,61 @@ def submodule_quotient_exists(m: ModulePartition, u: ModulePartition, q: ModuleP
 _CHUNK = 1 << 14
 
 
+@lru_cache(maxsize=None)
+def _digit_table(p: int, dtype) -> np.ndarray:
+    """Row i holds the n base-p digits of i, least significant first, for
+    every i < p^n: n is the most digits with p^n <= _CHUNK, or one when p
+    exceeds it."""
+    n = 1
+    while p ** (n + 1) <= _CHUNK:
+        n += 1
+    return np.indices((p,) * n, dtype).reshape(n, -1)[::-1].T.copy()
+
+
 def _rref_blocks(p: int, d: int):
     """Every subspace of GF(p)^d exactly once, as its RREF basis, grouped by
     pivot set.  Yields (pivots, block), block an array of shape (M, k, d)
     holding M <= _CHUNK bases with those k pivots: row j has a 1 at pivots[j],
     zeros left of it and at the other pivots, and ranges freely over the
-    remaining columns to its right.  Entries stay below p, so every residue
-    the invariance test forms lies within k(p-1)^2 + p of zero: int16 while
-    that bound is below 2^15, int64 past it."""
+    remaining columns to its right.  Basis i of a pivot set takes the base-p
+    digits of i, least significant first, as its free entries: _digit_table
+    rows looked up by i's base-p^n digits.  Entries stay below p, so every
+    residue the invariance test forms lies within k(p-1)^2 + p of zero: int16
+    while that bound is below 2^15, int64 past it."""
     dtype = np.int16 if d * (p - 1) ** 2 + p < 2**15 else np.int64
+    digits = _digit_table(p, dtype)
+    base, width = digits.shape
     for k in range(d + 1):
         for pivots in itertools.combinations(range(d), k):
-            free = [(j, c) for j, pc in enumerate(pivots)
+            ones = [j * d + c for j, c in enumerate(pivots)]  # places in a flattened basis
+            free = [j * d + c for j, pc in enumerate(pivots)
                     for c in range(pc + 1, d) if c not in pivots]
-            free_rows = [j for j, _ in free]
-            free_cols = [c for _, c in free]
-            place = p ** np.arange(len(free))
             total = p ** len(free)
             for start in range(0, total, _CHUNK):
-                index = np.arange(start, min(start + _CHUNK, total))
-                block = np.zeros((len(index), k, d), dtype)
-                block[:, np.arange(k), list(pivots)] = 1
-                block[:, free_rows, free_cols] = index[:, None] // place % p
-                yield pivots, block
+                stop = min(start + _CHUNK, total)
+                block = np.zeros((stop - start, k * d), dtype)
+                block[:, ones] = 1
+                block[:, free] = (digits[start:stop] if total <= base else np.hstack(
+                    [digits.take(np.arange(start, stop) // p**s % base, axis=0)
+                     for s in range(0, len(free), width)]))[:, :len(free)]
+                yield pivots, block.reshape(stop - start, k, d)
 
 
-def _reduce(v, rows, pivots, p) -> list[int]:
-    """Residue of v modulo the span of echelon rows over GF(p).  Each row has
-    a 1 at its pivot and zeros at the pivots of the rows before it."""
-    for row, c in zip(rows, pivots):
-        f = v[c]
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return v
-
-
-def _extend(rows, pivots, vectors, p) -> int:
-    """Append to the echelon rows every vector independent of them, reduced
-    and scaled to a leading 1; return how many were appended."""
-    before = len(rows)
+def _extend(vectors, p) -> int:
+    """Rank over GF(p) of the vectors: each is reduced by the echelon rows
+    kept so far (a 1 at each row's pivot, zeros at the pivots of the rows
+    before it) and, when a residue is left, appended scaled to a leading 1."""
+    rows, pivots = [], []
     for v in vectors:
-        v = _reduce(v, rows, pivots, p)
+        for row, c in zip(rows, pivots):
+            if f := v[c]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
         c = next((c for c, x in enumerate(v) if x), None)
         if c is not None:
             inv = pow(v[c], -1, p)
             rows.append([x * inv % p for x in v])
             pivots.append(c)
-    return len(rows) - before
+    return len(rows)
 
 
 def _jordan_type_from_ranks(dim: int, ranks: list[int]) -> Partition:
@@ -689,11 +698,18 @@ def jordan_submodule_quotient_pairs(p: int, parts) -> frozenset:
     bases per pivot set.  A fully reduced basis needs one reduction step, so
     U is invariant exactly when the residue S - sum_j S[:, p_j] B_j of the
     shifted basis S vanishes mod p; that is one array expression per block.
-    Only an invariant U gets ranks, and only of the powers N^j that are not
-    zero: on U, the rank of its shifted basis; on the quotient, the rank of
-    the nonzero rows of N^j reduced modulo U.  When N itself is zero every
-    U has the same empty ranks, so a pivot set adds one pair.  No matrix is
-    multiplied.  Exponential in d; meant for dim <= 6.  parts may be any
+    The types follow from the ranks of the nonzero powers N^s: on U, dim U
+    less dim(U & ker N^s); on the quotient, |im N^s| less dim(U & im N^s).
+    Each of these subspaces is spanned by coordinates (the last s of each
+    block, or all past its first s), numbered so that the coordinates in
+    fewer of the subspaces come first.  A subspace spanned by a suffix of
+    the columns meets U in as many dimensions as U's RREF basis has pivots
+    there, the same for a whole block.  When the block sizes differ by at
+    most one the subspaces form a chain, so all are suffixes, and a pivot set
+    adds one pair when any of its bases is invariant.  Otherwise each
+    invariant basis gets, per subspace that is not a suffix, the rank of its
+    columns outside it ((3, 2, 1) and (3, 1, 1, 1) at weight 6).  No matrix
+    is multiplied.  Exponential in d; meant for dim <= 6.  parts may be any
     sequence; the pairs are cached per (p, tuple(parts)).
     """
     return _jordan_pairs(p, tuple(parts))
@@ -701,44 +717,41 @@ def jordan_submodule_quotient_pairs(p: int, parts) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _jordan_pairs(p: int, parts: Partition) -> frozenset:
-    mod = ModulePartition(p, parts)
-    d = mod.dim
-    starts = set(itertools.accumulate(parts[:-1], initial=0))
-    src = [-1 if j in starts else j - 1 for j in range(d)]
-    moved = [j for j in range(d) if src[j] >= 0]
-
-    def shift(v):
-        return [v[s] if s >= 0 else 0 for s in src]
-
-    identity = [[int(i == j) for i in range(d)] for j in range(d)]
-    powers = []  # the nonzero rows of N, N^2, ..., each a unit vector
-    rows = [shift(e) for e in identity]
-    while rows := [r for r in rows if any(r)]:
-        powers.append(rows)
-        rows = [shift(r) for r in rows]
-    seen = set()  # (dim U, ranks on U, ranks on the quotient)
+    d = ModulePartition(p, parts).dim
+    cells = [(b, i) for b in parts for i in range(b)]  # (block size, place in it)
+    powers = range(1, max(parts, default=1))  # the s with N^s nonzero
+    spans = [{j for j, (b, i) in enumerate(cells) if i >= b - s} for s in powers]  # ker N^s
+    spans += [{j for j, (b, i) in enumerate(cells) if i >= s} for s in powers]  # im N^s
+    order = sorted(range(d), key=lambda j: sum(j in w for w in spans))
+    label = {j: c for c, j in enumerate(order)}
+    src = [label[j - 1] if cells[j][1] else -1 for j in order]  # N moves src[c] to c
+    moved = [c for c in range(d) if src[c] >= 0]
+    spans = [{label[j] for j in w} for w in spans]
+    outside = [None if w == set(range(d - len(w), d)) else [c for c in range(d) if c not in w]
+               for w in spans]
+    per_basis = any(outside)
+    seen = set()  # (dim U, dim of U & w for each w in spans)
     for pivots, block in _rref_blocks(p, d):
+        k = len(pivots)
+        meets = [sum(c >= d - len(w) for c in pivots) for w in spans]
+        if not per_basis and (k, *meets) in seen:
+            continue
         shifted = np.zeros_like(block)
         shifted[:, :, moved] = block[:, :, [src[j] for j in moved]]
         residue = shifted.copy()
         for j, c in enumerate(pivots):
             if src[c] >= 0:  # column c of S is zero at the head of a block
                 residue -= shifted[:, :, c, None] * block[:, None, j, :]
-        invariant = block[~(residue % p).any(axis=(1, 2))]
-        if not powers:
-            if len(invariant):
-                seen.add((len(pivots), (), ()))
-            continue
-        for basis in invariant.tolist():
-            sub_ranks, quo_ranks, image = [], [], basis
-            for pw in powers:
-                echelon = []
-                sub_ranks.append(_extend(echelon, [], [shift(v) for v in image], p))
-                image = echelon
-                quo_ranks.append(_extend(list(basis), list(pivots), pw, p))
-            seen.add((len(basis), tuple(sub_ranks), tuple(quo_ranks)))
-    return frozenset((_jordan_type_from_ranks(k, sub), _jordan_type_from_ranks(d - k, quo))
-                     for k, sub, quo in seen)
+        invariant = np.flatnonzero(~(residue % p).any(axis=(1, 2)))
+        for basis in block[invariant if per_basis else invariant[:1]].tolist():
+            seen.add((k, *(m if cols is None else
+                           k - _extend([[r[c] for c in cols] for r in basis], p)
+                           for m, cols in zip(meets, outside))))
+    n = len(powers)
+    return frozenset(
+        (_jordan_type_from_ranks(k, [k - m for m in ms[:n]]),
+         _jordan_type_from_ranks(d - k, [len(w) - m for w, m in zip(spans[n:], ms[n:])]))
+        for k, *ms in seen)
 
 
 def jordan_chain_realizable(p: int, m: Partition, steps: tuple[Partition, ...], t: Partition) -> bool:

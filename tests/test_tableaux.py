@@ -342,16 +342,21 @@ class TestModulePartitions:
                             assert a == b
 
 
+def assert_type_matches_lr(p, lam):
+    pairs = T.jordan_submodule_quotient_pairs(p, lam)
+    w = sum(lam)
+    for wu in range(0, w + 1):
+        for mu in T.partitions_of(wu, max_part=p):
+            for nu in T.partitions_of(w - wu, max_part=p):
+                assert ((mu, nu) in pairs) == (
+                    T.lr_coefficient(lam, mu, nu) > 0
+                ), (lam, mu, nu)
+
+
 def assert_oracle_matches_lr(p, max_weight):
     for w in range(1, max_weight + 1):
         for lam in T.partitions_of(w, max_part=p):
-            pairs = T.jordan_submodule_quotient_pairs(p, lam)
-            for wu in range(0, w + 1):
-                for mu in T.partitions_of(wu, max_part=p):
-                    for nu in T.partitions_of(w - wu, max_part=p):
-                        assert ((mu, nu) in pairs) == (
-                            T.lr_coefficient(lam, mu, nu) > 0
-                        ), (lam, mu, nu)
+            assert_type_matches_lr(p, lam)
 
 
 def conjugate(parts):
@@ -401,16 +406,14 @@ def rank_mod(rows, p):
     return rank
 
 
-def submodule_type_counts(p, lam):
-    """{type of U: number of U} over the N-invariant subspaces U of the
+def invariant_bases(p, lam):
+    """The RREF bases, as lists of rows, of the N-invariant subspaces U of the
     Jordan module of type lam over GF(p), N moving each coordinate one place
-    along its block, by visiting every RREF basis: U is invariant when the
-    shifted basis S leaves no residue S - sum_j S[:, p_j] B_j, and the type
-    of U is read off the ranks of its images under N, N^2, ..."""
+    along its block: U is invariant when the shifted basis S leaves no
+    residue S - sum_j S[:, p_j] B_j."""
     d = sum(lam)
     heads = {sum(lam[:i]) for i in range(len(lam))}
     moved = [j for j in range(d) if j not in heads]
-    counts = {}
     for pivots, block in T._rref_blocks(p, d):
         block = block.astype(np.int64)
         shifted = np.zeros_like(block)
@@ -418,14 +421,53 @@ def submodule_type_counts(p, lam):
         residue = shifted.copy()
         for j, c in enumerate(pivots):
             residue -= shifted[:, :, c, None] * block[:, None, j, :]
-        for basis in block[~(residue % p).any(axis=(1, 2))].tolist():
-            dims, image = [len(basis)], basis
-            while dims[-1]:
-                image = [[0 if j in heads else v[j - 1] for j in range(d)] for v in image]
-                dims.append(rank_mod(image, p))
-            mu = conjugate([a - b for a, b in zip(dims, dims[1:])])
-            counts[mu] = counts.get(mu, 0) + 1
+        yield from block[~(residue % p).any(axis=(1, 2))].tolist()
+
+
+def shift_rows(rows, lam):
+    """The images vN of the rows v under the nilpotent Jordan operator of type lam."""
+    heads = {sum(lam[:i]) for i in range(len(lam))}
+    return [[0 if j in heads else v[j - 1] for j in range(len(v))] for v in rows]
+
+
+def type_from_dims(dims):
+    """The Jordan type of N from the dimensions of N^0 V, N^1 V, ..., down to 0."""
+    return conjugate([a - b for a, b in zip(dims, dims[1:])])
+
+
+def submodule_type_counts(p, lam):
+    """{type of U: number of U} over the N-invariant subspaces U of the
+    Jordan module of type lam over GF(p), by visiting every RREF basis; the
+    type of U is read off the ranks of its images under N, N^2, ..."""
+    counts = {}
+    for basis in invariant_bases(p, lam):
+        dims, image = [len(basis)], basis
+        while dims[-1]:
+            image = shift_rows(image, lam)
+            dims.append(rank_mod(image, p))
+        mu = type_from_dims(dims)
+        counts[mu] = counts.get(mu, 0) + 1
     return counts
+
+
+def pairs_by_rank_mod(p, lam):
+    """The (type of U, type of V/U) pairs of the N-invariant subspaces U, each
+    type read off ranks by plain elimination: N^s U on U, and U + N^s V less
+    dim U on the quotient."""
+    d = sum(lam)
+    pairs = set()
+    for basis in invariant_bases(p, lam):
+        sub, quo = [len(basis)], [d - len(basis)]
+        image = basis
+        while sub[-1]:
+            image = shift_rows(image, lam)
+            sub.append(rank_mod(image, p))
+        image = [[int(i == j) for i in range(d)] for j in range(d)]
+        while quo[-1]:
+            image = shift_rows(image, lam)
+            quo.append(rank_mod(basis + image, p) - len(basis))
+        pairs.add((type_from_dims(sub), type_from_dims(quo)))
+    return frozenset(pairs)
 
 
 class TestSubmoduleCounts:
@@ -473,19 +515,52 @@ class TestJordanOracle:
             assert len(T.jordan_submodule_quotient_pairs(3, lam)) == n, lam
 
     def test_every_subspace_is_enumerated_once(self):
-        # Galois numbers: the number of subspaces of GF(3)^d
-        galois = [1, 2, 6, 28, 212, 2664, 56632]
-        assert [sum(len(block) for _, block in T._rref_blocks(3, d))
-                for d in range(7)] == galois
-        bases = set()
-        for pivots, block in T._rref_blocks(3, 5):
-            for basis in block.tolist():
-                for row, c in zip(basis, pivots):
-                    assert row[:c] == [0] * c and row[c] == 1
-                    assert all(row[q] == 0 for q in pivots if q != c)
-                    assert all(0 <= x < 3 for x in row)
-                bases.add(tuple(map(tuple, basis)))
-        assert len(bases) == galois[5]
+        for p, max_dim in [(3, 6), (5, 5), (7, 4)]:
+            # Galois numbers: the number of subspaces of GF(p)^d
+            galois = [sum(gaussian_binomial(d, k, p) for k in range(d + 1))
+                      for d in range(max_dim + 1)]
+            if p == 3:
+                assert galois == [1, 2, 6, 28, 212, 2664, 56632]
+            for d in range(max_dim + 1):
+                bases = set()
+                for pivots, block in T._rref_blocks(p, d):
+                    k = len(pivots)
+                    assert block.dtype == np.int16 and block.shape[1:] == (k, d)
+                    assert ((0 <= block) & (block < p)).all()
+                    for j, c in enumerate(pivots):
+                        # row j: zeros left of its pivot; column c: the unit vector e_j
+                        assert not block[:, j, :c].any()
+                        assert (block[:, :, c] == (np.arange(k) == j)).all()
+                    bases.update(basis.tobytes() for basis in block)
+                assert len(bases) == galois[d], (p, d)
+
+    def test_chain_types_rank_no_basis(self, monkeypatch):
+        # block sizes within one of each other: the kernels and images of the
+        # powers of N form a chain, so every rank is a pivot count
+        def no_rank(*args):
+            raise AssertionError("a chain type ranked a basis")
+        types = [(3, lam) for lam in T.partitions_of(6, max_part=3)]
+        types += [(5, lam) for w in range(1, 6) for lam in T.partitions_of(w, max_part=5)]
+        chain = [(p, lam) for p, lam in types if lam[0] - lam[-1] <= 1]
+        assert [lam for p, lam in chain if p == 3] == [
+            (3, 3), (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]
+        assert len(chain) == 5 + 15
+        T._jordan_pairs.cache_clear()
+        monkeypatch.setattr(T, "_extend", no_rank)
+        for p, lam in chain:
+            assert_type_matches_lr(p, lam)
+        monkeypatch.undo()
+        for lam in [(3, 2, 1), (3, 1, 1, 1)]:
+            assert_type_matches_lr(3, lam)
+
+    @pytest.mark.parametrize("p, max_weight", [(3, 5), (5, 4), (7, 4)])
+    def test_pairs_match_per_basis_ranks(self, p, max_weight):
+        cases = 0
+        for w in range(1, max_weight + 1):
+            for lam in T.partitions_of(w, max_part=p):
+                assert T.jordan_submodule_quotient_pairs(p, lam) == pairs_by_rank_mod(p, lam), lam
+                cases += 1
+        assert cases == {3: 15, 5: 11, 7: 11}[p]
 
     def test_any_sequence_of_parts(self):
         pairs = T.jordan_submodule_quotient_pairs(3, (2, 1))
