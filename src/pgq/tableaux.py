@@ -5,27 +5,25 @@ tableau is a filled skew diagram outer/inner; row i occupies columns
 inner[i]..outer[i]-1 (0-based).  Semistandardness and the lattice property
 are checkable predicates, never enforced by construction.
 
-One filling kernel, an iterative backtrack over an explicit cell stack,
-enumerates the semistandard lattice fillings of a skew shape, with or
+One filling kernel, _fillings, an iterative backtrack over an explicit cell
+stack, enumerates the semistandard lattice fillings of a skew shape, with or
 without a pinned content: Littlewood-Richardson coefficients count its
-leaves, and the lemma corpus reads them.
+leaves.
 
 The module also carries the exhaustive verifiers for four combinatorial
 inequalities about semistandard lattice skew tableaux, and a brute-force
 linear-algebra oracle over GF(p) that recomputes which (submodule, quotient)
 partition pairs a nilpotent Jordan module admits, independently of the
-Littlewood-Richardson route.  The corpus builds one layout per skew shape it
-generates, straight from its two partitions (row starts, the rows' place in
-the kernel's grid, column span; the rectangles and columns-between-lines
-pairs when a check first asks), and the kernel fills that same layout.  A
-check reads per tableau only its row tuples and the kernel's letter counts;
-the validated SkewShape and a SkewTableau are built only for a violation.
-Divided-tableau reads each cut's right part once and tests its gamma
-inequalities on the sorted letter counts.  split_at_column, content and
-gamma are the checks' references in the tests.  The oracle tests the
-invariance of a whole block of RREF bases, one numpy array per pivot set,
-at once, and reads the ranks of N's powers off the pivot set; only a type
-whose block sizes differ by more than one ranks its bases one at a time.
+Littlewood-Richardson route.  The verifiers walk the corpus as a row tree:
+each tableau is its parent plus one bottom row, filled by the kernel's tests
+on that row alone.  Each lemma's prover carries exact state down the tree
+and clears a child from a clean parent and its new row; a node it does not
+clear runs the lemma's exact check on its shape's layout, and violations
+are reported in corpus order.  split_at_column, content and gamma are the
+checks' references in the tests.  The oracle tests the invariance of a
+whole block of RREF bases, one numpy array per pivot set, at once, and
+reads the ranks of N's powers off the pivot set; only a type whose block
+sizes differ by more than one ranks its bases one at a time.
 """
 
 from __future__ import annotations
@@ -220,20 +218,17 @@ def _rows_in_grid(outer: Partition, inner: Partition) -> tuple[list[int], list[i
 
 
 class _ShapeTables:
-    """The layout of one skew shape outer/inner, built once for all its
-    fillings straight from the two partitions it was generated from, which
-    are trusted (inner inside outer, at least one cell): the row starts and
-    ends of _rows_in_grid, the slice of the grid that holds each row and the
+    """The layout of one skew shape outer/inner for the exact lemma checks,
+    built straight from the two partitions, which are trusted (inner inside
+    outer, at least one cell): the row starts of _rows_in_grid and the
     occupied columns left..left+ell-1.  On first use: the validated
-    SkewShape, the rectangles and the columns-between-lines pairs."""
+    SkewShape and the rectangles."""
 
     def __init__(self, outer: Partition, inner: Partition):
-        starts, ends = _rows_in_grid(outer, inner)
-        self.outer, self.inner, self.starts, self.ends = outer, inner, starts, ends
-        self.row_slices = [slice(e - o + s, e) for e, o, s in zip(ends, outer, starts)]
-        self.occupied = [i for i, (o, s) in enumerate(zip(outer, starts)) if o > s]
+        self.outer, self.inner, self.starts = outer, inner, _rows_in_grid(outer, inner)[0]
+        self.occupied = [i for i, (o, s) in enumerate(zip(outer, self.starts)) if o > s]
         # starts and outer both weakly decrease down the rows
-        self.left = starts[self.occupied[-1]]
+        self.left = self.starts[self.occupied[-1]]
         self.ell = outer[self.occupied[0]] - self.left
 
     @cached_property
@@ -243,30 +238,10 @@ class _ShapeTables:
     @cached_property
     def rectangles(self) -> list[tuple[int, int]]:
         """(h, k) for every fully contained h x k rectangle that is maximal
-        downwards from its top row."""
-        outer, starts = self.outer, self.starts
-        found = []
-        for r0 in range(len(outer)):
-            lo, hi = starts[r0], outer[r0]
-            for i in range(r0, len(outer)):
-                lo, hi = max(lo, starts[i]), min(hi, outer[i])
-                if hi <= lo:
-                    break
-                found.append((i - r0 + 1, hi - lo))
-        return found
-
-    @cached_property
-    def between(self) -> list[tuple[int, int]]:
-        """(k, h) for 0 <= k <= ell: the first ell-k columns lie within h
-        consecutive rows, h the least such (1 when they hold no cell, since
-        the hypothesis then holds for every h >= 1)."""
-        found = []
-        for k in range(self.ell + 1):
-            # a row has a cell left of the cut exactly when its first cell is
-            cut = self.left + self.ell - k
-            touched = [i for i in self.occupied if self.starts[i] < cut]
-            found.append((k, touched[-1] - touched[0] + 1 if touched else 1))
-        return found
+        downwards from its top row: starts and outer weakly decrease, so the
+        one from row r0 down to row i spans columns starts[r0]..outer[i]-1."""
+        return [(i - r0 + 1, self.outer[i] - s) for r0, s in enumerate(self.starts)
+                for i in range(r0, len(self.outer)) if self.outer[i] > s]
 
     def tableau_json(self, rows) -> dict:
         return SkewTableau(self.shape, rows).to_json()
@@ -356,18 +331,85 @@ def lr_coefficient(lam, mu, nu) -> int:
     return sum(1 for _ in _fillings(lam, *_rows_in_grid(lam, mu), nu))
 
 
-def _corpus(max_boxes: int):
-    """(tables, rows, counts) for each tableau of the corpus, in the order of
-    enumerate_corpus; counts is the kernel's live letter count list."""
-    for w in range(1, max_boxes + 1):
-        for lam in partitions_of(w):
-            for mu in subpartitions(lam):
-                if weight(mu) == w or (mu and mu[0] == lam[0]):
-                    continue  # no box, or first row empty: same diagram with the row dropped
-                tables = _ShapeTables(lam, mu)
-                slices = tables.row_slices
-                for grid, counts in _fillings(lam, tables.starts, tables.ends):
-                    yield tables, tuple(map(tuple, map(grid.__getitem__, slices))), counts
+# -- the corpus as a row tree -------------------------------------------------
+
+
+def _row_fillings(counts, floors, o, cap, last):
+    """Every filling (s, row) of columns s..o-1 of a new bottom row, s <= last,
+    by the kernel's tests, right to left: at most the right neighbour (cap for
+    the rightmost), at least floors[j], and e only if counts[e] < counts[e - 1]
+    on the live letter counts.  A filling from s extends one from s + 1."""
+    if last >= o:
+        yield o, ()
+    row = [0] * o + [cap]
+    j = o - 1
+    while j < o:
+        e = row[j]
+        if e:  # resumed: take the entry back and try the next letter
+            counts[e] -= 1
+            e += 1
+        else:
+            e = floors[j]
+        while e <= row[j + 1] and counts[e] >= counts[e - 1]:
+            e += 1
+        if e > row[j + 1]:
+            row[j] = 0
+            j += 1
+            continue
+        row[j] = e
+        counts[e] += 1
+        if j <= last:
+            yield j, tuple(row[j:o])
+        if j:
+            j -= 1
+
+
+def _inner(starts) -> Partition:
+    return tuple(starts[:len(starts) - starts.count(0)])  # the zeros trail
+
+
+def _corpus_key(outer, starts, rows):
+    """Weight, outer in partitions_of order, inner in subpartitions order, word."""
+    return (sum(outer), [-x for x in outer], [-x for x in starts],
+            [e for row in rows for e in reversed(row)])
+
+
+def _row_tree(max_boxes: int, checks):
+    """Every corpus tableau once, depth first: a root is row 0, all 1s; a
+    child adds a bottom row r, maybe empty, with outer[r] <= outer[r - 1] and
+    starts[r] <= min(starts[r - 1], outer[r]).  A prover gives the child's
+    state and whether its new row keeps a clean parent clean; a node it does
+    not clear runs the check, whose result says if its children start clean.
+    Yields (outer, starts, rows, counts, states, found): four live lists,
+    then per check (state, clean) and the violations at the node."""
+    provers = [_PROVERS.get(check) for check in checks]
+    outer, starts, rows = [], [], []
+    counts = [max_boxes + 1] + [0] * (max_boxes + 1)
+
+    def grow(weight, states):
+        r = len(rows)
+        # the roots' parent is the empty tableau, and row 0 holds a box
+        above, sa, oa = (rows[-1], starts[-1], outer[-1]) if r else ((), max_boxes, max_boxes)
+        floors = [1] * sa + [e + 1 for e in above]
+        for o in range(1, min(oa, max_boxes - weight) + 1):
+            outer.append(o)
+            for s, row in _row_fillings(counts, floors, o, r + 1, min(sa, o - (not r))):
+                starts.append(s)
+                rows.append(row)
+                child, found = [], []
+                for check, prove, (state, clean) in zip(checks, provers, states):
+                    state, passed = (prove(state, outer, starts, rows, counts) if prove
+                                     else (None, False))
+                    found.append([] if clean and passed else check(
+                        _ShapeTables(tuple(outer), _inner(starts)), tuple(rows), counts))
+                    child.append((state, not found[-1]))
+                yield outer, starts, rows, counts, child, found
+                if weight + o < max_boxes:
+                    yield from grow(weight + o, child)
+                del starts[-1], rows[-1]
+            outer.pop()
+
+    yield from grow(0, [(None, True)] * len(checks))
 
 
 def enumerate_corpus(max_boxes: int):
@@ -375,15 +417,17 @@ def enumerate_corpus(max_boxes: int):
     outer partition has weight <= max_boxes and whose first row is nonempty
     (empty leading rows are translated away; larger translates of the same
     diagram re-occur at higher budgets)."""
-    for tables, rows, _ in _corpus(max_boxes):
-        yield SkewTableau(tables.shape, rows)
+    found = [(_corpus_key(outer, starts, rows), SkewTableau.from_rows(outer, _inner(starts), rows))
+             for outer, starts, rows, *_ in _row_tree(max_boxes, [])]
+    yield from (t for _, t in sorted(found, key=operator.itemgetter(0)))
 
 
 # -- the four exhaustively verified inequalities ----------------------------
 #
 # Each check reads one tableau as (tables, rows, counts): the tables of its
 # shape, its row tuples and its letter counts, counts[e] for every letter
-# e >= 1 and counts[0] unused.
+# e >= 1 and counts[0] unused.  A prover reads a lattice content, a
+# partition, so gamma_k >= h exactly when counts[h] >= k.
 
 
 class VerifierReport:
@@ -425,11 +469,28 @@ def _check_small_branch(tables, rows, counts) -> list:
     return bad
 
 
+def _prove_small_branch(state, outer, starts, rows, counts):
+    """The new row's boxes only: a run of e from place q of the row of n holds
+    exactly when counts[e] >= n - q; earlier boxes keep their prefixes."""
+    row, n = rows[-1], len(rows[-1])
+    return None, all(counts[e] >= n - q for q, e in enumerate(row) if not q or row[q - 1] != e)
+
+
 def _check_full_rectangle(tables, rows, counts) -> list:
     """Every fully contained h x k rectangle forces gamma_k >= h (maximal ones suffice)."""
     g = _gamma_table(counts, tables.ell + 1)
     return [{"tableau": tables.tableau_json(rows), "h": h, "k": k, "gamma_k": g[k]}
             for h, k in tables.rectangles if g[k] < h]
+
+
+def _prove_full_rectangle(state, outer, starts, rows, counts):
+    """state: the first top row r0 of a rectangle down to the last row r; as
+    in _ShapeTables.rectangles, every r0 from it on has one.  Only these new
+    rectangles are tested: gamma only grows down the tree."""
+    r, o, first = len(rows) - 1, outer[-1], state or 0
+    while first <= r and starts[first] >= o:
+        first += 1
+    return first, all(counts[r + 1 - r0] >= o - starts[r0] for r0 in range(first, r + 1))
 
 
 def _check_columns_between_lines(tables, rows, counts) -> list:
@@ -440,13 +501,35 @@ def _check_columns_between_lines(tables, rows, counts) -> list:
     """
     g = _gamma_table(counts, tables.ell + 2)
     return [{"tableau": tables.tableau_json(rows), "k": k, "h": h, "gamma": g[k + 1]}
-            for k, h in tables.between if g[k + 1] > h]
+            for k, h in enumerate(_heights(tables.outer, tables.starts)) if g[k + 1] > h]
+
+
+def _heights(outer, starts) -> list[int]:
+    """For 0 <= k <= ell the least h with the first ell-k columns in h rows (1
+    with no box there: any h >= 1 holds), by one pointer sweep down the
+    starts: the rows with a box left of the cut start left of it."""
+    occupied = [i for i, (o, s) in enumerate(zip(outer, starts)) if o > s]
+    hs, j = [], 0
+    for cut in range(outer[occupied[0]], starts[occupied[-1]], -1):
+        while starts[occupied[j]] >= cut:
+            j += 1
+        hs.append(occupied[-1] - occupied[j] + 1)
+    return hs + [1]  # k = ell: no box left of the cut
+
+
+def _prove_columns_between_lines(state, outer, starts, rows, counts):
+    """state: h for each k, straight from the rows' starts."""
+    if starts[-1] == outer[-1]:
+        return state, True  # the parent's tableau with an empty row
+    hs = _heights(outer, starts)
+    return hs, all(counts[h + 1] <= k for k, h in enumerate(hs))
 
 
 def split_at_column(t: SkewTableau, k: int):
     """The part strictly right of the first k geometric columns, re-rooted
     (the empty tableau when the cut leaves nothing)."""
-    cut = k + min(j for _, j in t.shape.cells())
+    # with no box, every row lies left of the cut
+    cut = k + min((j for _, j in t.shape.cells()), default=sum(t.shape.outer))
     outer, inner, rows = [], [], []
     for i, lam in enumerate(t.shape.outer):
         off = t.shape.inner_at(i)
@@ -531,17 +614,47 @@ def _check_divided_tableau(tables, rows, counts) -> list:
     return bad
 
 
+def _prove_divided_tableau(state, outer, starts, rows, counts):
+    """state: _semistandard_cut of the rows, from the new row and the one
+    above; the first occupied column; and per absolute cut c <= outer[0],
+    (lattice, right): right[e] counts the letters e right of the cut
+    (right[0] exceeds every count), read as a lattice word or not.  The
+    bottom row is read last: its boxes right of the cut extend both."""
+    s, o, row = starts[-1], outer[-1], rows[-1]
+    if o == s:
+        return state, True  # the parent's tableau with an empty row
+    least, left, rights = state or (0, s, [(True, [counts[0]] + [0] * (len(counts) - 1))]
+                                    * (outer[0] + 1))
+    least, left = max(least, _semistandard_cut(rows[-2:], starts[-2:])), min(left, s)
+    ok = least <= left
+    rights = rights.copy()
+    for c in range(o):
+        lattice, right = rights[c]
+        right = right.copy()
+        for e in reversed(row[max(c - s, 0):]):
+            right[e] += 1
+            lattice = lattice and right[e] <= right[e - 1]
+        rights[c] = lattice, right
+        ok = ok and (lattice or c < left)
+    # t - r is the most of a letter left of the cut: new only past column s
+    letters = counts[:len(rows) + 1]  # row i holds no letter above i + 1
+    return (least, left, rights), ok and all(max(map(operator.sub, letters, right)) <= c - left
+                                             for c, (_, right) in enumerate(rights[s + 1:], s + 1))
+
+
 def _run_verifier(max_boxes: int, checks) -> list[VerifierReport]:
-    """One report per check, all from a single pass over the corpus."""
+    """One report per check, all from one walk of the row tree, the
+    violations in corpus order (those of one tableau in the check's)."""
     if max_boxes > 12:
         raise ValueError("enumeration budget capped at 12 boxes")
-    checked = 0
-    violations = [[] for _ in checks]
-    for tables, rows, counts in _corpus(max_boxes):
+    checked, violations = 0, [[] for _ in checks]
+    for outer, starts, rows, _, _, found in _row_tree(max_boxes, checks):
         checked += 1
-        for found, check in zip(violations, checks):
-            found.extend(check(tables, rows, counts))
-    return [VerifierReport(checked, found) for found in violations]
+        for into, bad in zip(violations, found):
+            if bad:
+                into.append((_corpus_key(outer, starts, rows), bad))
+    return [VerifierReport(checked, [v for _, bad in sorted(into, key=operator.itemgetter(0))
+                                     for v in bad]) for into in violations]
 
 
 def verify_lemma_small_branch(max_boxes: int) -> VerifierReport:
@@ -572,6 +685,13 @@ _CHECKS = {
     "full-rectangle": _check_full_rectangle,
     "columns-between-lines": _check_columns_between_lines,
     "divided-tableau": _check_divided_tableau,
+}
+
+_PROVERS = {
+    _check_small_branch: _prove_small_branch,
+    _check_full_rectangle: _prove_full_rectangle,
+    _check_columns_between_lines: _prove_columns_between_lines,
+    _check_divided_tableau: _prove_divided_tableau,
 }
 
 

@@ -466,6 +466,12 @@ class TestTableauxVerify:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_all_lemmas_json_bytes_pinned_at_eight(self):
+        code, text = run(["tableaux-verify", "--max-boxes", "8", "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7e0a101de30510543295d979e46235fb014051cccc499aaf2d29705ba082fb47")
+
 
 class TestSelftest:
     def test_battery_passes(self):

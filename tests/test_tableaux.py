@@ -630,15 +630,56 @@ class TestVerifiers:
                 for t in T.enumerate_corpus(8)] == list(oracle_corpus(8))
 
     def test_checks_read_the_kernel_counts(self):
-        # the live counts of the kernel, counts[0] its sentinel, give each
+        # the live counts of the row tree, counts[0] its sentinel, give each
         # check the reference's answer on every corpus tableau
         seen = 0
-        for tables, rows, counts in T._corpus(6):
-            t = SkewTableau(tables.shape, rows)
+        for outer, starts, rows, counts, _, _ in T._row_tree(6, []):
+            tables = T._ShapeTables(tuple(outer), T._inner(starts))
+            t = SkewTableau(tables.shape, tuple(rows))
             for check, ref in CHECKS:
-                assert check(tables, rows, counts) == ref(t), (check.__name__, t)
+                assert check(tables, tuple(rows), counts) == ref(t), (check.__name__, t)
             seen += 1
         assert seen == 198
+
+    def test_prover_states_match_references_up_to_8_boxes(self):
+        checks = [T._check_small_branch, T._check_full_rectangle,
+                  T._check_columns_between_lines, T._check_divided_tableau]
+        rectangles = [[]]  # per depth: (r0, bottom row, h, k) of every rectangle so far
+        for outer, starts, rows, _, states, _ in T._row_tree(8, checks):
+            t = SkewTableau.from_rows(outer, T._inner(starts), rows)
+            (small, _), (first, _), (hs, _), ((least, left, rights), _) = states
+            assert small is None
+            r = len(rows) - 1
+            del rectangles[r + 1:]
+            rectangles.append(rectangles[r] + [(r0, r, r + 1 - r0, outer[r] - starts[r0])
+                                               for r0 in range(first, r + 1)])
+            assert [(h, k) for *_, h, k in sorted(rectangles[-1])] == ref_rectangles(t)
+            assert list(enumerate(hs)) == ref_between(t)
+            assert (least, left) == (T._semistandard_cut(t.rows, starts), column_span(t)[0])
+            for k in range(column_span(t)[1] - left + 1):
+                part = T.split_at_column(t, k)
+                lattice, right = rights[left + k]
+                assert lattice == T.has_lattice_property(part), (t, k)
+                letters = list(right[1:])
+                while letters and not letters[-1]:
+                    letters.pop()
+                assert tuple(letters) == T.content(part), (t, k)
+
+    def test_a_walk_that_clears_nothing_gives_the_same_reports(self, monkeypatch):
+        names = sorted(T.ALL_VERIFIERS)
+        proven = T.verify_lemmas(8, names)
+        monkeypatch.setattr(T, "_PROVERS", {
+            check: lambda state, *node, prove=prove: (prove(state, *node)[0], False)
+            for check, prove in T._PROVERS.items()})
+        assert T.verify_lemmas(8, names) == proven
+
+    @pytest.mark.parametrize("max_boxes, checked", [(11, 9122), (12, 18389)])
+    def test_reports_pinned_at_11_and_12_boxes(self, max_boxes, checked, monkeypatch):
+        # every node of the real lemmas is cleared by its prover, so no exact
+        # check builds a shape's layout
+        monkeypatch.setattr(T, "_ShapeTables", None)
+        reports = T.verify_lemmas(max_boxes, sorted(T.ALL_VERIFIERS))
+        assert [(r.checked, r.violations) for r in reports.values()] == [(checked, [])] * 4
 
     def test_lattice_content_always_partition_in_corpus(self):
         for t in T.enumerate_corpus(5):
@@ -651,6 +692,11 @@ class TestVerifiers:
         assert is_semistandard(right) and T.has_lattice_property(right)
         full_cut = T.split_at_column(t, 3)
         assert full_cut.n_boxes == 0
+
+    def test_split_of_a_tableau_with_no_box(self):
+        t = SkewTableau.from_rows((2, 1), (2, 1), [[], []])
+        for k in range(3):
+            assert T.split_at_column(t, k) == SkewTableau.from_rows((), (), [])
 
     def test_split_reads_only_the_shape(self, monkeypatch):
         # the reference for divided-tableau shares no code with the check's layout
@@ -672,18 +718,23 @@ def ref_small_branch(t):
     return bad
 
 
-def ref_full_rectangle(t):
-    bad, shape, cont = [], t.shape, T.content(t)
+def ref_rectangles(t):
+    """(h, k) of every fully contained rectangle, maximal downwards from its top row."""
+    found, shape = [], t.shape
     for r0 in range(len(shape.outer)):
         lo, hi = shape.inner_at(r0), shape.outer[r0]
         for i in range(r0, len(shape.outer)):
             lo, hi = max(lo, shape.inner_at(i)), min(hi, shape.outer[i])
             if hi <= lo:
                 break
-            if T.gamma(hi - lo, cont) < i - r0 + 1:
-                bad.append({"tableau": t.to_json(), "h": i - r0 + 1, "k": hi - lo,
-                            "gamma_k": T.gamma(hi - lo, cont)})
-    return bad
+            found.append((i - r0 + 1, hi - lo))
+    return found
+
+
+def ref_full_rectangle(t):
+    cont = T.content(t)
+    return [{"tableau": t.to_json(), "h": h, "k": k, "gamma_k": T.gamma(k, cont)}
+            for h, k in ref_rectangles(t) if T.gamma(k, cont) < h]
 
 
 def column_span(t):
@@ -691,16 +742,21 @@ def column_span(t):
     return min(cols), max(cols) + 1
 
 
-def ref_columns_between_lines(t):
-    bad, cont = [], T.content(t)
+def ref_between(t):
+    """(k, h) for 0 <= k <= ell: the rows of the first ell-k columns' boxes span h rows."""
+    found = []
     left, right = column_span(t)
     ell = right - left
     for k in range(ell + 1):
         rows = [i for i, j in t.shape.cells() if j < left + ell - k]
-        h = max(rows) - min(rows) + 1 if rows else 1
-        if T.gamma(k + 1, cont) > h:
-            bad.append({"tableau": t.to_json(), "k": k, "h": h, "gamma": T.gamma(k + 1, cont)})
-    return bad
+        found.append((k, max(rows) - min(rows) + 1 if rows else 1))
+    return found
+
+
+def ref_columns_between_lines(t):
+    cont = T.content(t)
+    return [{"tableau": t.to_json(), "k": k, "h": h, "gamma": T.gamma(k + 1, cont)}
+            for k, h in ref_between(t) if T.gamma(k + 1, cont) > h]
 
 
 def ref_divided_tableau(t):
