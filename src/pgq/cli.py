@@ -48,7 +48,7 @@ def cmd_help_check(args, out) -> int:
             raise ValueError(
                 f"fixture carries rows for order {fixture.unit_order}, not {args.order}"
             )
-        if args.characters:
+        if args.characters is not None:
             raise ValueError("--characters needs a character table; the fixture carries rows")
         try:
             points = fixture.feasible_points()
@@ -76,7 +76,7 @@ def cmd_help_check(args, out) -> int:
         return EXIT_OK if status == "infeasible" else EXIT_FINDING
 
     slice_ = helpmethod.CharacterTableSlice.from_json(doc)
-    chars = args.characters.split(",") if args.characters else None
+    chars = args.characters.split(",") if args.characters is not None else None
     result = helpmethod.feasible_partial_augmentations(slice_, args.order, characters=chars)
     if result.reason:
         print(result.reason, file=sys.stderr)

@@ -172,13 +172,10 @@ class CharacterTableSlice:
             self._galois_powers[key] = matches[0]
         return self._galois_powers[key]
 
-    def trace(self, chi: Character, class_name: str, r: int, l: int) -> int:
-        """Tr_{Q(zeta_r)/Q}(chi(g) zeta_r^{-l}) for g in the named class: an
-        integer, as chi(g) is an algebraic integer of Q(zeta_r)."""
-        return self._trace_row(chi, class_name, r)[l % r]
-
     def _trace_row(self, chi: Character, class_name: str, r: int) -> tuple[int, ...]:
-        """`trace` for every l mod r, computed once per distinct value and r."""
+        """Tr_{Q(zeta_r)/Q}(chi(g) zeta_r^{-l}) for g in the named class, for
+        every l mod r: integers, as chi(g) is an algebraic integer of
+        Q(zeta_r).  Computed once per distinct value and r."""
         key = (self._value_ids.get((chi.name, class_name)), r)
         row = self._traces.get(key)
         if row is None:
@@ -187,7 +184,7 @@ class CharacterTableSlice:
         return row
 
     def variable_traces(self, chi: Character, n: int, l: int) -> tuple[tuple[int, ...], int]:
-        """(T, gcd of T), T = `trace`(chi, C, n, l) for C in `variable_classes(n)`,
+        """(T, gcd of T), T = `_trace_row`(chi, C, n)[l] for C in `variable_classes(n)`,
         the coefficients of n * mu: columns of chi's trace rows, once per slice."""
         rows = self._rows.get((chi.name, n))
         if rows is None:

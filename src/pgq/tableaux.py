@@ -5,18 +5,18 @@ tableau is a filled skew diagram outer/inner; row i occupies columns
 inner[i]..outer[i]-1 (0-based).  Semistandardness and the lattice property
 are checkable predicates, never enforced by construction.
 
-One filling kernel, _fillings, an iterative backtrack over an explicit cell
-stack, enumerates the semistandard lattice fillings of a skew shape, with or
-without a pinned content: Littlewood-Richardson coefficients count its
-leaves.
+One filling kernel, _row_fillings, backtracks over one row of a skew shape
+at a time, on the live letter counts of the rows above it: a
+Littlewood-Richardson coefficient counts the fillings of lam/mu by content,
+each row r filled from column mu_r, and the lemma verifiers' corpus grows a
+row tree, each new row filled from every start column.
 
 The module also carries the exhaustive verifiers for four combinatorial
 inequalities about semistandard lattice skew tableaux, and a brute-force
 linear-algebra oracle over GF(p) that recomputes which (submodule, quotient)
 partition pairs a nilpotent Jordan module admits, independently of the
-Littlewood-Richardson route.  The verifiers walk the corpus as a row tree:
-each tableau is its parent plus one bottom row, filled by the kernel's tests
-on that row alone.  Each lemma's prover carries exact state down the tree
+Littlewood-Richardson route.  In the row tree each tableau is its parent
+plus one bottom row.  Each lemma's prover carries exact state down the tree
 and clears a child from a clean parent and its new row; a node it does not
 clear runs the lemma's exact check on its shape's layout, and violations
 are reported in corpus order.  split_at_column, content and gamma are the
@@ -209,23 +209,16 @@ def gamma(s: int, obj) -> int:
 # -- the filling kernel and Littlewood-Richardson counts ---------------------
 
 
-def _rows_in_grid(outer: Partition, inner: Partition) -> tuple[list[int], list[int]]:
-    """The first column of each row of outer/inner, and where each row ends
-    in the filling kernel's grid, which holds the rows left to right, one
-    after another."""
-    starts = [*inner, *[0] * (len(outer) - len(inner))]
-    return starts, list(itertools.accumulate(map(operator.sub, outer, starts)))
-
-
 class _ShapeTables:
     """The layout of one skew shape outer/inner for the exact lemma checks,
     built straight from the two partitions, which are trusted (inner inside
-    outer, at least one cell): the row starts of _rows_in_grid and the
-    occupied columns left..left+ell-1.  On first use: the validated
-    SkewShape and the rectangles."""
+    outer, at least one cell): the first column of each row and the occupied
+    columns left..left+ell-1.  On first use: the validated SkewShape and the
+    rectangles."""
 
     def __init__(self, outer: Partition, inner: Partition):
-        self.outer, self.inner, self.starts = outer, inner, _rows_in_grid(outer, inner)[0]
+        self.outer, self.inner = outer, inner
+        self.starts = [*inner, *[0] * (len(outer) - len(inner))]
         self.occupied = [i for i, (o, s) in enumerate(zip(outer, self.starts)) if o > s]
         # starts and outer both weakly decrease down the rows
         self.left = self.starts[self.occupied[-1]]
@@ -247,100 +240,18 @@ class _ShapeTables:
         return SkewTableau(self.shape, rows).to_json()
 
 
-def _fillings(outer, starts, ends, target=None):
-    """Every semistandard lattice filling of a skew shape with at least one
-    cell, its rows laid out by _rows_in_grid, by backtracking over an
-    explicit cell stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B).
-
-    The grid holds the rows left to right, one after another, then the
-    sentinel 0 and one cap per row.  Cells are visited in reading order,
-    rows top to bottom and each right to left, so a cell's right neighbour
-    (or its row's cap) bounds its entry from above and the cell above it (or
-    the sentinel 0) bounds it strictly from below.  Row i (from 0) holds no
-    letter above i + 1, since the first letter read in it is its largest and
-    at most one above some letter read before.  counts[e] is the number of
-    letters e read so far and counts[0] exceeds every count, so the lattice
-    prefix test of a letter e is counts[e] < counts[e - 1].  target, when
-    given, pins the content: e occurs at most target[e - 1] times and never
-    past len(target), so with |target| boxes every leaf has content target.
-
-    Each leaf is yielded as (grid, counts), two live lists that change as
-    soon as the generator resumes.  Leaves come in lexicographic order of
-    the reading word.
-    """
-    top = len(outer) if target is None else len(target)
-    n = ends[-1]
-    order, right, above = [], [], []  # per visit: grid index, cap, floor
-    for i, (o, s) in enumerate(zip(outer, starts)):
-        base = ends[i] - o  # grid index of column 0 of row i
-        up = ends[i - 1] - outer[i - 1] if i else 0
-        for j in range(o - 1, s - 1, -1):
-            order.append(base + j)
-            right.append(base + j + 1 if j + 1 < o else n + 1 + i)
-            above.append(up + j if i and starts[i - 1] <= j < outer[i - 1] else n)
-    grid = [0] * (n + 1) + [min(i + 1, top) for i in range(len(outer))]
-    counts = [n + 1] + [0] * top
-    caps = [n + 1] + (list(target) if target is not None else [n + 1] * top)
-    last = n - 1
-    k = 0
-    while k >= 0:
-        at = order[k]
-        e = grid[at]
-        if e:  # resumed: take the entry back and try the next letter
-            counts[e] -= 1
-            e += 1
-        else:
-            e = grid[above[k]] + 1
-        hi = grid[right[k]]
-        while e <= hi:
-            c = counts[e]
-            if c < counts[e - 1] and c < caps[e]:
-                break
-            e += 1
-        else:
-            grid[at] = 0
-            k -= 1
-            continue
-        grid[at] = e
-        counts[e] = c + 1
-        if k == last:
-            yield grid, counts
-        else:
-            k += 1
-
-
-def lr_coefficient(lam, mu, nu) -> int:
-    """Number of semistandard lattice fillings of lam/mu with content nu.
-
-    Violated preconditions (weight mismatch, mu not inside lam, nu not a
-    partition) yield 0, and so does nu not inside lam (c^lam_{mu nu} =
-    c^lam_{nu mu}), all without running the filling kernel.
-    """
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    for x in lam + mu + nu:  # every part an int before any is compared
-        if not isinstance(x, int):
-            return 0
-    # a partition has no zero part, so one inside lam is no longer than lam
-    if not (len(mu) <= len(lam) >= len(nu) and sum(mu) + sum(nu) == sum(lam)
-            and all(map(operator.le, mu, lam)) and all(map(operator.le, nu, lam))
-            and _is_partition_of_ints(lam) and _is_partition_of_ints(mu)
-            and _is_partition_of_ints(nu)):
-        return 0
-    if not nu:
-        return 1
-    return sum(1 for _ in _fillings(lam, *_rows_in_grid(lam, mu), nu))
-
-
-# -- the corpus as a row tree -------------------------------------------------
-
-
-def _row_fillings(counts, floors, o, cap, last):
-    """Every filling (s, row) of columns s..o-1 of a new bottom row, s <= last,
-    by the kernel's tests, right to left: at most the right neighbour (cap for
-    the rightmost), at least floors[j], and e only if counts[e] < counts[e - 1]
-    on the live letter counts.  A filling from s extends one from s + 1."""
+def _row_fillings(counts, floors, o, cap, last, first=0):
+    """The filling kernel: every filling (s, row) of columns s..o-1 of a new
+    bottom row, first <= s <= last, by backtracking right to left (Knuth,
+    TAOCP 4A, 7.2.2, Algorithm B).  An entry is at most its right neighbour
+    (cap for the rightmost), at least floors[j], and e only if counts[e] <
+    counts[e - 1] on the live letter counts, counts[0] exceeding every count.
+    A filling from s extends one from s + 1, and first is the leftmost
+    column a row may start at.  The counts include the row it yields."""
     if last >= o:
         yield o, ()
+    if first >= o:
+        return
     row = [0] * o + [cap]
     j = o - 1
     while j < o:
@@ -360,8 +271,59 @@ def _row_fillings(counts, floors, o, cap, last):
         counts[e] += 1
         if j <= last:
             yield j, tuple(row[j:o])
-        if j:
+        if j > first:
             j -= 1
+
+
+@lru_cache(maxsize=1024)
+def _lr_contents(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """The number of semistandard lattice fillings of lam/mu of each content:
+    the kernel fills the rows top to bottom, row r from column mu_r, and each
+    leaf is counted under its letter counts, a partition.  Row r holds no
+    letter above r + 1, since the first letter read in it is its largest and
+    at most one above some letter read before."""
+    starts = [*mu, *[0] * (len(lam) - len(mu))]
+    counts = [sum(lam) + 1] + [0] * len(lam)
+    tally: dict[Partition, int] = {}
+
+    def fill(r, floors):
+        if r == len(lam):
+            nu = tuple(itertools.takewhile(bool, counts[1:]))
+            tally[nu] = tally.get(nu, 0) + 1
+            return
+        s = starts[r]
+        for _, row in _row_fillings(counts, floors, lam[r], r + 1, s, s):
+            fill(r + 1, [1] * s + [e + 1 for e in row])
+
+    fill(0, [1] * max(lam, default=0))
+    return tally
+
+
+def lr_coefficient(lam, mu, nu) -> int:
+    """Number of semistandard lattice fillings of lam/mu with content nu.
+
+    Violated preconditions (weight mismatch, mu not inside lam, nu not a
+    partition) yield 0, and so does nu not inside lam (c^lam_{mu nu} =
+    c^lam_{nu mu}), all without running the filling kernel.  Otherwise the
+    fillings of lam/mu of every content are counted at once and cached per
+    (lam, mu), since callers ask for every nu of one shape: a single query
+    pays for all the contents, on (7,6,5,4,3,2,1)/(4,3,2,1) some 25 times
+    the work of counting one content alone.
+    """
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    for x in lam + mu + nu:  # every part an int before any is compared
+        if not isinstance(x, int):
+            return 0
+    # a partition has no zero part, so one inside lam is no longer than lam
+    if not (len(mu) <= len(lam) >= len(nu) and sum(mu) + sum(nu) == sum(lam)
+            and all(map(operator.le, mu, lam)) and all(map(operator.le, nu, lam))
+            and _is_partition_of_ints(lam) and _is_partition_of_ints(mu)
+            and _is_partition_of_ints(nu)):
+        return 0
+    return _lr_contents(lam, mu).get(nu, 0)
+
+
+# -- the corpus as a row tree -------------------------------------------------
 
 
 def _inner(starts) -> Partition:
@@ -619,7 +581,9 @@ def _prove_divided_tableau(state, outer, starts, rows, counts):
     above; the first occupied column; and per absolute cut c <= outer[0],
     (lattice, right): right[e] counts the letters e right of the cut
     (right[0] exceeds every count), read as a lattice word or not.  The
-    bottom row is read last: its boxes right of the cut extend both."""
+    bottom row is read last: its boxes right of the cut extend both.  The
+    columns strictly increase, so the k columns left of a cut hold a letter
+    at most k times: t - r <= k, and the check's n-by-n test never runs."""
     s, o, row = starts[-1], outer[-1], rows[-1]
     if o == s:
         return state, True  # the parent's tableau with an empty row
@@ -636,10 +600,7 @@ def _prove_divided_tableau(state, outer, starts, rows, counts):
             lattice = lattice and right[e] <= right[e - 1]
         rights[c] = lattice, right
         ok = ok and (lattice or c < left)
-    # t - r is the most of a letter left of the cut: new only past column s
-    letters = counts[:len(rows) + 1]  # row i holds no letter above i + 1
-    return (least, left, rights), ok and all(max(map(operator.sub, letters, right)) <= c - left
-                                             for c, (_, right) in enumerate(rights[s + 1:], s + 1))
+    return (least, left, rights), ok
 
 
 def _run_verifier(max_boxes: int, checks) -> list[VerifierReport]:

@@ -653,10 +653,14 @@ class TestErrors:
          "no character named 'nope' in S5"),
         (["help-check", "--table", "onan", "--order", "21", "--characters", "x"],
          "--characters needs a character table"),
+        (["help-check", "--table", "s5", "--order", "6", "--characters="],
+         "no character named '' in S5"),
+        (["help-check", "--table", "onan", "--order", "21", "--characters="],
+         "--characters needs a character table"),
         (["tableaux-verify", "--max-boxes", "0"], "--max-boxes must be at least 1"),
         (["tableaux-verify", "--max-boxes", "-1"], "--max-boxes must be at least 1"),
     ], ids=["thompson-2", "thompson-10", "unknown-character", "characters-on-rows",
-            "max-boxes-0", "max-boxes--1"])
+            "empty-characters", "empty-characters-on-rows", "max-boxes-0", "max-boxes--1"])
     def test_query_outside_the_contract_is_an_input_error(self, capsys, argv, message):
         code, text = run(argv)
         assert (code, text) == (2, "")

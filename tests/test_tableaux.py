@@ -246,8 +246,8 @@ class TestLRCoefficients:
 
     def test_shapes_outside_lam_skip_the_kernel(self, monkeypatch):
         calls = []
-        fillings = T._fillings
-        monkeypatch.setattr(T, "_fillings", lambda *a: calls.append(a) or fillings(*a))
+        contents = T._lr_contents
+        monkeypatch.setattr(T, "_lr_contents", lambda *a: calls.append(a) or contents(*a))
         cases = 0
         for w in range(1, 8):
             for lam in T.partitions_of(w):
@@ -271,13 +271,16 @@ class TestLRCoefficients:
         # the smallest LR coefficient equal to 2
         assert T.lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
 
-    def test_kernel_matches_recursive_oracle_up_to_weight_7(self):
-        for w in range(1, 8):
+    def test_kernel_matches_recursive_oracle_on_every_triple_up_to_weight_9(self):
+        for w in range(1, 10):
             for lam in T.partitions_of(w):
                 for mu in T.subpartitions(lam):
+                    counts = {}
                     for nu in T.partitions_of(w - T.weight(mu)):
-                        assert T.lr_coefficient(lam, mu, nu) == oracle_lr(lam, mu, nu), (
-                            lam, mu, nu)
+                        counts[nu] = oracle_lr(lam, mu, nu)
+                        assert T.lr_coefficient(lam, mu, nu) == counts[nu], (lam, mu, nu)
+                    # the tally of lam/mu holds no content of another weight
+                    assert T._lr_contents(lam, mu) == {nu: c for nu, c in counts.items() if c}
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -479,7 +482,7 @@ class TestSubmoduleCounts:
         def no_lr(*args):
             raise AssertionError("the count oracle asked the LR route")
         monkeypatch.setattr(T, "lr_coefficient", no_lr)
-        monkeypatch.setattr(T, "_fillings", no_lr)
+        monkeypatch.setattr(T, "_lr_contents", no_lr)
         cases = 0
         for w in range(1, max_weight + 1):
             for lam in T.partitions_of(w, max_part=p):
@@ -664,6 +667,9 @@ class TestVerifiers:
                 while letters and not letters[-1]:
                     letters.pop()
                 assert tuple(letters) == T.content(part), (t, k)
+                # the k columns left of the cut hold each letter at most k times
+                assert all(a - b <= k for a, b in itertools.zip_longest(
+                    T.content(t), T.content(part), fillvalue=0)), (t, k)
 
     def test_a_walk_that_clears_nothing_gives_the_same_reports(self, monkeypatch):
         names = sorted(T.ALL_VERIFIERS)
